@@ -1,10 +1,11 @@
 """Markov-chain coordinate sparsifiers for communication-efficient training.
 
 The package has three layers: compressors (mask laws and the sparsifying
-operator, with numba-compiled kernels), exact chain analysis (stationary
-distributions, mixing times, ergodicity bounds, hitting times), and a
-distributed-training stack (logistic-regression objectives, three
-compressed-gradient optimizers, an experiment harness with a CLI).
+operator, on numpy kernels), exact chain analysis (stationary distributions,
+mixing times, ergodicity bounds, hitting times), and a distributed-training
+stack (logistic-regression objectives, three compressed-gradient optimizers,
+an experiment harness with a CLI). The live compressors and the chain
+analysis share one coordinate law, ``kernels.coordinate_law``.
 """
 
 from .compressors import (
@@ -16,7 +17,6 @@ from .compressors import (
     PERMK,
     RAND,
     Compressor,
-    compress_step,
     make_compressor,
     sparsify,
 )
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_KINDS", "BANLAST", "IDENTITY", "KAWASAKI", "NATURAL", "PERMK", "RAND",
-    "Compressor", "compress_step", "make_compressor", "sparsify",
+    "Compressor", "make_compressor", "sparsify",
     "MarkosparseError", "InvalidArgumentError", "InfeasibleSampleError",
     "ConfigError", "ParseError", "NonErgodicError", "TooLargeError",
     "NumericalError", "DivergenceError",

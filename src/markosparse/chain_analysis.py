@@ -18,14 +18,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from . import kernels
-from .compressors import (
-    BANLAST,
-    KAWASAKI,
-    RAND,
-    IDENTITY,
-    banlast_probabilities,
-    kawasaki_probabilities,
-)
+from .compressors import IDENTITY, KAWASAKI, SPARSIFYING_KINDS, validate_parameters
 from .errors import (
     InvalidArgumentError,
     NonErgodicError,
@@ -81,14 +74,11 @@ def sequential_mask_law(p, m):
     return law
 
 
-def _coordinate_law(kind, history, d, m, b, activation):
-    if kind == BANLAST:
-        return banlast_probabilities(history, d, m)
-    if kind == KAWASAKI:
-        return kawasaki_probabilities(history, d, m, b, activation)
-    if kind == RAND:
-        return np.full(d, 1.0 / d)
-    raise InvalidArgumentError(f"no Markov chain for compressor kind '{kind}'")
+def _coordinate_law(kind, history, d, b, activation):
+    """The live compressor's law after the masks in `history`."""
+    counts = np.bincount(np.array(history, dtype=np.int64).ravel(), minlength=d)
+    return kernels.coordinate_law(kernels.KIND_IDS[kind], kernels.ACTIVATION_IDS[activation],
+                                  b, counts)
 
 
 @dataclass
@@ -131,12 +121,13 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
     KAWASAKI that law is a modeling choice, so it must be requested
     explicitly via joint_law=True.
     """
+    if kind not in SPARSIFYING_KINDS:
+        raise InvalidArgumentError(f"no Markov chain for compressor kind '{kind}'")
+    validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)
     if kind == KAWASAKI and m > 1 and not joint_law:
         raise InvalidArgumentError(
             "kawasaki with m > 1: pass joint_law=True to adopt the sequential-draw joint law"
         )
-    if kind == KAWASAKI and b <= 1:
-        raise InvalidArgumentError("forgetting rate b must exceed 1")
     states = enumerate_states(d, m, K, cap=cap)
     if len(states) > matrix_cap:
         raise TooLargeError(len(states), matrix_cap)
@@ -152,7 +143,7 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
     # successor index comes from a shift instead of a dict lookup
     radix = M ** (K - 1)
     for i, state in enumerate(states):
-        p = _coordinate_law(kind, list(state), d, m, b, activation)
+        p = _coordinate_law(kind, state, d, b, activation)
         law = sequential_mask_law(p, m)
         base = (i % radix) * M
         for mask, prob in law.items():
@@ -170,8 +161,7 @@ def _initial_states(chain):
     for _ in range(chain.K):
         nxt = set()
         for hist in partial:
-            p = _coordinate_law(chain.kind, list(hist), chain.d, chain.m, chain.b,
-                                chain.activation)
+            p = _coordinate_law(chain.kind, hist, chain.d, chain.b, chain.activation)
             for mask, prob in sequential_mask_law(p, chain.m).items():
                 if prob > 0.0:
                     nxt.add(hist + (mask,))
@@ -304,7 +294,7 @@ def newest_mask_marginal(chain, pi):
         for j in state[-1]:
             marginal[j] += pi[i]
     if chain.K == 0:  # memoryless: the one-step law from the empty history
-        p = _coordinate_law(chain.kind, [], chain.d, chain.m, chain.b, chain.activation)
+        p = _coordinate_law(chain.kind, (), chain.d, chain.b, chain.activation)
         for mask, prob in sequential_mask_law(p, chain.m).items():
             for j in mask:
                 marginal[j] += prob
@@ -448,14 +438,15 @@ def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
         raise InvalidArgumentError("trials must be >= 1")
     if not 0 <= target < d:
         raise InvalidArgumentError(f"target {target} outside [0, {d})")
+    validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)
     if kind == IDENTITY:
         return 1.0, 0.0
-    if kind not in _KERNEL_KINDS:
+    if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no hitting-time simulation for kind '{kind}'")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
     times, n_capped = kernels.simulate_hitting_times(
-        rng, _KERNEL_KINDS[kind], kernels.ACTIVATION_IDS[activation],
+        rng, kernels.KIND_IDS[kind], kernels.ACTIVATION_IDS[activation],
         d, m, K, float(b), target, trials, cap,
     )
     if n_capped:
@@ -463,10 +454,3 @@ def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
     mean = float(times.mean())
     stderr = float(times.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
-
-
-_KERNEL_KINDS = {
-    RAND: kernels.KIND_RAND,
-    BANLAST: kernels.KIND_BANLAST,
-    KAWASAKI: kernels.KIND_KAWASAKI,
-}

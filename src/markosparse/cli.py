@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands: train, sweep-k, analyze-chain, hitting-time, optimal-k,
-reproduce-appendix-b, bench-kernels. Exit codes: 0 success, 2 configuration
-or argument error, 3 divergence during training, 4 numerical or structural
-failure (non-convergence, non-ergodic chain, state space too large).
+reproduce-appendix-b. Exit codes: 0 success, 2 configuration or argument
+error, 3 divergence during training, 4 numerical or structural failure
+(non-convergence, non-ergodic chain, state space too large).
 """
 
 import argparse
 import sys
 from dataclasses import replace
 
-from . import bench, chain_analysis as chains, harness, kernels
+from . import chain_analysis as chains, harness
 from .compressors import BANLAST, KAWASAKI, RAND, SPARSIFYING_KINDS
 from .errors import (ConfigError, DivergenceError, InvalidArgumentError,
                      NonErgodicError, NumericalError, ParseError, TooLargeError)
@@ -81,16 +81,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=2024)
 
-    p = sub.add_parser("bench-kernels", help="compiled vs interpreted kernel timing")
-    p.add_argument("--kind", default=BANLAST, choices=SPARSIFYING_KINDS)
-    p.add_argument("--activation", default="normalize")
-    p.add_argument("--d", type=int, default=500)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--K", type=int, default=3)
-    p.add_argument("--b", type=float, default=50.0)
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -184,17 +174,6 @@ def _cmd_reproduce(args):
     return 0
 
 
-def _cmd_bench(args):
-    report = bench.benchmark(
-        kind={"rand": kernels.KIND_RAND, "banlast": kernels.KIND_BANLAST,
-              "kawasaki": kernels.KIND_KAWASAKI}[args.kind],
-        activation=kernels.ACTIVATION_IDS[args.activation],
-        d=args.d, m=args.m, K=args.K, b=args.b,
-        steps=args.steps, repeats=args.repeats, seed=args.seed)
-    print(bench.format_report(report))
-    return 0
-
-
 _DISPATCH = {
     "train": _cmd_train,
     "sweep-k": _cmd_sweep_k,
@@ -202,7 +181,6 @@ _DISPATCH = {
     "hitting-time": _cmd_hitting_time,
     "optimal-k": _cmd_optimal_k,
     "reproduce-appendix-b": _cmd_reproduce,
-    "bench-kernels": _cmd_bench,
 }
 
 

@@ -20,10 +20,13 @@ Mask laws:
                 unbiased; costs 9 bits/coordinate instead of 32.
   * identity  - passthrough.
 
-Masks are mutually exclusive draws: for m > 1 the mask is built by sequential
-weighted draws without replacement, renormalizing after each draw. Randomness
-comes from numpy's PCG64 generator; every compressor owns its seeded stream,
-so runs are reproducible from the seed alone.
+The rand, banlast and kawasaki laws are computed by kernels.coordinate_law,
+the same function the exact chain analysis uses; validate_parameters checks
+their inputs once, where they enter. Masks are mutually exclusive draws: for
+m > 1 the mask is built by sequential weighted draws without replacement,
+renormalizing after each draw. Randomness comes from numpy's PCG64
+generator; every compressor owns its seeded stream, so runs are reproducible
+from the seed alone.
 """
 
 import numpy as np
@@ -41,95 +44,53 @@ IDENTITY = "identity"
 SPARSIFYING_KINDS = (RAND, BANLAST, KAWASAKI)
 ALL_KINDS = SPARSIFYING_KINDS + (PERMK, NATURAL, IDENTITY)
 
-ACTIVATIONS = ("normalize", "softmax", "project")
-
-_KIND_IDS = {RAND: kernels.KIND_RAND, BANLAST: kernels.KIND_BANLAST, KAWASAKI: kernels.KIND_KAWASAKI}
+ACTIVATIONS = tuple(kernels.ACTIVATION_IDS)
 
 
-def _as_prob_vector(p):
-    p = np.asarray(p, dtype=np.float64)
-    total = p.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise InvalidArgumentError("weights must be finite with positive sum")
-    return p / total
+def validate_parameters(kind, d, m=None, K=0, b=50.0, activation="normalize",
+                        allow_nonergodic=False):
+    """Checks a compressor's parameters; returns the resolved mask size m.
 
-
-def activation_normalize(w):
-    """|w_j| / ||w||_1. Errors on the all-zero vector."""
-    w = np.abs(np.asarray(w, dtype=np.float64))
-    return _as_prob_vector(w)
-
-
-def activation_softmax(w):
-    w = np.asarray(w, dtype=np.float64)
-    e = np.exp(w - w.max())
-    return e / e.sum()
-
-
-def activation_simplex_project(w):
-    """Euclidean projection onto the probability simplex (sort + threshold)."""
-    w = np.asarray(w, dtype=np.float64)
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(w) + 1)
-    cond = u - (css - 1.0) / ks > 0.0
-    rho = np.nonzero(cond)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1)
-    p = np.maximum(w - theta, 0.0)
-    return p / p.sum()
-
-
-_ACTIVATION_FUNCS = {
-    "normalize": activation_normalize,
-    "softmax": activation_softmax,
-    "project": activation_simplex_project,
-}
+    Every entry point that runs a mask law (the compressor, the exact chain
+    analysis, the hitting-time simulation) checks here once, so the law
+    itself never has to.
+    """
+    if kind not in ALL_KINDS:
+        raise InvalidArgumentError(f"unknown compressor kind '{kind}'")
+    if d < 1:
+        raise InvalidArgumentError("d must be positive")
+    if kind in (IDENTITY, NATURAL, PERMK):
+        m = d if m is None else m
+    if m is None or not 1 <= m <= d:
+        raise InvalidArgumentError(f"mask size m={m} outside [1, {d}]")
+    if K < 0:
+        raise InvalidArgumentError("history size K must be non-negative")
+    if kind == BANLAST and not allow_nonergodic and d <= (K + 1) * m:
+        raise InvalidArgumentError(
+            f"banlast needs d > (K+1)*m for an ergodic chain; got d={d}, K={K}, m={m}"
+        )
+    if kind == BANLAST and d < (K + 1) * m:
+        # even with the ergodicity check waived the ban must stay feasible
+        raise InfeasibleSampleError(
+            f"banlast with d={d} < (K+1)*m = {(K + 1) * m} cannot fill a mask"
+        )
+    if kind == KAWASAKI and b <= 1:
+        raise InvalidArgumentError("forgetting rate b must exceed 1")
+    if activation not in ACTIVATIONS:
+        raise InvalidArgumentError(f"unknown activation '{activation}'")
+    return m
 
 
 def apply_activation(w, activation):
-    try:
-        return _ACTIVATION_FUNCS[activation](w)
-    except KeyError:
-        raise InvalidArgumentError(f"unknown activation '{activation}'") from None
-
-
-def _history_counts(history, d):
-    counts = np.zeros(d, dtype=np.int64)
-    for mask in history:
-        for j in mask:
-            if not 0 <= j < d:
-                raise InvalidArgumentError(f"history index {j} outside [0, {d})")
-            counts[j] += 1
-    return counts
-
-
-def banlast_probabilities(history, d, m):
-    """Uniform law over coordinates absent from every stored mask.
-
-    With h masks stored the allowed mass is 1/(d - h*m) per coordinate; a
-    partially filled buffer (h < K warm-up) simply bans fewer coordinates.
-    """
-    counts = _history_counts(history, d)
-    p = (counts == 0).astype(np.float64)
-    n_allowed = int(p.sum())
-    if n_allowed < m:
-        raise InfeasibleSampleError(
-            f"banlast leaves {n_allowed} coordinates for a mask of size {m}"
-        )
-    return p / n_allowed
-
-
-def kawasaki_probabilities(history, d, m, b, activation="normalize"):
-    """Penalized law: weight (1/d)/b^c_j where c_j counts occurrences of j
-    across the stored masks (multiplicity counted), mapped through the
-    activation."""
-    if b <= 1:
-        raise InvalidArgumentError("forgetting rate b must exceed 1")
-    counts = _history_counts(history, d)
-    w = np.empty(d, dtype=np.float64)
-    for j in range(d):
-        w[j] = kernels.python_impl(kernels._penalized_weight)(d, float(b), int(counts[j]))
-    return apply_activation(w, activation)
+    """Maps weights onto the probability simplex with the named activation."""
+    if activation not in ACTIVATIONS:
+        raise InvalidArgumentError(f"unknown activation '{activation}'")
+    w = np.asarray(w, dtype=np.float64)
+    if activation == "normalize":
+        total = np.abs(w).sum()
+        if not np.isfinite(total) or total <= 0.0:
+            raise InvalidArgumentError("normalize needs finite weights with a positive sum")
+    return kernels.activate(w, kernels.ACTIVATION_IDS[activation])
 
 
 def sample_mask(p, m, rng):
@@ -141,7 +102,7 @@ def sample_mask(p, m, rng):
         )
     work = p.copy()
     mask = np.empty(m, dtype=np.int64)
-    kernels.python_impl(kernels._sample_without_replacement)(rng, work, m, mask)
+    kernels._sample_without_replacement(rng, work, m, mask)
     return mask
 
 
@@ -215,29 +176,7 @@ class Compressor:
 
     def __init__(self, kind, d, m=None, K=0, b=50.0, activation="normalize",
                  seed=0, worker=0, n_workers=1, allow_nonergodic=False):
-        if kind not in ALL_KINDS:
-            raise InvalidArgumentError(f"unknown compressor kind '{kind}'")
-        if d < 1:
-            raise InvalidArgumentError("d must be positive")
-        if kind in (IDENTITY, NATURAL, PERMK):
-            m = d if m is None else m
-        if m is None or not 1 <= m <= d:
-            raise InvalidArgumentError(f"mask size m={m} outside [1, {d}]")
-        if K < 0:
-            raise InvalidArgumentError("history size K must be non-negative")
-        if kind == BANLAST and not allow_nonergodic and d <= (K + 1) * m:
-            raise InvalidArgumentError(
-                f"banlast needs d > (K+1)*m for an ergodic chain; got d={d}, K={K}, m={m}"
-            )
-        if kind == BANLAST and d < (K + 1) * m:
-            # even with the ergodicity check waived the ban must stay feasible
-            raise InfeasibleSampleError(
-                f"banlast with d={d} < (K+1)*m = {(K + 1) * m} cannot fill a mask"
-            )
-        if kind == KAWASAKI and b <= 1:
-            raise InvalidArgumentError("forgetting rate b must exceed 1")
-        if activation not in ACTIVATIONS:
-            raise InvalidArgumentError(f"unknown activation '{activation}'")
+        m = validate_parameters(kind, d, m, K, b, activation, allow_nonergodic)
 
         self.kind = kind
         self.d = int(d)
@@ -245,6 +184,9 @@ class Compressor:
         self.K = int(K) if kind in (BANLAST, KAWASAKI) else 0
         self.b = float(b)
         self.activation = activation
+        # the kernels take integer ids; None marks kinds without a mask law
+        self._kind_id = kernels.KIND_IDS.get(kind)
+        self._act_id = kernels.ACTIVATION_IDS[activation]
         self.seed = seed
         self.worker = worker
         self.n_workers = n_workers
@@ -261,30 +203,17 @@ class Compressor:
         self._counts = np.zeros(self.d, dtype=np.int64)
         self._fill = 0
         self._pos = 0
-        self._p_buf = np.empty(self.d, dtype=np.float64)
         self._mask_buf = np.empty(self.m, dtype=np.int64)
 
         # communication accounting: coordinates sent per step and bits per
         # coordinate (the budget layer multiplies by bits/32)
         self.bits_per_coord = 9 if kind == NATURAL else 32
 
-    def history(self):
-        """Stored masks, oldest first."""
-        out = []
-        for i in range(self._fill):
-            row = (self._pos - self._fill + i) % max(self.K, 1)
-            out.append(self._hist[row].copy())
-        return out
-
     def probabilities(self):
         """Law of the next mask's sequential draws, given current history."""
-        if self.kind == BANLAST:
-            return banlast_probabilities(self.history(), self.d, self.m)
-        if self.kind == KAWASAKI:
-            return kawasaki_probabilities(self.history(), self.d, self.m, self.b, self.activation)
-        if self.kind == RAND:
-            return np.full(self.d, 1.0 / self.d)
-        raise InvalidArgumentError(f"'{self.kind}' has no coordinate law")
+        if self._kind_id is None:
+            raise InvalidArgumentError(f"'{self.kind}' has no coordinate law")
+        return kernels.coordinate_law(self._kind_id, self._act_id, self.b, self._counts)
 
     def compress(self, x):
         """One step: returns (compressed vector, coords_sent)."""
@@ -300,20 +229,13 @@ class Compressor:
             mask = masks[self.worker]
             return sparsify(x, mask, self.d, len(mask)), len(mask)
         self._fill, self._pos = kernels.step_mask(
-            self.rng, _KIND_IDS[self.kind], kernels.ACTIVATION_IDS[self.activation],
-            self.d, self.m, self.K, self.b,
-            self._hist, self._counts, self._fill, self._pos,
-            self._p_buf, self._mask_buf,
+            self.rng, self._kind_id, self._act_id, self.m, self.K, self.b,
+            self._hist, self._counts, self._fill, self._pos, self._mask_buf,
         )
         return sparsify(x, self._mask_buf, self.d, self.m), self.m
 
     def last_mask(self):
         return self._mask_buf.copy()
-
-
-def compress_step(state, x):
-    """Functional alias for Compressor.compress."""
-    return state.compress(x)
 
 
 def make_compressor(kind, d, **kwargs):

@@ -14,6 +14,7 @@ import hashlib
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import yaml
 from . import chain_analysis as chains
 from .compressors import (ALL_KINDS, BANLAST, IDENTITY, KAWASAKI, NATURAL,
                           ACTIVATIONS)
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, DivergenceError, InvalidArgumentError
 from .objectives import load_libsvm, partition
 from .optimizers import OPTIMIZERS, RunConfig, reference_minimizer, run_training
 
@@ -179,6 +180,19 @@ def _reference_key(cfg, data_bytes):
     return h.hexdigest()
 
 
+def _save_reference(cache_dir, path, ref):
+    # write a temp file and rename it, so no reader sees a half-written blob
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".npz", dir=cache_dir)
+    os.close(fd)
+    try:
+        np.savez(tmp, x_star=ref[0], f_star=ref[1])
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cached_reference(cfg, problem, data_bytes, tol=1e-10):
     key = _reference_key(cfg, data_bytes)
     if key in _REFERENCE_MEMORY:
@@ -191,8 +205,7 @@ def _cached_reference(cfg, problem, data_bytes, tol=1e-10):
     else:
         ref = reference_minimizer(problem, tol=tol)
         if path:
-            os.makedirs(cache_dir, exist_ok=True)
-            np.savez(path, x_star=ref[0], f_star=ref[1])
+            _save_reference(cache_dir, path, ref)
     _REFERENCE_MEMORY[key] = ref
     return ref
 
@@ -201,8 +214,8 @@ def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(v)
     f = float(v)
-    if math.isnan(f):
-        return "nan"
+    if not math.isfinite(f):  # a diverged row holds inf or nan
+        return repr(f)
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
@@ -217,6 +230,14 @@ def trace_to_csv(trace):
             _fmt(trace.dist_sq_to_opt[i]),
         )))
     return "\n".join(lines) + "\n"
+
+
+def _write_csv(path, trace):
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(trace_to_csv(trace))
 
 
 def coords_to_threshold(trace, threshold):
@@ -275,14 +296,16 @@ def run_experiment(cfg, csv_path=None, quiet=False, reference_tol=1e-10):
         p=cfg.p if cfg.p is not None else 1.0,
         alpha_shift=cfg.alpha_shift,
     )
-    trace = run_training(problem, run_cfg, reference=reference)
     out = csv_path or cfg.output
+    try:
+        trace = run_training(problem, run_cfg, reference=reference)
+    except DivergenceError as err:
+        # the rows up to the divergence are still written
+        if out and err.trace is not None:
+            _write_csv(out, err.trace)
+        raise
     if out:
-        parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(trace_to_csv(trace))
+        _write_csv(out, trace)
     summary = summarize(trace)
     if not quiet:
         print_summary(summary)

@@ -1,25 +1,26 @@
-"""Hot loops: mask sampling, history updates, chain simulation.
+"""Hot loops: the coordinate law, mask sampling, history updates, chain
+simulation.
 
-Every kernel is written as a plain scalar loop over numpy arrays and draws
-randomness exclusively through ``rng.random()`` on a ``numpy.random.Generator``.
-When numba is available the kernels are compiled with ``@njit``; otherwise (or
-when the ``MARKOSPARSE_DISABLE_NUMBA`` environment variable is set to 1/true)
-the same functions run interpreted. Numba operates on the very same PCG64
-bit-generator state as numpy, so the two backends consume the stream
-identically and produce bit-identical mask sequences. ``bench.py`` compares
-their speed.
+``coordinate_law`` is the one map from a history's per-coordinate counts to
+the law of the next draw. The live compressors (through ``step_mask``),
+``Compressor.probabilities`` and the exact chain analysis all call it, so
+the analysed chain is the simulated one. Every total is a left-to-right sum
+(``np.cumsum(...)[-1]``), never numpy's pairwise ``sum``, which fixes the law
+bit for bit. Randomness is drawn only through ``rng.random()`` on a
+``numpy.random.Generator``, so the seed fixes the whole mask stream.
+
+Nothing here validates its arguments: callers check them once, where they
+enter the package (``compressors.validate_parameters``).
 """
 
-import os
-
 import numpy as np
-
-DISABLE_ENV = "MARKOSPARSE_DISABLE_NUMBA"
 
 # compressor kinds handled by the kernels (baselines live in compressors.py)
 KIND_RAND = 0
 KIND_BANLAST = 1
 KIND_KAWASAKI = 2
+
+KIND_IDS = {"rand": KIND_RAND, "banlast": KIND_BANLAST, "kawasaki": KIND_KAWASAKI}
 
 ACT_NORMALIZE = 0
 ACT_SOFTMAX = 1
@@ -28,104 +29,59 @@ ACT_PROJECT = 2
 ACTIVATION_IDS = {"normalize": ACT_NORMALIZE, "softmax": ACT_SOFTMAX, "project": ACT_PROJECT}
 
 
-def _numba_disabled_by_env():
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in ("1", "true", "yes")
-
-
-NUMBA_ENABLED = False
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if NUMBA_ENABLED:
-    def _maybe_njit(func):
-        # fastmath stays off: the interpreted path must see the same float ops
-        return _njit(cache=True)(func)
-else:
-    def _maybe_njit(func):
-        return func
-
-
 def backend_name():
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """The array backend the kernels run on."""
+    return "numpy"
 
 
-def python_impl(kernel):
-    """The interpreted counterpart of a kernel (itself when numba is off)."""
-    return getattr(kernel, "py_func", kernel)
+def _total(p):
+    # sequential sum: np.sum adds pairwise and rounds differently
+    return np.cumsum(p)[-1]
 
 
-@_maybe_njit
-def _penalized_weight(d, b, count):
-    # (1/d) / b**count, evaluated by repeated division so that the compiled
-    # and interpreted paths round identically
-    w = 1.0 / d
-    for _ in range(count):
-        w /= b
-    return w
+def activate(w, act):
+    """Maps weights onto the probability simplex; returns a new array.
 
-
-@_maybe_njit
-def _apply_activation(p, act):
-    d = p.shape[0]
+    normalize: |w| / ||w||_1; softmax; project: Euclidean projection,
+    sort-and-threshold form."""
     if act == ACT_SOFTMAX:
-        hi = p[0]
-        for j in range(1, d):
-            if p[j] > hi:
-                hi = p[j]
-        total = 0.0
-        for j in range(d):
-            p[j] = np.exp(p[j] - hi)
-            total += p[j]
-        for j in range(d):
-            p[j] /= total
+        p = np.exp(w - w.max())
     elif act == ACT_PROJECT:
-        # Euclidean projection onto the simplex, sort-and-threshold form
-        u = np.sort(p)[::-1]
-        css = 0.0
-        theta = 0.0
-        for i in range(d):
-            css += u[i]
-            t = (css - 1.0) / (i + 1)
-            if u[i] - t > 0.0:
-                theta = t
-        for j in range(d):
-            v = p[j] - theta
-            p[j] = v if v > 0.0 else 0.0
-        total = 0.0
-        for j in range(d):
-            total += p[j]
-        for j in range(d):
-            p[j] /= total
+        u = np.sort(w)[::-1]
+        t = (np.cumsum(u) - 1.0) / np.arange(1, len(u) + 1)
+        above = np.flatnonzero(u - t > 0.0)
+        theta = t[above[-1]] if above.size else 0.0
+        v = w - theta
+        p = np.where(v > 0.0, v, 0.0)
     else:
-        total = 0.0
-        for j in range(d):
-            total += p[j]
-        for j in range(d):
-            p[j] /= total
+        p = np.abs(w)
+    return p / _total(p)
 
 
-@_maybe_njit
-def _fill_probabilities(kind, act, d, b, counts, p):
-    if kind == KIND_BANLAST:
-        for j in range(d):
-            p[j] = 0.0 if counts[j] > 0 else 1.0
-        _apply_activation(p, ACT_NORMALIZE)
-    elif kind == KIND_KAWASAKI:
-        for j in range(d):
-            p[j] = _penalized_weight(d, b, counts[j])
-        _apply_activation(p, act)
-    else:
-        for j in range(d):
-            p[j] = 1.0
-        _apply_activation(p, ACT_NORMALIZE)
+def _kawasaki_weights(b, counts):
+    # (1/d) / b**count, by repeated division so each count rounds one way
+    table = np.empty(int(counts.max()) + 1)
+    w = 1.0 / len(counts)
+    for c in range(len(table)):
+        table[c] = w
+        w /= b
+    return table[counts]
 
 
-@_maybe_njit
+def coordinate_law(kind, act, b, counts):
+    """Law of the next draw given per-coordinate counts over the stored masks.
+
+    banlast: uniform over the coordinates with count 0. kawasaki: base
+    weight 1/d divided by b once per count, mapped through activation `act`.
+    rand: uniform; the counts are ignored.
+    """
+    if kind == KIND_KAWASAKI:
+        return activate(_kawasaki_weights(b, counts), act)
+    # normalize over 0/1 weights: their total is an exact count
+    allowed = counts == 0 if kind == KIND_BANLAST else np.ones(len(counts), dtype=bool)
+    return allowed / np.count_nonzero(allowed)
+
+
 def _sample_without_replacement(rng, p, m, mask):
     # sequential weighted draws; p is consumed in place
     d = p.shape[0]
@@ -154,7 +110,6 @@ def _sample_without_replacement(rng, p, m, mask):
         mask[t + 1] = key
 
 
-@_maybe_njit
 def _push_history(hist, counts, fill, pos, mask, K):
     m = mask.shape[0]
     if K == 0:
@@ -171,46 +126,40 @@ def _push_history(hist, counts, fill, pos, mask, K):
     return fill, pos
 
 
-@_maybe_njit
-def step_mask(rng, kind, act, d, m, K, b, hist, counts, fill, pos, p_buf, mask_out):
+def step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, mask_out):
     """One compressor step: law from history counts, sample, push mask."""
-    _fill_probabilities(kind, act, d, b, counts, p_buf)
-    _sample_without_replacement(rng, p_buf, m, mask_out)
+    p = coordinate_law(kind, act, b, counts)
+    _sample_without_replacement(rng, p, m, mask_out)
     return _push_history(hist, counts, fill, pos, mask_out, K)
 
 
-@_maybe_njit
 def simulate_masks(rng, kind, act, d, m, K, b, steps):
     """Mask sequence of a fresh compressor run; (steps, m) int64 array."""
     hist = np.zeros((max(K, 1), m), np.int64)
     counts = np.zeros(d, np.int64)
-    p = np.empty(d, np.float64)
     masks = np.empty((steps, m), np.int64)
     fill = 0
     pos = 0
     for t in range(steps):
-        fill, pos = step_mask(rng, kind, act, d, m, K, b, hist, counts, fill, pos, p, masks[t])
+        fill, pos = step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, masks[t])
     return masks
 
 
-@_maybe_njit
 def simulate_selection_counts(rng, kind, act, d, m, K, b, steps):
     """Per-coordinate selection counts over a fresh run; (d,) int64 array."""
     hist = np.zeros((max(K, 1), m), np.int64)
     counts = np.zeros(d, np.int64)
-    p = np.empty(d, np.float64)
     mask = np.empty(m, np.int64)
     sel = np.zeros(d, np.int64)
     fill = 0
     pos = 0
     for _ in range(steps):
-        fill, pos = step_mask(rng, kind, act, d, m, K, b, hist, counts, fill, pos, p, mask)
+        fill, pos = step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, mask)
         for k in range(m):
             sel[mask[k]] += 1
     return sel
 
 
-@_maybe_njit
 def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
     """Steps until `target` first appears in a mask, per fresh-start trial.
 
@@ -219,7 +168,6 @@ def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
     """
     hist = np.zeros((max(K, 1), m), np.int64)
     counts = np.zeros(d, np.int64)
-    p = np.empty(d, np.float64)
     mask = np.empty(m, np.int64)
     times = np.empty(trials, np.int64)
     n_capped = 0
@@ -231,7 +179,7 @@ def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
         steps = 0
         hit = False
         while steps < cap:
-            fill, pos = step_mask(rng, kind, act, d, m, K, b, hist, counts, fill, pos, p, mask)
+            fill, pos = step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, mask)
             steps += 1
             for k in range(m):
                 if mask[k] == target:

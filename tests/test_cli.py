@@ -1,11 +1,13 @@
 """Exit codes and wiring of the command-line front end."""
 
 import os
+import re
 
 import pytest
 
 from markosparse.cli import _parse_k_list, main
 from markosparse.errors import InvalidArgumentError
+from markosparse.harness import CSV_HEADER
 from markosparse.objectives import serialize_libsvm, synthetic_binary_dataset
 
 
@@ -64,8 +66,25 @@ def test_train_reports_config_errors(tmp_path, small_file, capsys):
 def test_train_reports_divergence(tmp_path, small_file, capsys):
     # overflow needs (gamma * 2 * lambda)^t past 1e308 within T=25 steps
     cfg = write_cfg(tmp_path, small_file, gamma="1.0e+18")
-    assert main(["train", "--config", cfg]) == 3
-    assert "divergence" in capsys.readouterr().err
+    out = tmp_path / "partial.csv"
+    assert main(["train", "--config", cfg, "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "divergence" in err
+    # the partial trace is still written, up to the iteration that diverged
+    lines = out.read_text(encoding="utf-8").strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    t_failed = int(re.search(r"at (?:iteration |t=)(\d+)", err).group(1))
+    assert int(lines[-1].split(",")[0]) == t_failed
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "kawasaki", "--d", "10", "--K", "3", "--activation", "bogus"],
+    ["--kind", "kawasaki", "--d", "10", "--K", "3", "--b", "0.5"],
+    ["--kind", "banlast", "--d", "4", "--m", "2", "--K", "2"],  # d < (K+1)m
+], ids=["unknown-activation", "kawasaki-b-below-1", "banlast-infeasible"])
+def test_hitting_time_rejects_bad_parameters(args, capsys):
+    assert main(["hitting-time", *args, "--trials", "50"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_k_prints_rows(tmp_path, small_file, capsys):

@@ -7,18 +7,16 @@ from hypothesis import given, strategies as st
 from markosparse.compressors import (
     ACTIVATIONS,
     Compressor,
-    activation_normalize,
-    activation_simplex_project,
-    activation_softmax,
-    banlast_probabilities,
-    kawasaki_probabilities,
+    apply_activation,
     make_compressor,
     natural_compress,
     perm_k_masks,
     sample_mask,
     sparsify,
+    validate_parameters,
 )
 from markosparse.errors import InfeasibleSampleError, InvalidArgumentError
+from markosparse.kernels import ACT_NORMALIZE, KIND_BANLAST, KIND_KAWASAKI, coordinate_law
 from markosparse import BANLAST, IDENTITY, KAWASAKI, NATURAL, PERMK, RAND
 
 
@@ -28,16 +26,23 @@ def test_sparsify_scales_kept_coordinates():
     np.testing.assert_array_equal(out, [0.0, -4.0, 0.0, 8.0])
 
 
+def history_counts(history, d):
+    return np.bincount(np.concatenate(history), minlength=d)
+
+
 def test_banlast_probabilities_ban_and_renormalize():
-    p = banlast_probabilities([np.array([0, 2])], d=5, m=2)
+    counts = history_counts([np.array([0, 2])], 5)
+    p = coordinate_law(KIND_BANLAST, ACT_NORMALIZE, 50.0, counts)
     np.testing.assert_allclose(p, [0.0, 1 / 3, 0.0, 1 / 3, 1 / 3])
+    # two stored masks of 2 leave 1 of 5 coordinates for a mask of 2
     with pytest.raises(InfeasibleSampleError):
-        banlast_probabilities([np.array([0, 1]), np.array([2, 3])], d=5, m=2)
+        validate_parameters(BANLAST, 5, 2, K=2, allow_nonergodic=True)
 
 
 def test_kawasaki_probabilities_count_multiplicity():
     # the same coordinate in two stored masks is divided by b twice
-    p = kawasaki_probabilities([np.array([0]), np.array([0])], d=3, m=1, b=2.0)
+    counts = history_counts([np.array([0]), np.array([0])], 3)
+    p = coordinate_law(KIND_KAWASAKI, ACT_NORMALIZE, 2.0, counts)
     w = np.array([0.25 / 4, 0.25, 0.25])  # baseline 1/d applies before normalize
     np.testing.assert_allclose(p, w / w.sum())
 
@@ -55,22 +60,24 @@ def test_kawasaki_single_ban_closed_form():
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
 def test_activations_map_to_simplex(vals):
     w = np.array(vals)
-    outs = [activation_softmax(w), activation_simplex_project(w)]
-    if np.abs(w).sum() > 0:
-        outs.append(activation_normalize(w))
-    for p in outs:
+    for activation in ACTIVATIONS:
+        if activation == "normalize" and not np.abs(w).sum() > 0:
+            continue
+        p = apply_activation(w, activation)
         assert p.min() >= 0.0
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_simplex_projection_fixes_simplex_points():
     p = np.array([0.2, 0.5, 0.3])
-    np.testing.assert_allclose(activation_simplex_project(p), p, atol=1e-12)
+    np.testing.assert_allclose(apply_activation(p, "project"), p, atol=1e-12)
 
 
 def test_normalize_rejects_zero_vector():
     with pytest.raises(InvalidArgumentError):
-        activation_normalize(np.zeros(3))
+        apply_activation(np.zeros(3), "normalize")
+    with pytest.raises(InvalidArgumentError):
+        apply_activation(np.ones(3), "relu")
 
 
 def test_sample_mask_needs_enough_support():

@@ -108,6 +108,7 @@ def test_fmt_compact_number_forms():
     assert _fmt(3) == "3"
     assert _fmt(3.0) == "3"
     assert _fmt(float("nan")) == "nan"
+    assert _fmt(float("-inf")) == "-inf"
     assert _fmt(0.1) == "0.1"
     assert _fmt(np.float64(2.5)) == "2.5"
     assert _fmt(np.int64(7)) == "7"
@@ -166,6 +167,35 @@ def test_reference_cache_round_trip(tmp_path, small_file, monkeypatch):
     monkeypatch.setattr(harness, "reference_minimizer",
                         lambda *a, **k: pytest.fail("cache miss"))
     run_experiment(cfg, quiet=True)
+
+
+def test_reference_cache_write_is_atomic(tmp_path, small_file, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(harness.CACHE_ENV, str(cache))
+    harness._REFERENCE_MEMORY.clear()
+    real_savez = np.savez
+
+    def torn_savez(file, **arrays):
+        # a write that dies half way leaves a truncated file behind
+        with open(file, "wb") as fh:
+            fh.write(b"PK\x03\x04 truncated")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    cfg = small_cfg(small_file)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg, quiet=True)
+    assert list(cache.glob("ref_*.npz")) == []
+    assert list(cache.iterdir()) == []
+
+    monkeypatch.setattr(np, "savez", real_savez)
+    solves = []
+    real_solve = harness.reference_minimizer
+    monkeypatch.setattr(harness, "reference_minimizer",
+                        lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+    run_experiment(cfg, quiet=True)
+    assert solves == [1]
+    assert len(list(cache.glob("ref_*.npz"))) == 1
 
 
 def test_reference_cache_key_varies_with_sharding(small_file):
