@@ -17,7 +17,6 @@ from .compressors import (
     PERMK,
     RAND,
     Compressor,
-    make_compressor,
     sparsify,
 )
 from .errors import (
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_KINDS", "BANLAST", "IDENTITY", "KAWASAKI", "NATURAL", "PERMK", "RAND",
-    "Compressor", "make_compressor", "sparsify",
+    "Compressor", "sparsify",
     "MarkosparseError", "InvalidArgumentError", "InfeasibleSampleError",
     "ConfigError", "ParseError", "NonErgodicError", "TooLargeError",
     "NumericalError", "DivergenceError",

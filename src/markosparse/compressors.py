@@ -78,7 +78,20 @@ def validate_parameters(kind, d, m=None, K=0, b=50.0, activation="normalize",
         raise InvalidArgumentError("forgetting rate b must exceed 1")
     if activation not in ACTIVATIONS:
         raise InvalidArgumentError(f"unknown activation '{activation}'")
+    if kind == KAWASAKI and activation == "normalize":
+        _check_kawasaki_support(d, m, K, b)
     return m
+
+
+def _check_kawasaki_support(d, m, K, b):
+    # normalize keeps a zero weight at zero; if (1/d)/b^c underflows at some
+    # count c0 <= K, a full window can zero floor(mK/c0) coordinates
+    zero = np.flatnonzero(kernels._weight_table(d, b, K) == 0.0)
+    if zero.size and d - (m * K) // int(zero[0]) < m:
+        raise InvalidArgumentError(
+            f"kawasaki weight (1/d)/b^c underflows to 0 at c={int(zero[0])}: a full "
+            f"window of K={K} masks can leave fewer than m={m} of d={d} "
+            "coordinates drawable; lower b or K")
 
 
 def apply_activation(w, activation):
@@ -236,7 +249,3 @@ class Compressor:
 
     def last_mask(self):
         return self._mask_buf.copy()
-
-
-def make_compressor(kind, d, **kwargs):
-    return Compressor(kind, d, **kwargs)

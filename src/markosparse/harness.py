@@ -1,7 +1,10 @@
 """Experiment configuration, metric emission, and reproduction recipes.
 
 Configs are YAML trees with four sections (dataset / optimizer / compressor
-/ run); every run writes one CSV with a fixed schema
+/ run) that load into one frozen `ExperimentConfig`. The config validates
+itself when it is built (every range, e.g. p in (0, 1] and alpha_shift in
+[0, 1]), and training reads it directly. Every run writes one CSV with a
+fixed schema
 
     t,coords_sent_cum,f_value,fdist_ratio,grad_norm_sq,dist_sq_to_opt
 
@@ -24,9 +27,9 @@ import yaml
 from . import chain_analysis as chains
 from .compressors import (ALL_KINDS, BANLAST, IDENTITY, KAWASAKI, NATURAL,
                           ACTIVATIONS)
-from .errors import ConfigError, DivergenceError, InvalidArgumentError
+from .errors import ConfigError, DivergenceError
 from .objectives import load_libsvm, partition
-from .optimizers import OPTIMIZERS, RunConfig, reference_minimizer, run_training
+from .optimizers import OPTIMIZERS, reference_minimizer, run_training
 
 CACHE_ENV = "MARKOSPARSE_CACHE_DIR"
 CSV_HEADER = "t,coords_sent_cum,f_value,fdist_ratio,grad_norm_sq,dist_sq_to_opt"
@@ -39,6 +42,9 @@ ALPHA_GRID = (5.3, 6.7, 8.3, 10.0, 11.1, 12.5, 14.3, 16.7, 20.0)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Everything one run needs: dataset, optimizer, compressor and run
+    settings. It is the only config; it validates itself when it is built,
+    so a config that exists is valid."""
     path: str = None
     dim: int = None
     clients: int = 10
@@ -57,6 +63,9 @@ class ExperimentConfig:
     budget: float = None
     seed: int = 42
     output: str = None
+
+    def __post_init__(self):
+        validate_config(self)
 
     def mask_size(self, d):
         """m, resolving a percentage against the feature dimension."""
@@ -110,7 +119,7 @@ def load_config(path):
     if tree:
         raise ConfigError(next(iter(tree)), "unknown section")
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         path=ds.get("path"),
         dim=ds.get("dim"),
         clients=ds.get("clients", 10),
@@ -130,8 +139,6 @@ def load_config(path):
         seed=rn.get("seed", 42),
         output=rn.get("output"),
     )
-    validate_config(cfg)
-    return cfg
 
 
 def validate_config(cfg):
@@ -147,6 +154,8 @@ def validate_config(cfg):
         raise ConfigError("optimizer.gamma", "must be > 0")
     if cfg.p is not None and not 0 < cfg.p <= 1:
         raise ConfigError("optimizer.p", "must lie in (0, 1]")
+    if cfg.alpha_shift is not None and not 0 <= cfg.alpha_shift <= 1:
+        raise ConfigError("optimizer.alpha_shift", "must lie in [0, 1]")
     if cfg.compressor not in ALL_KINDS:
         raise ConfigError("compressor.kind", f"unknown compressor {cfg.compressor!r}")
     if cfg.m is not None and cfg.pct is not None:
@@ -167,7 +176,6 @@ def validate_config(cfg):
         raise ConfigError("run.T", "must be >= 0")
     if cfg.budget is not None and cfg.budget <= 0:
         raise ConfigError("run.budget", "must be > 0")
-    return cfg
 
 
 _REFERENCE_MEMORY = {}
@@ -283,22 +291,19 @@ def build_problem(cfg):
 
 def run_experiment(cfg, csv_path=None, quiet=False, reference_tol=1e-10):
     """Reference solve (cached), training run, CSV emission, summary."""
-    validate_config(cfg)
     problem, data_bytes = build_problem(cfg)
+    return _run_on(cfg, problem, data_bytes, csv_path, quiet, reference_tol)
+
+
+def _run_on(cfg, problem, data_bytes, csv_path=None, quiet=False, reference_tol=1e-10):
+    # run_experiment on a problem already parsed and sharded for cfg
     m = cfg.mask_size(problem.d)
     if m > problem.d:
         raise ConfigError("compressor.m", f"m={m} exceeds dimension {problem.d}")
     reference = _cached_reference(cfg, problem, data_bytes, tol=reference_tol)
-    run_cfg = RunConfig(
-        optimizer=cfg.optimizer, gamma=cfg.gamma, compressor=cfg.compressor,
-        m=m, K=cfg.K, b=cfg.b, activation=cfg.activation,
-        T=cfg.T, budget=cfg.budget, seed=cfg.seed,
-        p=cfg.p if cfg.p is not None else 1.0,
-        alpha_shift=cfg.alpha_shift,
-    )
     out = csv_path or cfg.output
     try:
-        trace = run_training(problem, run_cfg, reference=reference)
+        trace = run_training(problem, cfg, reference=reference)
     except DivergenceError as err:
         # the rows up to the divergence are still written
         if out and err.trace is not None:
@@ -327,15 +332,15 @@ def feasible_history_sizes(cfg, d, k_values):
 
 def sweep_k(cfg, k_values, quiet=False):
     """One training run per feasible K with the shared base seed; returns
-    rows of coords-to-threshold with the argmin marked."""
-    problem, _ = build_problem(cfg)
+    rows of coords-to-threshold with the argmin marked. The dataset is
+    parsed and sharded once; K changes neither the shards nor the reference."""
+    problem, data_bytes = build_problem(cfg)
     feasible, skipped = feasible_history_sizes(cfg, problem.d, k_values)
     for K in skipped:
         print(f"warning: skipping infeasible K={K}", file=sys.stderr)
     rows = []
     for K in feasible:
-        run_cfg = replace(cfg, K=K, output=None)
-        result = run_experiment(run_cfg, quiet=True)
+        result = _run_on(replace(cfg, K=K, output=None), problem, data_bytes, quiet=True)
         row = {"K": K, "final_fdist_ratio": result["summary"]["final_fdist_ratio"]}
         for thr in SUMMARY_THRESHOLDS:
             row[f"coords_to_{thr:g}"] = result["summary"]["coords_to"][thr]

@@ -58,14 +58,19 @@ def activate(w, act):
     return p / _total(p)
 
 
-def _kawasaki_weights(b, counts):
-    # (1/d) / b**count, by repeated division so each count rounds one way
-    table = np.empty(int(counts.max()) + 1)
-    w = 1.0 / len(counts)
-    for c in range(len(table)):
+def _weight_table(d, b, c_max):
+    # (1/d) / b**c for c = 0..c_max, by repeated division so each count
+    # rounds one way
+    table = np.empty(c_max + 1)
+    w = 1.0 / d
+    for c in range(c_max + 1):
         table[c] = w
         w /= b
-    return table[counts]
+    return table
+
+
+def _kawasaki_weights(b, counts):
+    return _weight_table(len(counts), b, int(counts.max()))[counts]
 
 
 def coordinate_law(kind, act, b, counts):

@@ -1,11 +1,14 @@
 """Distributed training loops with compressed gradients.
 
 Three server-side methods over n workers that each hold one shard and one
-compressor state: plain compressed SGD, its momentum-accelerated variant
-with the closed-form (beta, eta, theta) schedule, and a DIANA baseline with
-per-worker shift vectors. Also the theoretical step-size calculators and a
-high-accuracy full-gradient reference minimizer used for suboptimality
-metrics.
+compressor state: plain compressed SGD (mqsgd), its momentum-accelerated
+variant (amqsgd) with the closed-form (beta, eta, theta) schedule, and a
+DIANA baseline with per-worker shift vectors. All three run the same
+communication round, `training_round`: they differ only in the point where
+gradients are taken, whether workers hold a shift, and the server update.
+A run is configured by one `harness.ExperimentConfig`, validated when it is
+built. Also the theoretical step-size calculators and a high-accuracy
+full-gradient reference minimizer used for suboptimality metrics.
 """
 
 import math
@@ -55,88 +58,67 @@ def amqsgd_params(mu, gamma, p=1.0):
 
 @dataclass
 class ServerState:
+    """The server's iterate after t rounds. amqsgd also keeps the served
+    point x_f and the point x_g where the last round took its gradients;
+    the other methods serve and query x itself."""
     x: np.ndarray
+    x_f: np.ndarray = None
+    x_g: np.ndarray = None
     t: int = 0
 
-
-@dataclass
-class AmqsgdServerState:
-    x: np.ndarray
-    x_f: np.ndarray
-    t: int = 0
-    x_g: np.ndarray = None  # recomputed every step; kept for identity checks
+    @property
+    def served(self):
+        return self.x if self.x_f is None else self.x_f
 
 
 @dataclass
 class Worker:
     index: int
     compressor: Compressor
-    shift: np.ndarray = None  # DIANA h_i, zero-initialized
+    shift: np.ndarray = None  # DIANA h_i, zero-initialized; None for other methods
 
 
-def _worker_gradient(problem, w, x, t):
-    # overflow at a diverging iterate is detected, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, g = problem.shard_loss_grad(x, w.index)
-    if not np.all(np.isfinite(g)):
-        raise DivergenceError(t, message=f"non-finite gradient on worker {w.index} at t={t}")
-    return g
+def training_round(problem, server, workers, gamma, momentum=None, alpha_shift=0.0):
+    """One communication round, shared by every method; returns the next
+    server state and the coordinates sent.
 
-
-def mqsgd_step(problem, server, workers, gamma):
-    """x <- x - gamma * mean_i Q_i(grad f_i(x)); fixed worker order."""
-    if gamma <= 0:
-        raise InvalidArgumentError("gamma must be positive")
+    Each worker, in fixed order, takes its shard gradient at the query point
+    (x, or x_g = theta x_f + (1 - theta) x under the amqsgd `momentum`
+    schedule) and compresses it; a worker holding a DIANA shift compresses
+    the difference against the shift instead, sends shift + message, and
+    moves the shift by alpha_shift times the message. The server averages
+    the messages and takes a gradient step, or the accelerated step."""
+    if momentum is None:
+        x_q = server.x
+    else:
+        x_q = momentum.theta * server.x_f + (1.0 - momentum.theta) * server.x
     agg = np.zeros_like(server.x)
     coords = 0
     for w in workers:
-        g = _worker_gradient(problem, w, server.x, server.t)
-        q, c = w.compressor.compress(g)
-        agg += q
-        coords += c
-    agg /= len(workers)
-    return ServerState(server.x - gamma * agg, server.t + 1), coords
-
-
-def amqsgd_step(problem, server, workers, params):
-    """One accelerated step; workers compress the gradient at the
-    extrapolated point x_g."""
-    x_g = params.theta * server.x_f + (1.0 - params.theta) * server.x
-    agg = np.zeros_like(server.x)
-    coords = 0
-    for w in workers:
-        g = _worker_gradient(problem, w, x_g, server.t)
-        q, c = w.compressor.compress(g)
-        agg += q
-        coords += c
-    agg /= len(workers)
-    x_f_next = x_g - params.p * params.gamma * agg
-    x_next = (params.eta * x_f_next
-              + (params.p - params.eta) * server.x_f
-              + (1.0 - params.p) * (1.0 - params.beta) * server.x
-              + (1.0 - params.p) * params.beta * x_g)
-    return AmqsgdServerState(x_next, x_f_next, server.t + 1, x_g), coords
-
-
-def diana_step(problem, server, workers, gamma, alpha_shift):
-    """Workers compress gradient differences against their running shifts;
-    with alpha_shift = m/d the shifts converge and the noise floor vanishes."""
-    if gamma <= 0:
-        raise InvalidArgumentError("gamma must be positive")
-    if not 0.0 <= alpha_shift <= 1.0:
-        raise InvalidArgumentError(f"alpha_shift must lie in [0, 1], got {alpha_shift}")
-    agg = np.zeros_like(server.x)
-    coords = 0
-    for w in workers:
+        # overflow at a diverging iterate is detected, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, g = problem.shard_loss_grad(x_q, w.index)
+        if not np.all(np.isfinite(g)):
+            raise DivergenceError(
+                server.t, message=f"non-finite gradient on worker {w.index} at t={server.t}")
         if w.shift is None:
-            w.shift = np.zeros_like(server.x)
-        g = _worker_gradient(problem, w, server.x, server.t)
-        delta, c = w.compressor.compress(g - w.shift)
-        agg += w.shift + delta
-        w.shift = w.shift + alpha_shift * delta
+            q, c = w.compressor.compress(g)
+        else:
+            delta, c = w.compressor.compress(g - w.shift)
+            q = w.shift + delta
+            w.shift = w.shift + alpha_shift * delta
+        agg += q
         coords += c
     agg /= len(workers)
-    return ServerState(server.x - gamma * agg, server.t + 1), coords
+    if momentum is None:
+        return ServerState(server.x - gamma * agg, t=server.t + 1), coords
+    p, beta, eta = momentum.p, momentum.beta, momentum.eta
+    x_f = x_q - p * gamma * agg
+    x = (eta * x_f
+         + (p - eta) * server.x_f
+         + (1.0 - p) * (1.0 - beta) * server.x
+         + (1.0 - p) * beta * x_q)
+    return ServerState(x, x_f, x_q, server.t + 1), coords
 
 
 def theory_step_size(regime, L, mu=None, delta_sq=0.0, d=1, m=1, tau=1):
@@ -204,24 +186,6 @@ def reference_minimizer(problem, tol=1e-10, max_iter=500_000, x0=None):
 
 
 @dataclass
-class RunConfig:
-    """Everything a training run needs besides the problem itself."""
-    optimizer: str = MQSGD
-    gamma: float = 0.1
-    compressor: str = "rand"
-    m: int = None
-    K: int = 0
-    b: float = 50.0
-    activation: str = "normalize"
-    T: int = None
-    budget: int = None          # stop once cumulative coords reach this
-    seed: int = 42
-    p: float = 1.0              # AMQSGD momentum probability
-    alpha_shift: float = None   # DIANA; defaults to m/d
-    mu: float = None            # AMQSGD; defaults to 2*lambda of the problem
-
-
-@dataclass
 class TrainTrace:
     t: np.ndarray
     coords_sent_cum: np.ndarray
@@ -282,59 +246,49 @@ class _TraceBuilder:
         )
 
 
-def make_workers(problem, cfg, with_shifts=False):
-    m = cfg.m if cfg.m is not None else problem.d
+def make_workers(problem, cfg):
+    """One compressor per shard; diana workers also start a zero shift."""
+    d = problem.d
+    m = cfg.mask_size(d)
     return [
         Worker(i,
-               Compressor(cfg.compressor, problem.d, m=m, K=cfg.K, b=cfg.b,
+               Compressor(cfg.compressor, d, m=m, K=cfg.K, b=cfg.b,
                           activation=cfg.activation, seed=cfg.seed, worker=i,
                           n_workers=problem.n),
-               np.zeros(problem.d) if with_shifts else None)
+               np.zeros(d) if cfg.optimizer == DIANA else None)
         for i in range(problem.n)
     ]
 
 
 def run_training(problem, cfg, reference=None):
     """Runs the configured optimizer, recording metrics every iteration at
-    the served point (x, or x_f for the accelerated method). Deterministic
-    given cfg.seed. Raises a divergence error carrying the partial trace."""
-    if cfg.optimizer not in OPTIMIZERS:
-        raise InvalidArgumentError(f"unknown optimizer '{cfg.optimizer}'")
-    if cfg.T is None and cfg.budget is None:
-        raise InvalidArgumentError("need an iteration count T or a coordinate budget")
-    workers = make_workers(problem, cfg, with_shifts=cfg.optimizer == DIANA)
-    d = problem.d
-    x0 = np.zeros(d)
+    the served point (x, or x_f for the accelerated method). `cfg` is a
+    validated harness.ExperimentConfig; m resolves through cfg.mask_size,
+    p defaults to 1, alpha_shift to m/d and amqsgd's mu to 2*lambda.
+    Deterministic given cfg.seed. Raises a divergence error carrying the
+    partial trace."""
+    workers = make_workers(problem, cfg)
+    x0 = np.zeros(problem.d)
+    momentum = None
     if cfg.optimizer == AMQSGD:
-        mu = cfg.mu
-        if mu is None:
-            if getattr(problem, "lam", 0.0) <= 0:
-                raise InvalidArgumentError("accelerated method needs mu (or lambda > 0)")
-            mu = 2.0 * problem.lam
-        params = amqsgd_params(mu, cfg.gamma, cfg.p)
-        server = AmqsgdServerState(x0.copy(), x0.copy())
+        p = 1.0 if cfg.p is None else cfg.p
+        momentum = amqsgd_params(2.0 * problem.lam, cfg.gamma, p)
+        server = ServerState(x0.copy(), x0.copy())
     else:
         server = ServerState(x0.copy())
+    alpha_shift = cfg.alpha_shift
+    if alpha_shift is None:
+        alpha_shift = cfg.mask_size(problem.d) / problem.d
 
     tracer = _TraceBuilder(problem, reference)
     coords_cum = 0
-    tracer.record(0, 0, server.x_f if cfg.optimizer == AMQSGD else server.x)
-    t = 0
-    while True:
-        if cfg.T is not None and t >= cfg.T:
-            break
+    tracer.record(0, 0, server.served)
+    while cfg.T is None or server.t < cfg.T:
         if cfg.budget is not None and coords_cum >= cfg.budget:
             break
         try:
-            if cfg.optimizer == MQSGD:
-                server, coords = mqsgd_step(problem, server, workers, cfg.gamma)
-            elif cfg.optimizer == AMQSGD:
-                server, coords = amqsgd_step(problem, server, workers, params)
-            else:
-                alpha = cfg.alpha_shift
-                if alpha is None:
-                    alpha = (cfg.m if cfg.m is not None else d) / d
-                server, coords = diana_step(problem, server, workers, cfg.gamma, alpha)
+            server, coords = training_round(problem, server, workers, cfg.gamma,
+                                            momentum, alpha_shift)
         except DivergenceError as err:
             if err.trace is None:
                 err.trace = tracer.build()
@@ -342,6 +296,5 @@ def run_training(problem, cfg, reference=None):
         # communication is measured in 32-bit coordinate units, so the
         # 9-bit natural rounding counts for 9/32 of a coordinate
         coords_cum += coords * workers[0].compressor.bits_per_coord / 32.0
-        t += 1
-        tracer.record(t, coords_cum, server.x_f if cfg.optimizer == AMQSGD else server.x)
+        tracer.record(server.t, coords_cum, server.served)
     return tracer.build()

@@ -25,7 +25,7 @@ from markosparse.chain_analysis import (
     rho_bound_kawasaki_normalize,
     stationary_distribution,
 )
-from markosparse.compressors import make_compressor
+from markosparse.compressors import Compressor
 from markosparse.errors import InvalidArgumentError
 from markosparse.harness import ALPHA_GRID, ExperimentConfig, run_experiment
 from markosparse.objectives import (
@@ -35,13 +35,12 @@ from markosparse.objectives import (
     synthetic_binary_dataset,
 )
 from markosparse.optimizers import (
-    AmqsgdServerState,
-    RunConfig,
+    ServerState,
     amqsgd_params,
-    amqsgd_step,
     make_workers,
     reference_minimizer,
     run_training,
+    training_round,
 )
 
 BANLAST_CHAINS = [(3, 1, 1), (4, 1, 1), (5, 1, 2), (5, 2, 1)]
@@ -51,9 +50,9 @@ KAWASAKI_CHAINS = [(3, 1, 1, 2), (4, 1, 1, 5), (4, 1, 2, 2)]
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     """Compile the jit kernels once, outside any timed region."""
-    c = make_compressor("banlast", 6, m=1, K=1, seed=0)
+    c = Compressor("banlast", 6, m=1, K=1, seed=0)
     c.compress(np.ones(6))
-    c = make_compressor("kawasaki", 6, m=1, K=1, b=2.0, seed=0)
+    c = Compressor("kawasaki", 6, m=1, K=1, b=2.0, seed=0)
     c.compress(np.ones(6))
     monte_carlo_hitting_time("banlast", d=6, m=1, K=1, trials=10, seed=0)
 
@@ -151,7 +150,7 @@ def test_criterion_4_time_average_unbiasedness():
     steps = 10**5
     x = np.linspace(1.0, 2.0, 10) * np.where(np.arange(10) % 2, -1.0, 1.0)
     for kind, kwargs in (("banlast", {}), ("kawasaki", {"b": 50.0})):
-        c = make_compressor(kind, 10, m=1, K=3, seed=1, **kwargs)
+        c = Compressor(kind, 10, m=1, K=3, seed=1, **kwargs)
         acc = np.zeros(10)
         for _ in range(steps):
             v, _ = c.compress(x)
@@ -169,8 +168,8 @@ def test_criterion_5_optimizer_correctness(small_problem):
     prob = small_problem
 
     gamma = 0.37
-    trace = run_training(prob, RunConfig(optimizer="mqsgd", gamma=gamma,
-                                         compressor="identity", T=50, seed=0))
+    trace = run_training(prob, ExperimentConfig(optimizer="mqsgd", gamma=gamma,
+                                                compressor="identity", T=50, seed=0))
     x = np.zeros(prob.d)
     f_vals = []
     for _ in range(51):
@@ -202,12 +201,12 @@ def test_criterion_5_optimizer_correctness(small_problem):
         failures.append(f"finite-difference gradient check: worst rel err {worst_rel:.3e}")
 
     params = amqsgd_params(mu=prob.mu, gamma=0.2, p=0.6)
-    workers = make_workers(prob, RunConfig(compressor="rand", m=2, seed=1))
-    server = AmqsgdServerState(np.zeros(prob.d), np.zeros(prob.d))
+    workers = make_workers(prob, ExperimentConfig(compressor="rand", m=2, seed=1))
+    server = ServerState(np.zeros(prob.d), np.zeros(prob.d))
     worst_id = 0.0
     for _ in range(60):
         x_old, xf_old = server.x.copy(), server.x_f.copy()
-        server, _ = amqsgd_step(prob, server, workers, params)
+        server, _ = training_round(prob, server, workers, params.gamma, momentum=params)
         xg = server.x_g
         lhs = (params.eta * xg + (params.p - params.eta) * xf_old
                + (1 - params.p) * (1 - params.beta) * x_old
@@ -262,15 +261,15 @@ def test_criterion_7_neighborhood_vs_variance_reduction():
     prob = estimate_constants(prob)
     gamma = 1.0 / prob.L_global
     ref = reference_minimizer(prob)
-    mq = run_training(prob, RunConfig(optimizer="mqsgd", gamma=gamma,
-                                      compressor="rand", m=2, T=1000, seed=0),
+    mq = run_training(prob, ExperimentConfig(optimizer="mqsgd", gamma=gamma,
+                                             compressor="rand", m=2, T=1000, seed=0),
                       reference=ref)
     mq_floor = float(np.nanmin(mq.fdist_ratio))
     if mq_floor <= 1e-6:
         failures.append(f"mqsgd did not stall: reached fdist {mq_floor:.3e}")
     # 2x the plain budget, well under the allowed 10x
-    di = run_training(prob, RunConfig(optimizer="diana", gamma=gamma,
-                                      compressor="rand", m=2, T=2000, seed=0),
+    di = run_training(prob, ExperimentConfig(optimizer="diana", gamma=gamma,
+                                             compressor="rand", m=2, T=2000, seed=0),
                       reference=ref)
     di_floor = float(np.nanmin(di.fdist_ratio))
     if di_floor > 1e-6:

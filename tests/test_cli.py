@@ -61,6 +61,10 @@ def test_train_reports_config_errors(tmp_path, small_file, capsys):
     bad.write_text("dataset:\n  pathological: 1\n", encoding="utf-8")
     assert main(["train", "--config", str(bad)]) == 2
     assert "dataset.pathological" in capsys.readouterr().err
+    bad.write_text(f"dataset:\n  path: {small_file}\noptimizer:\n  alpha_shift: 1.5\n",
+                   encoding="utf-8")
+    assert main(["train", "--config", str(bad)]) == 2
+    assert "optimizer.alpha_shift" in capsys.readouterr().err
 
 
 def test_train_reports_divergence(tmp_path, small_file, capsys):
@@ -81,7 +85,10 @@ def test_train_reports_divergence(tmp_path, small_file, capsys):
     ["--kind", "kawasaki", "--d", "10", "--K", "3", "--activation", "bogus"],
     ["--kind", "kawasaki", "--d", "10", "--K", "3", "--b", "0.5"],
     ["--kind", "banlast", "--d", "4", "--m", "2", "--K", "2"],  # d < (K+1)m
-], ids=["unknown-activation", "kawasaki-b-below-1", "banlast-infeasible"])
+    # 0.5/b^2 underflows to 0 and a window of 5 can zero both coordinates
+    ["--kind", "kawasaki", "--d", "2", "--K", "5", "--b", "1e300"],
+], ids=["unknown-activation", "kawasaki-b-below-1", "banlast-infeasible",
+        "kawasaki-support-underflow"])
 def test_hitting_time_rejects_bad_parameters(args, capsys):
     assert main(["hitting-time", *args, "--trials", "50"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from markosparse.compressors import (
     ACTIVATIONS,
     Compressor,
     apply_activation,
-    make_compressor,
     natural_compress,
     perm_k_masks,
     sample_mask,
@@ -203,6 +202,10 @@ def test_constructor_rejects_bad_parameters():
         Compressor(KAWASAKI, d=4, m=1, K=1, activation="relu")
     with pytest.raises(InvalidArgumentError):
         Compressor(BANLAST, d=4, m=1, K=-1)
+    # 0.5/b^2 underflows to 0: five masks can zero both coordinates' weights
+    with pytest.raises(InvalidArgumentError, match="underflows"):
+        Compressor(KAWASAKI, d=2, m=1, K=5, b=1e300)
+    Compressor(KAWASAKI, d=2, m=1, K=2, b=1e300)  # two masks zero at most one
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -214,14 +217,9 @@ def test_time_average_matches_vector(kind, kwargs):
     # ergodic-average unbiasedness: mean of Q(x) over a long run approaches x
     d = 10
     x = np.linspace(1.0, 2.0, d)
-    c = make_compressor(kind, d, seed=6, **kwargs)
+    c = Compressor(kind, d, seed=6, **kwargs)
     steps = 30_000
     acc = np.zeros(d)
     for _ in range(steps):
         acc += c.compress(x)[0]
     np.testing.assert_allclose(acc / steps, x, rtol=0.03)
-
-
-def test_make_compressor_forwards_arguments():
-    c = make_compressor(BANLAST, 8, m=2, K=1, seed=4)
-    assert (c.kind, c.d, c.m, c.K) == (BANLAST, 8, 2, 1)

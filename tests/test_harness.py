@@ -1,6 +1,7 @@
 """Config loading, CSV emission, caching, sweeps and the hitting-time table."""
 
 import dataclasses
+import hashlib
 import math
 import os
 
@@ -76,6 +77,7 @@ run:
     ("dataset: {bogus: 1}", "dataset.bogus"),
     ("optimizer: {gamma: -1.0}", "optimizer.gamma"),
     ("optimizer: {gamma: yes}", "optimizer.gamma"),
+    ("optimizer: {alpha_shift: 1.5}", "optimizer.alpha_shift"),
     ("compressor: {kind: shrink}", "compressor.kind"),
     ("compressor: {m: 2, pct: 10.0}", "compressor.m"),
     ("compressor: {b: 0.5}", "compressor.b"),
@@ -216,6 +218,27 @@ def test_golden_csv_matches(mushrooms_path, tmp_path):
     assert produced == golden
 
 
+@pytest.mark.parametrize("extra,digest", [
+    (dict(optimizer="amqsgd", compressor="kawasaki", K=7, p=0.5),
+     "64098d93bc3d570d10141bf1fe654b31c24238538a23e164cd399fdacc9d4fce"),
+    (dict(optimizer="diana", compressor="banlast", K=7),
+     "1dc4fa90d29b61b4584c38eb8b3bfd049e152beb683ebdafa68836983a6735ad"),
+    (dict(optimizer="diana", compressor="rand"),
+     "89e8eece73cf996c1b127c5797f2405467690ecefe900c55e38078b914f4e1cc"),
+    (dict(optimizer="mqsgd", compressor="natural"),
+     "f31abefedeba4020c0f57751b2dfd95b6e4a174ebaa767927814bc8698034c88"),
+    (dict(optimizer="mqsgd", compressor="identity"),
+     "6c5801ea07cee508a839e9dec400d005243c6158bd56f214173acb05a3acbd8c"),
+], ids=["amqsgd-kawasaki", "diana-banlast", "diana-rand", "mqsgd-natural", "mqsgd-identity"])
+def test_training_csv_is_pinned(mushrooms_path, tmp_path, extra, digest):
+    # SHA-256 of the CSV bytes; every method and compressor family is pinned
+    cfg = ExperimentConfig(path=mushrooms_path, dim=112, clients=10, lam=0.05,
+                           gamma=0.855, pct=10.0, T=20, seed=7, **extra)
+    out = tmp_path / "out.csv"
+    run_experiment(cfg, csv_path=str(out), quiet=True)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_feasible_history_sizes(small_file):
     cfg = small_cfg(small_file, compressor="banlast")
     feasible, skipped = feasible_history_sizes(cfg, d=6, k_values=[0, 1, 2, 3])
@@ -233,6 +256,16 @@ def test_sweep_k_baseline_row_equals_rand(small_file, capsys):
     for thr, coords in rand_run["summary"]["coords_to"].items():
         assert base[f"coords_to_{thr:g}"] == coords
     assert "skipping infeasible K=99" in capsys.readouterr().err
+
+
+def test_sweep_k_shards_the_dataset_once(small_file, monkeypatch):
+    calls = []
+    real_build = harness.build_problem
+    monkeypatch.setattr(harness, "build_problem",
+                        lambda cfg: calls.append(cfg.K) or real_build(cfg))
+    rows = sweep_k(small_cfg(small_file, compressor="banlast", T=5), [0, 1], quiet=True)
+    assert [r["K"] for r in rows] == [0, 1]
+    assert len(calls) == 1
 
 
 def test_alpha_grid_maps_to_integer_ratios():

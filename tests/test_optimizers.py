@@ -6,21 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from markosparse.errors import DivergenceError, InvalidArgumentError
+from markosparse.errors import ConfigError, DivergenceError, InvalidArgumentError
+from markosparse.harness import ExperimentConfig
 from markosparse.objectives import QuadraticProblem, heterogeneous_problem
 from markosparse.optimizers import (
-    AmqsgdServerState,
-    RunConfig,
     ServerState,
     amqsgd_params,
-    amqsgd_step,
-    diana_step,
     make_workers,
-    mqsgd_step,
     reference_minimizer,
     run_training,
     theory_momentum_p,
     theory_step_size,
+    training_round,
 )
 from markosparse import IDENTITY, RAND
 
@@ -28,7 +25,7 @@ from markosparse import IDENTITY, RAND
 def test_mqsgd_with_identity_is_gradient_descent_bitwise(small_problem):
     prob = small_problem
     gamma = 0.37
-    cfg = RunConfig(optimizer="mqsgd", gamma=gamma, compressor=IDENTITY, T=50, seed=0)
+    cfg = ExperimentConfig(optimizer="mqsgd", gamma=gamma, compressor=IDENTITY, T=50, seed=0)
     trace = run_training(prob, cfg)
 
     x = np.zeros(prob.d)
@@ -74,11 +71,11 @@ def test_amqsgd_momentum_coupling_identity(small_problem):
     # must equal beta x_g + (1-beta) x at every iterate
     prob = small_problem
     params = amqsgd_params(mu=prob.mu, gamma=0.2, p=0.6)
-    workers = make_workers(prob, RunConfig(compressor=RAND, m=2, seed=1))
-    server = AmqsgdServerState(np.zeros(prob.d), np.zeros(prob.d))
+    workers = make_workers(prob, ExperimentConfig(compressor=RAND, m=2, seed=1))
+    server = ServerState(np.zeros(prob.d), np.zeros(prob.d))
     for _ in range(60):
         x_old, xf_old = server.x.copy(), server.x_f.copy()
-        server, _ = amqsgd_step(prob, server, workers, params)
+        server, _ = training_round(prob, server, workers, params.gamma, momentum=params)
         xg = server.x_g
         lhs = (params.eta * xg + (params.p - params.eta) * xf_old
                + (1 - params.p) * (1 - params.beta) * x_old
@@ -90,7 +87,7 @@ def test_amqsgd_momentum_coupling_identity(small_problem):
 
 def test_amqsgd_with_identity_reduces_suboptimality(small_problem):
     prob = small_problem
-    cfg = RunConfig(optimizer="amqsgd", gamma=0.2, compressor=IDENTITY, T=300, seed=0)
+    cfg = ExperimentConfig(optimizer="amqsgd", gamma=0.2, compressor=IDENTITY, T=300, seed=0)
     trace = run_training(prob, cfg, reference=reference_minimizer(prob))
     assert trace.fdist_ratio[-1] < 1e-6
 
@@ -100,7 +97,7 @@ def test_diana_converges_to_the_exact_optimum():
     prob = QuadraticProblem(centers)
     ref = reference_minimizer(prob)
     np.testing.assert_allclose(ref[0], centers.mean(axis=0), atol=1e-9)
-    cfg = RunConfig(optimizer="diana", gamma=0.5, compressor=RAND, m=2, T=800, seed=2)
+    cfg = ExperimentConfig(optimizer="diana", gamma=0.5, compressor=RAND, m=2, T=800, seed=2)
     trace = run_training(prob, cfg, reference=ref)
     assert trace.dist_sq_to_opt[-1] < 1e-12
 
@@ -108,21 +105,22 @@ def test_diana_converges_to_the_exact_optimum():
 def test_diana_shift_update_rule():
     centers = np.array([[2.0, 0.0], [0.0, 2.0]])
     prob = QuadraticProblem(centers)
-    workers = make_workers(prob, RunConfig(compressor=IDENTITY, seed=0), with_shifts=True)
+    workers = make_workers(prob, ExperimentConfig(optimizer="diana", compressor=IDENTITY,
+                                                  seed=0))
     server = ServerState(np.zeros(2))
-    server, _ = diana_step(prob, server, workers, gamma=0.1, alpha_shift=1.0)
+    server, _ = training_round(prob, server, workers, gamma=0.1, alpha_shift=1.0)
     # with identity compression and alpha 1 the shift equals last gradient
     np.testing.assert_allclose(workers[0].shift, np.zeros(2) - centers[0], atol=1e-15)
-    with pytest.raises(InvalidArgumentError):
-        diana_step(prob, server, workers, gamma=0.1, alpha_shift=1.5)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(optimizer="diana", alpha_shift=1.5)
 
 
 def test_diana_with_zero_alpha_matches_mqsgd(small_problem):
     prob = small_problem
-    a = run_training(prob, RunConfig(optimizer="diana", gamma=0.3, compressor=RAND,
-                                     m=2, T=40, seed=3, alpha_shift=0.0))
-    b = run_training(prob, RunConfig(optimizer="mqsgd", gamma=0.3, compressor=RAND,
-                                     m=2, T=40, seed=3))
+    a = run_training(prob, ExperimentConfig(optimizer="diana", gamma=0.3, compressor=RAND,
+                                            m=2, T=40, seed=3, alpha_shift=0.0))
+    b = run_training(prob, ExperimentConfig(optimizer="mqsgd", gamma=0.3, compressor=RAND,
+                                            m=2, T=40, seed=3))
     np.testing.assert_array_equal(a.f_value, b.f_value)
 
 
@@ -161,8 +159,8 @@ def test_reference_minimizer_reaches_gradient_tolerance(small_problem):
 def test_run_training_stops_on_coordinate_budget(small_problem):
     prob = small_problem
     d = prob.d
-    cfg = RunConfig(optimizer="mqsgd", gamma=0.1, compressor=RAND, m=2,
-                    T=None, budget=50 * len(prob.shards), seed=0)
+    cfg = ExperimentConfig(optimizer="mqsgd", gamma=0.1, compressor=RAND, m=2,
+                           T=None, budget=50 * len(prob.shards), seed=0)
     trace = run_training(prob, cfg)
     # each step sends 2 coords per worker; budget trips after ceil(50/2) steps
     assert trace.coords_sent_cum[-1] >= cfg.budget
@@ -171,14 +169,14 @@ def test_run_training_stops_on_coordinate_budget(small_problem):
 
 def test_natural_compression_counts_nine_bit_coordinates(small_problem):
     prob = small_problem
-    cfg = RunConfig(optimizer="mqsgd", gamma=0.1, compressor="natural", T=8, seed=0)
+    cfg = ExperimentConfig(optimizer="mqsgd", gamma=0.1, compressor="natural", T=8, seed=0)
     trace = run_training(prob, cfg)
     per_step = len(prob.shards) * prob.d * 9 / 32
     assert trace.coords_sent_cum[-1] == pytest.approx(8 * per_step)
 
 
 def test_divergence_carries_partial_trace(small_problem):
-    cfg = RunConfig(optimizer="mqsgd", gamma=1e9, compressor=IDENTITY, T=500, seed=0)
+    cfg = ExperimentConfig(optimizer="mqsgd", gamma=1e9, compressor=IDENTITY, T=500, seed=0)
     with pytest.raises(DivergenceError) as err:
         run_training(small_problem, cfg, reference=reference_minimizer(small_problem))
     assert err.value.trace is not None
@@ -186,15 +184,15 @@ def test_divergence_carries_partial_trace(small_problem):
 
 
 def test_run_training_validates_configuration(small_problem):
-    with pytest.raises(InvalidArgumentError):
-        run_training(small_problem, RunConfig(optimizer="sgd", T=5))
-    with pytest.raises(InvalidArgumentError):
-        run_training(small_problem, RunConfig(optimizer="mqsgd", T=None, budget=None))
+    with pytest.raises(ConfigError):
+        run_training(small_problem, ExperimentConfig(optimizer="sgd", T=5))
+    with pytest.raises(ConfigError):
+        run_training(small_problem, ExperimentConfig(optimizer="mqsgd", T=None, budget=None))
 
 
 def test_make_workers_initializes_shifts(small_problem):
-    workers = make_workers(small_problem, RunConfig(compressor=RAND, m=1, seed=0),
-                           with_shifts=True)
+    workers = make_workers(small_problem, ExperimentConfig(optimizer="diana", compressor=RAND,
+                                                           m=1, seed=0))
     assert [w.index for w in workers] == [0, 1, 2, 3]
     for w in workers:
         np.testing.assert_array_equal(w.shift, np.zeros(small_problem.d))
