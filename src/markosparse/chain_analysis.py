@@ -8,6 +8,11 @@ recurrent class actually reachable from a fresh start, verifies ergodicity,
 and computes stationary distributions, mixing times and geometric-ergodicity
 bounds, plus the closed-form and simulated hitting times of a target
 coordinate.
+
+P stays dense, but no analysis multiplies it densely: a state has at most
+C(d,m) successors, all on the mask-history shift, so the stationary law,
+deviation curves and mixing times step distributions through the next-mask
+table read from P, at C(d,m) operations per state and column.
 """
 
 import math
@@ -27,7 +32,8 @@ from .errors import (
 )
 
 DEFAULT_STATE_CAP = 200_000
-# dense |S| x |S| matrices stop being sensible well before the state cap
+# the dense |S| x |S| P stops being sensible well before the state cap; the
+# mixing time adds two |S| x |C| blocks (C the recurrent class) on top of it
 DEFAULT_MATRIX_CAP = 8_192
 
 _JOINT_LAW_MAX_M = 6
@@ -269,18 +275,44 @@ def recurrent_class(chain):
     return np.array(reach, dtype=np.int64)
 
 
+def _shift_step(chain):
+    """One chain step for column distributions: step(x, out) writes P^T x
+    into out (both n or n x c) and returns out.
+
+    State a*R + r (R = M^(K-1), M = C(d,m)) moves only to r*M + k, so P is
+    read as the next-mask table W[r, k, a] = P[a*R + r, r*M + k] and a step
+    costs n*M*c instead of n^2*c. The K=0 chain is the one empty history
+    (M = R = 1), which moves to itself.
+    """
+    M = len(chain.masks) if chain.K else 1
+    R = chain.n_states // M
+    W = np.diagonal(chain.P.reshape(M, R, R, M), axis1=1, axis2=2).transpose(2, 1, 0)
+    # row sums of the table, in state order a*R + r
+    lost = np.abs(W.sum(axis=1).T.ravel() - chain.P.sum(axis=1)).max()
+    if lost > 1e-12:
+        raise NumericalError(f"transition mass {lost:.3e} lies off the mask-history shift")
+    W = np.ascontiguousarray(W)
+
+    def step(x, out):
+        np.matmul(W, x.reshape(M, R, -1).transpose(1, 0, 2), out=out.reshape(R, M, -1))
+        return out
+
+    return step
+
+
 def stationary_distribution(chain, tol=1e-12, max_iter=10**6):
     """Power iteration on the recurrent class; residual ||piP - pi||_1 <= tol."""
     cls = recurrent_class(chain)
-    sub = chain.P[np.ix_(cls, cls)]
-    pi = np.full(len(cls), 1.0 / len(cls))
+    step = _shift_step(chain)
+    pi = np.zeros(chain.n_states)
+    pi[cls] = 1.0 / len(cls)
+    prev = np.empty_like(pi)
     for it in range(1, max_iter + 1):
-        new = pi @ sub
-        residual = np.abs(new - pi).sum()
-        pi = new
+        pi, prev = step(pi, prev), pi
+        residual = np.abs(pi[cls] - prev[cls]).sum()
         if residual <= tol:
             full = np.zeros(chain.n_states)
-            full[cls] = pi / pi.sum()
+            full[cls] = pi[cls] / pi[cls].sum()
             return StationaryResult(full, cls, chain.n_states - len(cls), it)
     raise NumericalError(f"power iteration residual > {tol} after {max_iter} iterations")
 
@@ -301,35 +333,38 @@ def newest_mask_marginal(chain, pi):
     return marginal
 
 
+def _deviations(chain, result):
+    """max over recurrent starts s and states j of |P^t(s, j) - pi_j|, for
+    t = 0, 1, ...; x holds one column per start and one row per state."""
+    step = _shift_step(chain)
+    cls = result.recurrent
+    pi = result.pi
+    x = np.zeros((chain.n_states, len(cls)))
+    x[cls, np.arange(len(cls))] = 1.0
+    out = np.empty_like(x)
+    while True:
+        # rounding is monotone, so this is max|x - pi| bit for bit
+        yield max((x.max(axis=1) - pi).max(), (pi - x.min(axis=1)).max())
+        x, out = step(x, out), x
+
+
 def deviation_curve(chain, t_max, stationary=None):
     """max over start states and entries of |P^t - pi| on the recurrent
     class, for t = 0..t_max."""
     result = stationary or stationary_distribution(chain)
-    cls = result.recurrent
-    sub = chain.P[np.ix_(cls, cls)]
-    pi = result.pi[cls]
-    D = np.eye(len(cls))
-    devs = np.empty(t_max + 1)
-    for t in range(t_max + 1):
-        if t > 0:
-            D = D @ sub
-        devs[t] = np.abs(D - pi[None, :]).max()
-    return devs
+    return np.fromiter(_deviations(chain, result), dtype=np.float64, count=t_max + 1)
 
 
-def mixing_time(chain, eps, cap=10**6):
+def mixing_time(chain, eps, cap=10**6, stationary=None):
     """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min."""
     if eps <= 0:
         raise InvalidArgumentError("eps must be positive")
-    result = stationary_distribution(chain)
-    cls = result.recurrent
-    sub = chain.P[np.ix_(cls, cls)]
-    pi = result.pi[cls]
-    threshold = eps * pi.min()
-    D = np.eye(len(cls))
-    for t in range(1, cap + 1):
-        D = D @ sub
-        if np.abs(D - pi[None, :]).max() <= threshold:
+    result = stationary or stationary_distribution(chain)
+    threshold = eps * result.pi[result.recurrent].min()
+    devs = _deviations(chain, result)
+    next(devs)  # t = 0: the starts themselves
+    for t, dev in zip(range(1, cap + 1), devs):
+        if dev <= threshold:
             return t
     raise NumericalError(f"chain not mixed to eps*pi_min after {cap} steps")
 

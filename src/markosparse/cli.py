@@ -104,7 +104,7 @@ def _cmd_analyze_chain(args):
     result = chains.stationary_distribution(chain)
     pi_class = result.pi[result.recurrent]
     marginal = chains.newest_mask_marginal(chain, result.pi)
-    tau = chains.mixing_time(chain, args.eps)
+    tau = chains.mixing_time(chain, args.eps, stationary=result)
     print(f"states: {chain.n_states}")
     print(f"recurrent class: {len(result.recurrent)} states "
           f"({result.n_unreachable} unreachable)")

@@ -1,5 +1,6 @@
 """Exact chain analysis: laws, stationarity, bounds, hitting times."""
 
+import dataclasses
 import itertools
 import math
 
@@ -24,7 +25,12 @@ from markosparse.chain_analysis import (
     sequential_mask_law,
     stationary_distribution,
 )
-from markosparse.errors import InvalidArgumentError, NonErgodicError, TooLargeError
+from markosparse.errors import (
+    InvalidArgumentError,
+    NonErgodicError,
+    NumericalError,
+    TooLargeError,
+)
 
 
 def test_enumerate_masks_and_states_counts():
@@ -160,6 +166,75 @@ def test_mixing_time_decreases_with_looser_eps():
     t_tight = mixing_time(chain, eps=1e-6)
     t_loose = mixing_time(chain, eps=0.2)
     assert 1 <= t_loose <= t_tight
+
+
+def _dense_stationary(chain, tol=1e-12):
+    """Power iteration with the dense restriction of P to the recurrent class."""
+    cls = recurrent_class(chain)
+    sub = chain.P[np.ix_(cls, cls)]
+    pi = np.full(len(cls), 1.0 / len(cls))
+    for it in itertools.count(1):
+        new = pi @ sub
+        residual = np.abs(new - pi).sum()
+        pi = new
+        if residual <= tol:
+            full = np.zeros(chain.n_states)
+            full[cls] = pi / pi.sum()
+            return full, it
+
+
+def _dense_deviations(chain, pi):
+    """max |P^t - pi| over the recurrent class, t = 0, 1, ..., by dense
+    powers of the restricted matrix."""
+    cls = recurrent_class(chain)
+    sub = chain.P[np.ix_(cls, cls)]
+    D = np.eye(len(cls))
+    while True:
+        yield np.abs(D - pi[cls][None, :]).max()
+        D = D @ sub
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("banlast", dict(d=4, m=1, K=0)),
+    ("banlast", dict(d=8, m=1, K=3)),  # 336 of 512 states reachable
+    ("banlast", dict(d=5, m=2, K=1)),
+    ("kawasaki", dict(d=4, m=2, K=2, b=2.0, joint_law=True)),
+    ("kawasaki", dict(d=4, m=1, K=2, b=2.0)),
+    ("kawasaki", dict(d=6, m=1, K=3, b=2.0, activation="project")),
+    ("kawasaki", dict(d=5, m=1, K=3, b=2.0, activation="softmax")),
+    ("rand", dict(d=5, m=2, K=2)),
+])
+def test_shift_step_matches_dense_products(kind, kwargs):
+    chain = build_transition_matrix(kind, **kwargs)
+    pi_dense, iterations = _dense_stationary(chain)
+    result = stationary_distribution(chain)
+    assert result.iterations == iterations
+    np.testing.assert_allclose(result.pi, pi_dense, rtol=0, atol=1e-15)
+    dense = list(itertools.islice(_dense_deviations(chain, pi_dense), 101))
+    np.testing.assert_allclose(deviation_curve(chain, t_max=100, stationary=result),
+                               dense, rtol=0, atol=1e-15)
+    for eps in (0.2, 0.05, 1e-3):
+        threshold = eps * pi_dense[result.recurrent].min()
+        dense_tau = next(t for t, dev in enumerate(_dense_deviations(chain, pi_dense))
+                         if t >= 1 and dev <= threshold)
+        assert mixing_time(chain, eps) == dense_tau, eps
+
+
+def test_mass_off_the_history_shift_is_an_error():
+    chain = build_transition_matrix("banlast", d=4, m=1, K=2)
+    result = stationary_distribution(chain)
+    # state 1 = ((0,), (1,)) may only move to ((1,), (k,)); send a quarter
+    # of its mass to ((2,), (3,)) instead
+    P = chain.P.copy()
+    P[1, 7] -= 0.25
+    P[1, 11] += 0.25
+    bad = dataclasses.replace(chain, P=P)
+    with pytest.raises(NumericalError, match="off the mask-history shift"):
+        stationary_distribution(bad)
+    with pytest.raises(NumericalError, match="off the mask-history shift"):
+        deviation_curve(bad, t_max=5, stationary=result)
+    with pytest.raises(NumericalError, match="off the mask-history shift"):
+        mixing_time(bad, 0.05, stationary=result)
 
 
 def test_hitting_time_closed_forms():

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from markosparse import chain_analysis as chains
 from markosparse.cli import _parse_k_list, main
 from markosparse.errors import InvalidArgumentError
 from markosparse.harness import CSV_HEADER
@@ -121,6 +122,21 @@ def test_analyze_chain_writes_deviation_curve(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0].startswith("t,")
     assert len(lines) == 22
+
+
+def test_analyze_chain_solves_the_stationary_law_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    solve = chains.stationary_distribution
+
+    def counted(chain, *args, **kwargs):
+        calls.append(chain.n_states)
+        return solve(chain, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "stationary_distribution", counted)
+    code = main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1",
+                 "--K", "2", "--output", str(tmp_path / "curve.csv")])
+    assert code == 0
+    assert calls == [16]
 
 
 def test_hitting_time_command(capsys):
