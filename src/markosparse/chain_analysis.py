@@ -3,16 +3,17 @@
 A chain state is the ordered tuple of the last K masks (oldest first); the
 state space is all C(d,m)^K tuples. Transitions append the next mask drawn
 from the same probability law the live compressor uses and drop the oldest.
-For small spaces this module builds the dense transition matrix, finds the
-recurrent class actually reachable from a fresh start, verifies ergodicity,
-and computes stationary distributions, mixing times and geometric-ergodicity
+For small spaces this module builds the transition law, finds the recurrent
+class actually reachable from a fresh start, verifies ergodicity, and
+computes stationary distributions, mixing times and geometric-ergodicity
 bounds, plus the closed-form and simulated hitting times of a target
 coordinate.
 
-P stays dense, but no analysis multiplies it densely: a state has at most
-C(d,m) successors, all on the mask-history shift, so the stationary law,
-deviation curves and mixing times step distributions through the next-mask
-table read from P, at C(d,m) operations per state and column.
+A state's successors are the C(d,m) histories that drop its oldest mask and
+append a new one, so a chain stores only its next-mask table: row i is the
+law of the mask state i appends. The recurrent-class search, the stationary
+law, deviation curves and mixing times all read that table, at C(d,m)
+operations per state and column; the dense P is built only on request.
 """
 
 import math
@@ -32,8 +33,8 @@ from .errors import (
 )
 
 DEFAULT_STATE_CAP = 200_000
-# the dense |S| x |S| P stops being sensible well before the state cap; the
-# mixing time adds two |S| x |C| blocks (C the recurrent class) on top of it
+# bounds the mixing time's two |S| x |C| blocks (C the recurrent class, up to
+# all of S) and the |S| x |S| P that ChainModel.P builds on request
 DEFAULT_MATRIX_CAP = 8_192
 
 _JOINT_LAW_MAX_M = 6
@@ -97,11 +98,28 @@ class ChainModel:
     activation: str
     masks: list
     states: list
-    P: np.ndarray
+    table: np.ndarray   # table[i, k] = P(state i appends mask k)
 
     @property
     def n_states(self):
         return len(self.states)
+
+    def successor(self, state, k):
+        """The state reached from `state` by appending mask k (ints or
+        arrays). States are mixed-radix numbers of their mask indices, so
+        state a*R + r (M = C(d,m), R = M^(K-1)) goes to r*M + k. The K=0
+        chain is the one empty history, with M = R = 1."""
+        n, M = self.table.shape
+        return state % (n // M) * M + k
+
+    @property
+    def P(self):
+        """The dense transition matrix, built on request from the table."""
+        n, M = self.table.shape
+        rows = np.arange(n)[:, None]
+        P = np.zeros((n, n))
+        P[rows, self.successor(rows, np.arange(M))] = self.table
+        return P
 
 
 @dataclass
@@ -138,105 +156,44 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
     if len(states) > matrix_cap:
         raise TooLargeError(len(states), matrix_cap)
     masks = enumerate_masks(d, m)
+    if K == 0:  # the empty history moves to itself
+        return ChainModel(kind, d, m, K, float(b), activation, masks, states, np.ones((1, 1)))
     mask_index = {mask: i for i, mask in enumerate(masks)}
-    M = len(masks)
-    n = len(states)
-    P = np.zeros((n, n))
-    if K == 0:
-        P[0, 0] = 1.0
-        return ChainModel(kind, d, m, K, float(b), activation, masks, states, P)
-    # state index is the mixed-radix number of its mask indices, so the
-    # successor index comes from a shift instead of a dict lookup
-    radix = M ** (K - 1)
+    table = np.zeros((len(states), len(masks)))
     for i, state in enumerate(states):
         p = _coordinate_law(kind, state, d, b, activation)
-        law = sequential_mask_law(p, m)
-        base = (i % radix) * M
-        for mask, prob in law.items():
-            P[i, base + mask_index[mask]] += prob
-    return ChainModel(kind, d, m, K, float(b), activation, masks, states, P)
+        for mask, prob in sequential_mask_law(p, m).items():
+            table[i, mask_index[mask]] = prob
+    return ChainModel(kind, d, m, K, float(b), activation, masks, states, table)
 
 
 def _initial_states(chain):
     """Full histories reachable by warming up from an empty buffer."""
-    if chain.K == 0:
-        return {0}
     mask_index = {mask: i for i, mask in enumerate(chain.masks)}
-    M = len(chain.masks)
-    partial = [()]
+    # appending K masks to state 0 shifts all of its digits out
+    partial = {((), 0)}
     for _ in range(chain.K):
-        nxt = set()
-        for hist in partial:
-            p = _coordinate_law(chain.kind, hist, chain.d, chain.b, chain.activation)
-            for mask, prob in sequential_mask_law(p, chain.m).items():
-                if prob > 0.0:
-                    nxt.add(hist + (mask,))
-        partial = list(nxt)
-    out = set()
-    for hist in partial:
-        idx = 0
-        for mask in hist:
-            idx = idx * M + mask_index[mask]
-        out.add(idx)
-    return out
+        partial = {
+            (hist + (mask,), chain.successor(i, mask_index[mask]))
+            for hist, i in partial
+            for mask, prob in sequential_mask_law(
+                _coordinate_law(chain.kind, hist, chain.d, chain.b, chain.activation),
+                chain.m).items()
+            if prob > 0.0
+        }
+    return [i for _, i in partial]
 
 
-def _reachable_closure(P, start):
+def _closure(start, neighbours):
+    """Every state reachable from `start` along neighbours[v]."""
     seen = set(start)
-    frontier = list(start)
+    frontier = list(seen)
     while frontier:
-        s = frontier.pop()
-        for t in np.nonzero(P[s] > 0.0)[0]:
-            if t not in seen:
-                seen.add(int(t))
-                frontier.append(int(t))
-    return sorted(seen)
-
-
-def _strongly_connected_components(adj, nodes):
-    """Kosaraju on the induced subgraph."""
-    nodeset = set(nodes)
-    order = []
-    visited = set()
-    for root in nodes:
-        if root in visited:
-            continue
-        stack = [(root, iter(adj[root]))]
-        visited.add(root)
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w in nodeset and w not in visited:
-                    visited.add(w)
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(v)
-                stack.pop()
-    radj = {v: [] for v in nodes}
-    for v in nodes:
-        for w in adj[v]:
-            if w in nodeset:
-                radj[w].append(v)
-    comps = []
-    assigned = set()
-    for v in reversed(order):
-        if v in assigned:
-            continue
-        comp = []
-        stack = [v]
-        assigned.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in radj[u]:
-                if w not in assigned:
-                    assigned.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+        for w in neighbours[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
 
 
 def _period(adj, nodes):
@@ -262,12 +219,20 @@ def _period(adj, nodes):
 def recurrent_class(chain):
     """Indices of the class reachable from a fresh start, after verifying the
     chain restricted to it is irreducible and aperiodic."""
-    reach = _reachable_closure(chain.P, _initial_states(chain))
-    adj = {v: [int(t) for t in np.nonzero(chain.P[v] > 0.0)[0]] for v in reach}
-    comps = _strongly_connected_components(adj, reach)
-    if len(comps) != 1:
+    M = chain.table.shape[1]
+    succ = chain.successor(np.arange(chain.n_states)[:, None], np.arange(M))
+    adj = [row[live].tolist() for row, live in zip(succ, chain.table > 0.0)]
+    reach = sorted(_closure(_initial_states(chain), adj))
+    radj = {v: [] for v in reach}
+    for v in reach:
+        for w in adj[v]:
+            radj[w].append(v)
+    # one class exactly when the root reaches every state and every state
+    # reaches the root
+    root = [reach[0]]
+    if len(_closure(root, adj)) < len(reach) or len(_closure(root, radj)) < len(reach):
         raise NonErgodicError(
-            f"reducible: {len(comps)} communicating classes among {len(reach)} reachable states"
+            f"reducible: the {len(reach)} reachable states are not one communicating class"
         )
     period = _period(adj, reach)
     if period != 1:
@@ -279,19 +244,13 @@ def _shift_step(chain):
     """One chain step for column distributions: step(x, out) writes P^T x
     into out (both n or n x c) and returns out.
 
-    State a*R + r (R = M^(K-1), M = C(d,m)) moves only to r*M + k, so P is
-    read as the next-mask table W[r, k, a] = P[a*R + r, r*M + k] and a step
-    costs n*M*c instead of n^2*c. The K=0 chain is the one empty history
-    (M = R = 1), which moves to itself.
+    State a*R + r moves to r*M + k (ChainModel.successor), so the table is
+    read as W[r, k, a] = table[a*R + r, k] and a step costs n*M*c instead of
+    n^2*c.
     """
-    M = len(chain.masks) if chain.K else 1
-    R = chain.n_states // M
-    W = np.diagonal(chain.P.reshape(M, R, R, M), axis1=1, axis2=2).transpose(2, 1, 0)
-    # row sums of the table, in state order a*R + r
-    lost = np.abs(W.sum(axis=1).T.ravel() - chain.P.sum(axis=1)).max()
-    if lost > 1e-12:
-        raise NumericalError(f"transition mass {lost:.3e} lies off the mask-history shift")
-    W = np.ascontiguousarray(W)
+    n, M = chain.table.shape
+    R = n // M
+    W = np.ascontiguousarray(chain.table.reshape(M, R, M).transpose(1, 2, 0))
 
     def step(x, out):
         np.matmul(W, x.reshape(M, R, -1).transpose(1, 0, 2), out=out.reshape(R, M, -1))
@@ -315,6 +274,16 @@ def stationary_distribution(chain, tol=1e-12, max_iter=10**6):
             full[cls] = pi[cls] / pi[cls].sum()
             return StationaryResult(full, cls, chain.n_states - len(cls), it)
     raise NumericalError(f"power iteration residual > {tol} after {max_iter} iterations")
+
+
+def column_sum_defect(chain, recurrent):
+    """max over class states j of |sum_{i in class} P[i, j] - 1|; 0 exactly
+    when P on the class is doubly stochastic, as a uniform stationary law
+    needs."""
+    x = np.zeros(chain.n_states)
+    x[recurrent] = 1.0
+    sums = _shift_step(chain)(x, np.empty_like(x))
+    return float(np.abs(sums[recurrent] - 1.0).max())
 
 
 def newest_mask_marginal(chain, pi):

@@ -110,6 +110,8 @@ def _cmd_analyze_chain(args):
           f"({result.n_unreachable} unreachable)")
     print(f"stationary range: [{pi_class.min():.10f}, {pi_class.max():.10f}] "
           f"(uniform would be {1 / len(result.recurrent):.10f})")
+    print(f"column-sum defect on the recurrent class: "
+          f"{chains.column_sum_defect(chain, result.recurrent):.10f}")
     print(f"newest-mask marginal range: [{marginal.min():.10f}, {marginal.max():.10f}] "
           f"(m/d = {args.m / args.d:.10f})")
     print(f"mixing time (eps={args.eps:g}): {tau}")

@@ -122,12 +122,6 @@ def serialize_libsvm(dataset):
     return "\n".join(out) + ("\n" if out else "")
 
 
-def merge_datasets(datasets):
-    X = sp.vstack([ds.X for ds in datasets], format="csr")
-    y = np.concatenate([ds.y for ds in datasets])
-    return Dataset(X, y, datasets[0].d)
-
-
 @dataclass(frozen=True)
 class ShardedProblem:
     """n per-worker shards plus the shared L2 coefficient; smoothness and

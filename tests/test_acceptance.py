@@ -3,8 +3,8 @@
 Each test prints a single PASS/FAIL line (visible with -s, or in the failure
 report) and enforces a wall-clock budget.  Failures accumulate within a
 criterion so the line names every violated sub-check instead of stopping at
-the first one.  JIT warm-up happens once in a session fixture so the budgets
-measure steady-state runtime, not compiler latency.
+the first one.  A session fixture warms caches and imports once, outside
+the timed regions, so the budgets measure steady-state runtime.
 """
 
 import statistics
@@ -49,7 +49,7 @@ KAWASAKI_CHAINS = [(3, 1, 1, 2), (4, 1, 1, 5), (4, 1, 2, 2)]
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    """Compile the jit kernels once, outside any timed region."""
+    """Warm caches and imports once, outside the timed regions."""
     c = Compressor("banlast", 6, m=1, K=1, seed=0)
     c.compress(np.ones(6))
     c = Compressor("kawasaki", 6, m=1, K=1, b=2.0, seed=0)

@@ -1,13 +1,15 @@
 """Exact chain analysis: laws, stationarity, bounds, hitting times."""
 
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from markosparse.chain_analysis import (
+    _initial_states,
     banlast_hitting_time_exact,
     build_transition_matrix,
     deviation_curve,
@@ -28,7 +30,6 @@ from markosparse.chain_analysis import (
 from markosparse.errors import (
     InvalidArgumentError,
     NonErgodicError,
-    NumericalError,
     TooLargeError,
 )
 
@@ -194,6 +195,24 @@ def _dense_deviations(chain, pi):
         D = D @ sub
 
 
+def _dense_recurrent_class(chain):
+    """Closure over the rows of the dense P from the fresh starts, checked to
+    be one strongly connected component."""
+    P = chain.P
+    reach = set(_initial_states(chain))
+    frontier = list(reach)
+    while frontier:
+        for t in np.flatnonzero(P[frontier.pop()] > 0.0).tolist():
+            if t not in reach:
+                reach.add(t)
+                frontier.append(t)
+    reach = sorted(reach)
+    n_classes, _ = connected_components(csr_matrix(P[np.ix_(reach, reach)] > 0.0),
+                                        connection="strong")
+    assert n_classes == 1
+    return reach
+
+
 @pytest.mark.parametrize("kind, kwargs", [
     ("banlast", dict(d=4, m=1, K=0)),
     ("banlast", dict(d=8, m=1, K=3)),  # 336 of 512 states reachable
@@ -206,6 +225,7 @@ def _dense_deviations(chain, pi):
 ])
 def test_shift_step_matches_dense_products(kind, kwargs):
     chain = build_transition_matrix(kind, **kwargs)
+    np.testing.assert_array_equal(recurrent_class(chain), _dense_recurrent_class(chain))
     pi_dense, iterations = _dense_stationary(chain)
     result = stationary_distribution(chain)
     assert result.iterations == iterations
@@ -218,23 +238,6 @@ def test_shift_step_matches_dense_products(kind, kwargs):
         dense_tau = next(t for t, dev in enumerate(_dense_deviations(chain, pi_dense))
                          if t >= 1 and dev <= threshold)
         assert mixing_time(chain, eps) == dense_tau, eps
-
-
-def test_mass_off_the_history_shift_is_an_error():
-    chain = build_transition_matrix("banlast", d=4, m=1, K=2)
-    result = stationary_distribution(chain)
-    # state 1 = ((0,), (1,)) may only move to ((1,), (k,)); send a quarter
-    # of its mass to ((2,), (3,)) instead
-    P = chain.P.copy()
-    P[1, 7] -= 0.25
-    P[1, 11] += 0.25
-    bad = dataclasses.replace(chain, P=P)
-    with pytest.raises(NumericalError, match="off the mask-history shift"):
-        stationary_distribution(bad)
-    with pytest.raises(NumericalError, match="off the mask-history shift"):
-        deviation_curve(bad, t_max=5, stationary=result)
-    with pytest.raises(NumericalError, match="off the mask-history shift"):
-        mixing_time(bad, 0.05, stationary=result)
 
 
 def test_hitting_time_closed_forms():

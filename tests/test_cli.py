@@ -109,6 +109,19 @@ def test_analyze_chain_reports_structure(capsys):
     assert "rho=" in out
 
 
+def test_analyze_chain_reports_the_column_sum_defect(capsys):
+    # kawasaki K=2 column sums on the class run from about 0.577 to 89/78,
+    # so P is not doubly stochastic; banlast's are exactly 1
+    def defect(argv):
+        assert main(["analyze-chain", *argv]) == 0
+        out = capsys.readouterr().out
+        return float(re.search(r"column-sum defect on the recurrent class: (\S+)", out)[1])
+
+    assert defect(["--kind", "kawasaki", "--d", "4", "--m", "1", "--K", "2", "--b", "2"]) \
+        == pytest.approx(0.4231, abs=1e-4)
+    assert defect(["--kind", "banlast", "--d", "6", "--m", "1", "--K", "2"]) == 0.0
+
+
 def test_analyze_chain_nonergodic_is_a_structural_failure(capsys):
     assert main(["analyze-chain", "--kind", "banlast", "--d", "2", "--m", "1", "--K", "1"]) == 4
     assert "periodic" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from markosparse.objectives import (
     estimate_smoothness,
     heterogeneous_problem,
     loss_and_gradient,
-    merge_datasets,
     parse_libsvm,
     partition,
     separable_binary_dataset,
@@ -70,12 +69,6 @@ def test_serialize_round_trip(tiny_dataset):
     again = parse_libsvm(text, dim=tiny_dataset.d)
     np.testing.assert_array_equal(again.y, tiny_dataset.y)
     assert (again.X != tiny_dataset.X).nnz == 0
-
-
-def test_merge_datasets(tiny_dataset):
-    both = merge_datasets([tiny_dataset, tiny_dataset])
-    assert both.n_rows == 8
-    assert both.d == tiny_dataset.d
 
 
 def test_partition_covers_rows_once():
