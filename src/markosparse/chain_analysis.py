@@ -17,6 +17,7 @@ operations per state and column; the dense P is built only on request.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -158,10 +159,19 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
     masks = enumerate_masks(d, m)
     if K == 0:  # the empty history moves to itself
         return ChainModel(kind, d, m, K, float(b), activation, masks, states, np.ones((1, 1)))
+    # state i holds the base-M digits of i, its mask indices oldest first;
+    # its counts sum the 0/1 membership rows of those masks
+    M = len(masks)
+    digits = np.arange(len(states))[:, None] // M ** np.arange(K - 1, -1, -1) % M
+    members = np.zeros((M, d), np.int64)
+    members[np.arange(M)[:, None], masks] = 1
+    law = kernels.coordinate_law(kernels.KIND_IDS[kind], kernels.ACTIVATION_IDS[activation],
+                                 b, members[digits].sum(axis=1))
+    if m == 1:  # mask k is coordinate k
+        return ChainModel(kind, d, m, K, float(b), activation, masks, states, law)
     mask_index = {mask: i for i, mask in enumerate(masks)}
-    table = np.zeros((len(states), len(masks)))
-    for i, state in enumerate(states):
-        p = _coordinate_law(kind, state, d, b, activation)
+    table = np.zeros((len(states), M))
+    for i, p in enumerate(law):
         for mask, prob in sequential_mask_law(p, m).items():
             table[i, mask_index[mask]] = prob
     return ChainModel(kind, d, m, K, float(b), activation, masks, states, table)
@@ -200,20 +210,19 @@ def _period(adj, nodes):
     """gcd of cycle-length residuals over a BFS tree; 1 means aperiodic."""
     root = nodes[0]
     dist = {root: 0}
-    queue = [root]
-    g = 0
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
-            else:
-                g = math.gcd(g, dist[v] + 1 - dist[w])
+    # tree edges add 0; every other edge adds its cycle-length residual
+    g = 0
     for v in nodes:
         for w in adj[v]:
             g = math.gcd(g, dist[v] + 1 - dist[w])
-    return abs(g) if g != 0 else 0
+    return g
 
 
 def recurrent_class(chain):

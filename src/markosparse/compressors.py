@@ -106,25 +106,12 @@ def apply_activation(w, activation):
     return kernels.activate(w, kernels.ACTIVATION_IDS[activation])
 
 
-def sample_mask(p, m, rng):
-    """m distinct indices by sequential weighted draws without replacement."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.count_nonzero(p > 0) < m:
-        raise InfeasibleSampleError(
-            f"{int(np.count_nonzero(p > 0))} positive-probability coordinates, need {m}"
-        )
-    work = p.copy()
-    mask = np.empty(m, dtype=np.int64)
-    kernels._sample_without_replacement(rng, work, m, mask)
-    return mask
-
-
 def sparsify(x, mask, d, m):
     """(d/m) * x on the mask, zero elsewhere."""
     x = np.asarray(x, dtype=np.float64)
     if len(x) != d:
         raise InvalidArgumentError(f"vector has length {len(x)}, expected {d}")
-    out = np.zeros_like(x)
+    out = np.zeros(d)
     out[mask] = x[mask] * (d / m)
     return out
 

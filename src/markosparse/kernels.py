@@ -2,12 +2,18 @@
 simulation.
 
 ``coordinate_law`` is the one map from a history's per-coordinate counts to
-the law of the next draw. The live compressors (through ``step_mask``),
-``Compressor.probabilities`` and the exact chain analysis all call it, so
-the analysed chain is the simulated one. Every total is a left-to-right sum
-(``np.cumsum(...)[-1]``), never numpy's pairwise ``sum``, which fixes the law
-bit for bit. Randomness is drawn only through ``rng.random()`` on a
-``numpy.random.Generator``, so the seed fixes the whole mask stream.
+the law of the next draw, and ``sample_masks`` the one without-replacement
+sampler; both work on rows, one run per row. The live compressors (through
+``step_mask``, a single row), ``Compressor.probabilities``, the exact chain
+analysis (every state's row at once) and the hitting-time Monte Carlo (a
+block of trials at once) all call them, so the analysed chain is the
+simulated one. Every total is a left-to-right sum per row
+(``np.cumsum(..., axis=-1)[..., -1]``), never numpy's pairwise ``sum``, so
+each row's law is the same bit for bit however many rows are computed
+together. Randomness is drawn only through ``rng.random`` on a
+``numpy.random.Generator``, one uniform per row and draw, so the seed fixes
+the whole mask stream; a single row draws exactly what one
+``rng.random()`` per draw would.
 
 Nothing here validates its arguments: callers check them once, where they
 enter the package (``compressors.validate_parameters``).
@@ -28,6 +34,10 @@ ACT_PROJECT = 2
 
 ACTIVATION_IDS = {"normalize": ACT_NORMALIZE, "softmax": ACT_SOFTMAX, "project": ACT_PROJECT}
 
+# hitting-time trials stepped together; bounds the (block, d) law and
+# cumsum arrays, and so the simulation's memory
+HITTING_BLOCK = 2048
+
 
 def backend_name():
     """The array backend the kernels run on."""
@@ -35,22 +45,25 @@ def backend_name():
 
 
 def _total(p):
-    # sequential sum: np.sum adds pairwise and rounds differently
-    return np.cumsum(p)[-1]
+    # sequential sum per row, kept as a column: np.sum adds pairwise and
+    # rounds differently
+    return p.cumsum(-1)[..., -1:]
 
 
 def activate(w, act):
-    """Maps weights onto the probability simplex; returns a new array.
+    """Maps each row of weights (..., d) onto the probability simplex;
+    returns a new array.
 
     normalize: |w| / ||w||_1; softmax; project: Euclidean projection,
     sort-and-threshold form."""
     if act == ACT_SOFTMAX:
-        p = np.exp(w - w.max())
+        p = np.exp(w - w.max(axis=-1, keepdims=True))
     elif act == ACT_PROJECT:
-        u = np.sort(w)[::-1]
-        t = (np.cumsum(u) - 1.0) / np.arange(1, len(u) + 1)
-        above = np.flatnonzero(u - t > 0.0)
-        theta = t[above[-1]] if above.size else 0.0
+        u = np.sort(w, axis=-1)[..., ::-1]
+        t = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, w.shape[-1] + 1)
+        # theta is t at the last index with u - t > 0, or 0 where none is
+        last = np.where(u - t > 0.0, np.arange(w.shape[-1]), -1).max(axis=-1, keepdims=True)
+        theta = np.where(last >= 0, np.take_along_axis(t, np.maximum(last, 0), axis=-1), 0.0)
         v = w - theta
         p = np.where(v > 0.0, v, 0.0)
     else:
@@ -70,11 +83,12 @@ def _weight_table(d, b, c_max):
 
 
 def _kawasaki_weights(b, counts):
-    return _weight_table(len(counts), b, int(counts.max()))[counts]
+    return _weight_table(counts.shape[-1], b, int(counts.max()))[counts]
 
 
 def coordinate_law(kind, act, b, counts):
-    """Law of the next draw given per-coordinate counts over the stored masks.
+    """Law of the next draw given per-coordinate counts over the stored
+    masks; counts (..., d) give one law per row.
 
     banlast: uniform over the coordinates with count 0. kawasaki: base
     weight 1/d divided by b once per count, mapped through activation `act`.
@@ -83,58 +97,53 @@ def coordinate_law(kind, act, b, counts):
     if kind == KIND_KAWASAKI:
         return activate(_kawasaki_weights(b, counts), act)
     # normalize over 0/1 weights: their total is an exact count
-    allowed = counts == 0 if kind == KIND_BANLAST else np.ones(len(counts), dtype=bool)
-    return allowed / np.count_nonzero(allowed)
+    allowed = counts == 0 if kind == KIND_BANLAST else np.ones(counts.shape, dtype=bool)
+    return allowed / allowed.sum(-1, keepdims=True)
 
 
-def _sample_without_replacement(rng, p, m, mask):
-    # sequential weighted draws; p is consumed in place
-    d = p.shape[0]
+def sample_masks(rng, p, m):
+    """One mask of m distinct coordinates per row of p (n, d), by sequential
+    weighted draws without replacement; (n, m) int64, each row sorted.
+
+    Each draw takes n uniforms in one call, one per row, and picks the
+    first index whose running total exceeds the row's scaled uniform, or the
+    last positive index should rounding carry the uniform up to the total.
+    p is overwritten: each drawn coordinate is zeroed before the next draw.
+    """
+    n, d = p.shape
+    rows = np.arange(n)
+    masks = np.empty((n, m), np.int64)
     for k in range(m):
-        total = 0.0
-        for j in range(d):
-            total += p[j]
-        u = rng.random() * total
-        acc = 0.0
-        idx = -1
-        for j in range(d):
-            if p[j] > 0.0:
-                acc += p[j]
-                idx = j
-                if u < acc:
-                    break
-        mask[k] = idx
-        p[idx] = 0.0
-    # insertion sort: masks are kept as ordered index sets
-    for a in range(1, m):
-        key = mask[a]
-        t = a - 1
-        while t >= 0 and mask[t] > key:
-            mask[t + 1] = mask[t]
-            t -= 1
-        mask[t + 1] = key
+        if k:
+            p[rows, masks[:, k - 1]] = 0.0
+        acc = p.cumsum(1)
+        above = acc > rng.random((n, 1)) * acc[:, -1:]
+        idx = above.argmax(1)
+        if not above[:, -1].all():  # a uniform rounded up to its row's total
+            short = ~above[:, -1]
+            idx[short] = d - 1 - (p[short, ::-1] > 0.0).argmax(1)
+        masks[:, k] = idx
+    masks.sort(1)
+    return masks
 
 
-def _push_history(hist, counts, fill, pos, mask, K):
-    m = mask.shape[0]
+def _push_history(hist, counts, fill, pos, at, K):
+    # one run per row of `at`, the new masks as positions in the flat
+    # counts; the ring buffer hist (K, ..., m) keeps the last K of them
     if K == 0:
         return 0, 0
     if fill == K:
-        for t in range(m):
-            counts[hist[pos, t]] -= 1
+        np.subtract.at(counts, hist[pos], 1)
     else:
         fill += 1
-    for t in range(m):
-        hist[pos, t] = mask[t]
-        counts[mask[t]] += 1
-    pos = (pos + 1) % K
-    return fill, pos
+    hist[pos] = at
+    np.add.at(counts, at, 1)
+    return fill, (pos + 1) % K
 
 
 def step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, mask_out):
     """One compressor step: law from history counts, sample, push mask."""
-    p = coordinate_law(kind, act, b, counts)
-    _sample_without_replacement(rng, p, m, mask_out)
+    mask_out[:] = sample_masks(rng, coordinate_law(kind, act, b, counts)[None], m)[0]
     return _push_history(hist, counts, fill, pos, mask_out, K)
 
 
@@ -150,49 +159,34 @@ def simulate_masks(rng, kind, act, d, m, K, b, steps):
     return masks
 
 
-def simulate_selection_counts(rng, kind, act, d, m, K, b, steps):
-    """Per-coordinate selection counts over a fresh run; (d,) int64 array."""
-    hist = np.zeros((max(K, 1), m), np.int64)
-    counts = np.zeros(d, np.int64)
-    mask = np.empty(m, np.int64)
-    sel = np.zeros(d, np.int64)
-    fill = 0
-    pos = 0
-    for _ in range(steps):
-        fill, pos = step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, mask)
-        for k in range(m):
-            sel[mask[k]] += 1
-    return sel
-
-
 def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
     """Steps until `target` first appears in a mask, per fresh-start trial.
 
-    Returns (times, n_capped); trials that never hit within `cap` steps are
-    recorded as `cap` and counted in n_capped.
+    Trials run in blocks of HITTING_BLOCK that start fresh and step
+    together; a trial leaves its block when it hits. Returns (times,
+    n_capped); trials that never hit within `cap` steps are recorded as
+    `cap` and counted in n_capped.
     """
-    hist = np.zeros((max(K, 1), m), np.int64)
-    counts = np.zeros(d, np.int64)
-    mask = np.empty(m, np.int64)
-    times = np.empty(trials, np.int64)
+    times = np.full(trials, cap, np.int64)
     n_capped = 0
-    for r in range(trials):
-        for j in range(d):
-            counts[j] = 0
-        fill = 0
-        pos = 0
-        steps = 0
-        hit = False
-        while steps < cap:
-            fill, pos = step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, mask)
+    for first in range(0, trials, HITTING_BLOCK):
+        live = np.arange(first, min(first + HITTING_BLOCK, trials))
+        counts = np.zeros((len(live), d), np.int64)
+        start = np.arange(0, counts.size, d)[:, None]   # row r's counts begin at r*d
+        hist = np.zeros((max(K, 1), len(live), m), np.int64)
+        fill = pos = steps = 0
+        while live.size and steps < cap:
+            masks = sample_masks(rng, coordinate_law(kind, act, b, counts), m)
+            fill, pos = _push_history(hist, counts.reshape(-1), fill, pos, masks + start, K)
             steps += 1
-            for k in range(m):
-                if mask[k] == target:
-                    hit = True
-                    break
-            if hit:
-                break
-        times[r] = steps
-        if not hit:
-            n_capped += 1
+            hit = (masks == target).any(axis=1)
+            if hit.any():
+                times[live[hit]] = steps
+                keep = ~hit
+                live, counts = live[keep], counts[keep]
+                # the survivors move up to rows 0..len(live)-1, and so do
+                # the positions their history holds
+                hist = hist[:, keep] - (start[keep] - start[:len(live)])
+                start = start[:len(live)]
+        n_capped += live.size
     return times, n_capped

@@ -10,7 +10,6 @@ from markosparse.compressors import (
     apply_activation,
     natural_compress,
     perm_k_masks,
-    sample_mask,
     sparsify,
     validate_parameters,
 )
@@ -77,11 +76,6 @@ def test_normalize_rejects_zero_vector():
         apply_activation(np.zeros(3), "normalize")
     with pytest.raises(InvalidArgumentError):
         apply_activation(np.ones(3), "relu")
-
-
-def test_sample_mask_needs_enough_support():
-    with pytest.raises(InfeasibleSampleError):
-        sample_mask(np.array([0.5, 0.5, 0.0]), 3, np.random.default_rng(0))
 
 
 def test_banlast_compressor_never_repeats_within_window():

@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from markosparse import kernels
+from markosparse.chain_analysis import (
+    banlast_hitting_time_exact,
+    monte_carlo_hitting_time,
+    optimal_history_size,
+    sequential_mask_law,
+)
+from markosparse.errors import NumericalError
+from markosparse.harness import ALPHA_GRID, alpha_to_dm
 
 
 def fresh_rng(seed=0):
@@ -75,30 +83,113 @@ def scalar_law(kind, act, b, counts):
 
 
 def test_coordinate_law_matches_scalar_reference():
+    # a batch of count rows gives each row's law, bit for bit, whether the
+    # rows come together or one at a time
     rng = np.random.default_rng(5)
     for _ in range(300):
         d = int(rng.integers(2, 131))
         K = int(rng.integers(0, min(6, d)))
         m = int(rng.integers(1, d // (K + 1) + 1))  # (K+1)m <= d keeps banlast feasible
-        counts = np.zeros(d, dtype=np.int64)
-        for _ in range(K):
-            counts[rng.choice(d, m, replace=False)] += 1
+        counts = np.zeros((int(rng.integers(1, 4)), d), dtype=np.int64)
+        for row in counts:
+            for _ in range(K):
+                row[rng.choice(d, m, replace=False)] += 1
         b = float(rng.choice([1.5, 2.0, 50.0]))
         for kind in (kernels.KIND_RAND, kernels.KIND_BANLAST, kernels.KIND_KAWASAKI):
             for act in kernels.ACTIVATION_IDS.values():
-                expect = scalar_law(kind, act, b, counts)
-                got = kernels.coordinate_law(kind, act, b, counts)
-                np.testing.assert_array_equal(got, expect)
+                expect = np.array([scalar_law(kind, act, b, row) for row in counts])
+                np.testing.assert_array_equal(kernels.coordinate_law(kind, act, b, counts), expect)
+                for row, law in zip(counts, expect):
+                    np.testing.assert_array_equal(kernels.coordinate_law(kind, act, b, row), law)
+
+
+def test_batched_projection_without_positive_gap():
+    # weights so large that u - t rounds to 0 at every index: theta is 0 and
+    # the row is only normalized; the other row has a threshold
+    w = np.array([[1e20, 1e20, 1e20], [0.5, 0.25, 0.0]])
+    u = np.sort(w[0])[::-1]
+    assert np.all(u - (np.cumsum(u) - 1.0) / np.arange(1, 4) <= 0.0)
+    got = kernels.activate(w, kernels.ACT_PROJECT)
+    np.testing.assert_array_equal(got[0], np.full(3, 1.0 / 3))
+    for row, p in zip(w, got):
+        np.testing.assert_array_equal(kernels.activate(row, kernels.ACT_PROJECT), p)
+
+
+def scalar_sampler(rng, p, m):
+    """Sequential weighted draws over Python floats, one rng.random() each;
+    the mask sorted. p is consumed in place."""
+    mask = []
+    for _ in range(m):
+        total = 0.0
+        for v in p:
+            total += v
+        u = rng.random() * total
+        acc, idx = 0.0, -1
+        for j, v in enumerate(p):
+            if v > 0.0:
+                acc += v
+                idx = j
+                if u < acc:
+                    break
+        mask.append(idx)
+        p[idx] = 0.0
+    return sorted(mask)
+
+
+def test_single_row_sampler_matches_scalar_reference():
+    rng = np.random.default_rng(7)
+    for seed in range(300):
+        d = int(rng.integers(1, 60))
+        p = rng.random(d) * (rng.random(d) < 0.7)
+        p[rng.integers(d)] = rng.random() + 0.1
+        p /= np.cumsum(p)[-1]
+        m = int(rng.integers(1, np.count_nonzero(p) + 1))
+        a, b = fresh_rng(seed), fresh_rng(seed)
+        got = kernels.sample_masks(a, p[None].copy(), m)
+        assert got.shape == (1, m) and got.dtype == np.int64
+        assert got[0].tolist() == scalar_sampler(b, p.copy(), m)
+        assert a.random() == b.random()  # both consumed m uniforms
+
+
+class TopUniform:
+    """A stand-in generator whose uniforms are 1.0, so every scaled uniform
+    equals its row total: the case the last-positive-index fallback covers."""
+
+    def random(self, size=None):
+        return 1.0 if size is None else np.ones(size)
+
+
+def test_sampler_falls_back_to_the_last_positive_index():
+    p = np.array([[0.2, 0.5, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 0.6, 0.4]])
+    got = kernels.sample_masks(TopUniform(), p.copy(), 2)
+    np.testing.assert_array_equal(got, [[1, 2], [3, 4]])
+    for row, mask in zip(p, got):
+        assert mask.tolist() == scalar_sampler(TopUniform(), row.copy(), 2)
 
 
 def test_sampler_draws_distinct_positive_coordinates():
     p = np.array([0.1, 0.0, 0.3, 0.2, 0.4])
     for seed in range(5):
-        mask = np.empty(3, dtype=np.int64)
-        kernels._sample_without_replacement(fresh_rng(seed), p.copy(), 3, mask)
-        assert len(set(mask.tolist())) == 3
-        assert 1 not in mask  # zero-probability coordinate never drawn
-        assert np.all(np.diff(mask) > 0)  # masks are ordered index sets
+        masks = kernels.sample_masks(fresh_rng(seed), np.tile(p, (50, 1)), 3)
+        for mask in masks.tolist():
+            assert len(set(mask)) == 3
+        assert not np.any(masks == 1)  # zero-probability coordinate never drawn
+        assert np.all(np.diff(masks, axis=1) > 0)  # masks are ordered index sets
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_batched_mask_frequencies_follow_the_joint_law(m):
+    d, n = 6, 20_000
+    p = np.array([0.3, 0.05, 0.2, 0.1, 0.25, 0.1])
+    law = sequential_mask_law(p, m)
+    masks = kernels.sample_masks(fresh_rng(8 + m), np.tile(p, (n, 1)), m)
+    seen = {}
+    for mask in map(tuple, masks.tolist()):
+        seen[mask] = seen.get(mask, 0) + 1
+    assert set(seen) <= set(law)
+    for mask, q in law.items():
+        sigma = np.sqrt(n * q * (1.0 - q))
+        assert abs(seen.get(mask, 0) - n * q) <= 5.0 * sigma, mask
 
 
 def test_banlast_masks_never_repeat_within_window():
@@ -126,8 +217,9 @@ def test_kawasaki_with_huge_forgetting_rate_avoids_recent_coords():
 
 def test_rand_selection_counts_are_roughly_uniform():
     d, m, steps = 6, 2, 30_000
-    counts = np.asarray(kernels.simulate_selection_counts(
-        fresh_rng(3), kernels.KIND_RAND, kernels.ACT_NORMALIZE, d, m, 0, 50.0, steps))
+    masks = kernels.simulate_masks(
+        fresh_rng(3), kernels.KIND_RAND, kernels.ACT_NORMALIZE, d, m, 0, 50.0, steps)
+    counts = np.bincount(masks.ravel(), minlength=d)
     freq = counts / (steps * m)
     np.testing.assert_allclose(freq, 1.0 / d, rtol=0.05)
 
@@ -145,3 +237,34 @@ def _hit(kind, d, m, K, trials):
     assert n_capped == 0
     times = np.asarray(times, dtype=np.float64)
     return float(times.mean()), float(times.std(ddof=1) / np.sqrt(trials))
+
+
+def test_hitting_times_cover_a_partial_last_block():
+    trials = kernels.HITTING_BLOCK + 37
+    times, n_capped = kernels.simulate_hitting_times(
+        fresh_rng(9), kernels.KIND_BANLAST, kernels.ACT_NORMALIZE, 10, 1, 3, 50.0, 0,
+        trials, 10**7)
+    assert times.shape == (trials,) and times.dtype == np.int64
+    assert n_capped == 0 and times.min() >= 1
+
+
+def test_hitting_time_cap_is_recorded():
+    # a 2-step cap: trials that miss the target twice record 2 and count as capped
+    times, n_capped = kernels.simulate_hitting_times(
+        fresh_rng(10), kernels.KIND_RAND, kernels.ACT_NORMALIZE, 10, 1, 0, 50.0, 0, 500, 2)
+    assert set(times.tolist()) <= {1, 2}
+    assert 0 < n_capped < 500
+    assert n_capped <= np.count_nonzero(times == 2)
+    with pytest.raises(NumericalError, match="cap"):
+        monte_carlo_hitting_time("rand", d=10, m=1, trials=500, seed=10, cap=2)
+
+
+def test_hitting_workload_means_match_the_exact_banlast_mean():
+    # the benchmark's hitting configs: the alpha grid at its optimal K, and
+    # criterion 3's banlast (10, K=7)
+    configs = [(*alpha_to_dm(a), optimal_history_size(a), 300) for a in ALPHA_GRID]
+    configs.append((10, 1, 7, 50_000))
+    for d, m, K, trials in configs:
+        mean, stderr = monte_carlo_hitting_time("banlast", d, m=m, K=K, trials=trials, seed=1)
+        exact = banlast_hitting_time_exact(d / m, K)
+        assert abs(mean - exact) <= 5.0 * stderr, (d, m, K, mean, stderr, exact)
