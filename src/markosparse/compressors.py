@@ -107,12 +107,12 @@ def apply_activation(w, activation):
 
 
 def sparsify(x, mask, d, m):
-    """(d/m) * x on the mask, zero elsewhere."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) != d:
-        raise InvalidArgumentError(f"vector has length {len(x)}, expected {d}")
-    out = np.zeros(d)
-    out[mask] = x[mask] * (d / m)
+    """(d/m) * x at the positions `mask` of the flattened x, zero elsewhere:
+    a vector's kept coordinates, or for (rows, d) rows r*d + j for row r's
+    coordinate j. x must be a float array: the caller converts and checks
+    it once."""
+    out = np.zeros(x.shape)
+    out.ravel()[mask] = x.ravel()[mask] * (d / m)
     return out
 
 
@@ -120,27 +120,24 @@ def natural_compress(x, rng):
     """Random rounding of each entry to a signed power of two.
 
     |x_j| in [2^k, 2^(k+1)) goes up with probability (|x_j| - 2^k)/2^k and
-    down otherwise, which makes the rounding unbiased; exact powers of two
-    and zeros are fixed points. One uniform draw per coordinate.
+    down otherwise, which makes the rounding unbiased; exact powers of two,
+    zeros and non-finite entries are fixed points. Each finite non-zero
+    entry takes one uniform, powers of two included, in index order. `rng`
+    is one generator, or a sequence of them, one per row of a (rows, d) x.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    for j in range(len(x)):
-        v = x[j]
-        if v == 0.0 or not np.isfinite(v):
-            out[j] = v
-            continue
-        a = abs(v)
-        lo = 2.0 ** np.floor(np.log2(a))
-        if lo > a:  # float log2 can round up at the bin edge
-            lo /= 2.0
-        u = rng.random()
-        if a == lo:  # power of two: keep, but burn the draw for stream stability
-            out[j] = v
-            continue
-        frac = (a - lo) / lo
-        mag = 2.0 * lo if u < frac else lo
-        out[j] = np.copysign(mag, v)
+    draw = np.isfinite(x) & (x != 0.0)
+    if isinstance(rng, np.random.Generator):
+        u = rng.random(np.count_nonzero(draw))
+    else:
+        u = np.concatenate([g.random(k) for g, k in zip(rng, np.count_nonzero(draw, axis=1))])
+    v = x[draw]
+    a = np.abs(v)
+    lo = np.ldexp(0.5, np.frexp(a)[1])  # the largest power of two <= a, exactly
+    with np.errstate(over="ignore"):    # 2 lo overflows only where a rounds up to inf
+        mag = np.where(u < (a - lo) / lo, 2.0 * lo, lo)
+    out = x.copy()
+    out[draw] = np.copysign(mag, v)
     return out
 
 
@@ -167,11 +164,17 @@ def perm_k_masks(d, n, rng, pad=True):
 
 
 class Compressor:
-    """Single-owner per-worker compressor state.
+    """Compressor state of one worker, or of a team of workers stepped
+    together as the rows of one array.
 
-    Holds the mask history ring buffer, the seeded PCG64 stream, and per-kind
-    parameters. `compress` mutates the state (advances rng, pushes masks);
-    never share one instance across workers.
+    `worker` is one worker index (compress takes and returns a vector) or a
+    sequence of them (compress takes and returns a (rows, d) array, row r
+    for worker[r]); one worker is the one-row case of the same path. Holds
+    every row's mask history ((K, rows, m) ring buffer, (rows, d) counts),
+    one seeded PCG64 stream per worker, and the per-kind parameters. Each
+    step computes every row's law in one call, draws each worker's m
+    uniforms from its own stream and sparsifies all rows in one write.
+    `compress` mutates the state (advances the streams, pushes masks).
     """
 
     def __init__(self, kind, d, m=None, K=0, b=50.0, activation="normalize",
@@ -188,51 +191,70 @@ class Compressor:
         self._kind_id = kernels.KIND_IDS.get(kind)
         self._act_id = kernels.ACTIVATION_IDS[activation]
         self.seed = seed
-        self.worker = worker
+        self.workers = np.atleast_1d(np.asarray(worker, dtype=np.int64))
         self.n_workers = n_workers
-        # PermK coordination: all workers of a team draw from the same stream
-        # and therefore see the same permutation every step; other kinds get
-        # an independent per-worker stream.
+        rows = len(self.workers)
+        self._shape = (self.d,) if np.ndim(worker) == 0 else (rows, self.d)
+        # PermK coordination: the team shares one stream and so one
+        # permutation per step; other kinds get an independent stream per
+        # worker.
         if kind == PERMK:
-            ss = np.random.SeedSequence([int(seed), 0x7065726D])
+            seeds = [[int(seed), 0x7065726D]]
         else:
-            ss = np.random.SeedSequence([int(seed), int(worker)])
-        self.rng = np.random.Generator(np.random.PCG64(ss))
+            seeds = [[int(seed), int(w)] for w in self.workers]
+        self._rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+                      for s in seeds]
 
-        self._hist = np.zeros((max(self.K, 1), self.m), dtype=np.int64)
-        self._counts = np.zeros(self.d, dtype=np.int64)
+        self._hist = np.zeros((self.K, rows, self.m), dtype=np.int64)
+        self._counts = np.zeros((rows, self.d), dtype=np.int64)
         self._fill = 0
         self._pos = 0
-        self._mask_buf = np.empty(self.m, dtype=np.int64)
+        self._u = np.empty((rows, self.m))
+        self._u_rows = list(self._u)   # each worker's row, filled from its own stream
+        self._at = np.zeros((rows, self.m), dtype=np.int64)
 
         # communication accounting: coordinates sent per step and bits per
         # coordinate (the budget layer multiplies by bits/32)
         self.bits_per_coord = 9 if kind == NATURAL else 32
 
+    def _rowwise(self, a):
+        # a per-row result, as one row's when this is one worker
+        return a.reshape(self._shape[:-1] + a.shape[1:])
+
     def probabilities(self):
         """Law of the next mask's sequential draws, given current history."""
         if self._kind_id is None:
             raise InvalidArgumentError(f"'{self.kind}' has no coordinate law")
-        return kernels.coordinate_law(self._kind_id, self._act_id, self.b, self._counts)
+        return self._rowwise(
+            kernels.coordinate_law(self._kind_id, self._act_id, self.b, self._counts))
 
     def compress(self, x):
-        """One step: returns (compressed vector, coords_sent)."""
+        """One step of every row: returns (compressed x, coordinates sent
+        over all rows)."""
         x = np.asarray(x, dtype=np.float64)
-        if len(x) != self.d:
-            raise InvalidArgumentError(f"vector has length {len(x)}, expected {self.d}")
+        if x.shape != self._shape:
+            raise InvalidArgumentError(f"input has shape {x.shape}, expected {self._shape}")
         if self.kind == IDENTITY:
-            return x.copy(), self.d
+            return x.copy(), x.size
         if self.kind == NATURAL:
-            return natural_compress(x, self.rng), self.d
+            return natural_compress(x.reshape(-1, self.d), self._rngs).reshape(x.shape), x.size
         if self.kind == PERMK:
-            masks = perm_k_masks(self.d, self.n_workers, self.rng)
-            mask = masks[self.worker]
-            return sparsify(x, mask, self.d, len(mask)), len(mask)
-        self._fill, self._pos = kernels.step_mask(
-            self.rng, self._kind_id, self._act_id, self.m, self.K, self.b,
-            self._hist, self._counts, self._fill, self._pos, self._mask_buf,
+            rows = x.reshape(-1, self.d)
+            blocks = perm_k_masks(self.d, self.n_workers, self._rngs[0])
+            cols = np.concatenate([blocks[w] for w in self.workers])
+            sizes = np.array([len(blocks[w]) for w in self.workers])
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            out = np.zeros_like(rows)
+            out[owner, cols] = rows[owner, cols] * (self.d / sizes)[owner]
+            return out.reshape(x.shape), len(cols)
+        for rng, u in zip(self._rngs, self._u_rows):
+            rng.random(out=u)
+        self._at, self._fill, self._pos = kernels.step_mask(
+            self._kind_id, self._act_id, self.K, self.b, self._u,
+            self._hist, self._counts, self._fill, self._pos,
         )
-        return sparsify(x, self._mask_buf, self.d, self.m), self.m
+        return sparsify(x, self._at, self.d, self.m), self._at.size
 
     def last_mask(self):
-        return self._mask_buf.copy()
+        """The coordinates each row sent in the last step."""
+        return self._rowwise(self._at % self.d)

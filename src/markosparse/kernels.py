@@ -2,18 +2,23 @@
 simulation.
 
 ``coordinate_law`` is the one map from a history's per-coordinate counts to
-the law of the next draw, and ``sample_masks`` the one without-replacement
-sampler; both work on rows, one run per row. The live compressors (through
-``step_mask``, a single row), ``Compressor.probabilities``, the exact chain
+the law of the next draw, ``sample_masks`` the one without-replacement
+sampler and ``step_mask`` the one history step; all work on rows, one run
+per row. The live compressors (one row per worker), the exact chain
 analysis (every state's row at once) and the hitting-time Monte Carlo (a
 block of trials at once) all call them, so the analysed chain is the
 simulated one. Every total is a left-to-right sum per row
 (``np.cumsum(..., axis=-1)[..., -1]``), never numpy's pairwise ``sum``, so
 each row's law is the same bit for bit however many rows are computed
-together. Randomness is drawn only through ``rng.random`` on a
-``numpy.random.Generator``, one uniform per row and draw, so the seed fixes
-the whole mask stream; a single row draws exactly what one
-``rng.random()`` per draw would.
+together.
+
+``sample_masks`` takes its uniforms, one per row and draw, instead of a
+generator: the caller decides which stream feeds which row. A compressor
+draws each worker's m uniforms from that worker's own
+``numpy.random.Generator`` with ``rng.random(m)``, which for PCG64 gives
+the values of m single ``rng.random()`` calls; the Monte Carlo draws all
+rows' uniforms for draw k before any row's draw k + 1. The seed therefore
+fixes the whole mask stream.
 
 Nothing here validates its arguments: callers check them once, where they
 enter the package (``compressors.validate_parameters``).
@@ -101,61 +106,69 @@ def coordinate_law(kind, act, b, counts):
     return allowed / allowed.sum(-1, keepdims=True)
 
 
-def sample_masks(rng, p, m):
+def sample_masks(p, u):
     """One mask of m distinct coordinates per row of p (n, d), by sequential
     weighted draws without replacement; (n, m) int64, each row sorted.
 
-    Each draw takes n uniforms in one call, one per row, and picks the
-    first index whose running total exceeds the row's scaled uniform, or the
-    last positive index should rounding carry the uniform up to the total.
-    p is overwritten: each drawn coordinate is zeroed before the next draw.
+    Draw k of row i takes the uniform u[i, k] (u is (n, m)) and picks the
+    first index whose running total exceeds it scaled by the row's total,
+    or the last positive index should rounding carry the uniform up to the
+    total. p is overwritten: each drawn coordinate is zeroed before the
+    next draw.
     """
-    n, d = p.shape
-    rows = np.arange(n)
-    masks = np.empty((n, m), np.int64)
+    d = p.shape[1]
+    m = u.shape[1]
+    masks = np.empty(u.shape, np.int64)
     for k in range(m):
         if k:
-            p[rows, masks[:, k - 1]] = 0.0
+            p[np.arange(len(p)), masks[:, k - 1]] = 0.0
         acc = p.cumsum(1)
-        above = acc > rng.random((n, 1)) * acc[:, -1:]
+        above = acc > u[:, k, None] * acc[:, -1:]
         idx = above.argmax(1)
-        if not above[:, -1].all():  # a uniform rounded up to its row's total
-            short = ~above[:, -1]
-            idx[short] = d - 1 - (p[short, ::-1] > 0.0).argmax(1)
+        full = above[:, -1]
+        # argmin finds a row whose uniform rounded up to its total, if any
+        # (cheaper than full.all() on the small rows of one compressor)
+        if not full[full.argmin()]:
+            idx[~full] = d - 1 - (p[~full, ::-1] > 0.0).argmax(1)
         masks[:, k] = idx
-    masks.sort(1)
+    if m > 1:
+        masks.sort(1)
     return masks
 
 
-def _push_history(hist, counts, fill, pos, at, K):
-    # one run per row of `at`, the new masks as positions in the flat
-    # counts; the ring buffer hist (K, ..., m) keeps the last K of them
-    if K == 0:
-        return 0, 0
-    if fill == K:
-        np.subtract.at(counts, hist[pos], 1)
-    else:
-        fill += 1
-    hist[pos] = at
-    np.add.at(counts, at, 1)
-    return fill, (pos + 1) % K
+def step_mask(kind, act, K, b, u, hist, counts, fill, pos):
+    """One step of a run per row: each row's law from its history counts
+    (n, d), one mask per row drawn with the uniforms u (n, m), and the masks
+    pushed into the ring buffer hist (K, n, m) of the last K masks.
 
-
-def step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, mask_out):
-    """One compressor step: law from history counts, sample, push mask."""
-    mask_out[:] = sample_masks(rng, coordinate_law(kind, act, b, counts)[None], m)[0]
-    return _push_history(hist, counts, fill, pos, mask_out, K)
+    Masks are returned, and kept in hist, as positions in the flat counts:
+    row r's coordinate j is r*d + j, so row 0's positions are its
+    coordinates. Returns (masks, fill, pos)."""
+    n, d = counts.shape
+    at = sample_masks(coordinate_law(kind, act, b, counts), u)
+    if n > 1:  # a single row's positions are its coordinates already
+        at += np.arange(0, n * d, d)[:, None]
+    if K:
+        flat = counts.reshape(-1)
+        if fill == K:
+            np.subtract.at(flat, hist[pos], 1)
+        else:
+            fill += 1
+        hist[pos] = at
+        np.add.at(flat, at, 1)
+        pos = (pos + 1) % K
+    return at, fill, pos
 
 
 def simulate_masks(rng, kind, act, d, m, K, b, steps):
     """Mask sequence of a fresh compressor run; (steps, m) int64 array."""
-    hist = np.zeros((max(K, 1), m), np.int64)
-    counts = np.zeros(d, np.int64)
+    hist = np.zeros((K, 1, m), np.int64)
+    counts = np.zeros((1, d), np.int64)
     masks = np.empty((steps, m), np.int64)
-    fill = 0
-    pos = 0
+    fill = pos = 0
     for t in range(steps):
-        fill, pos = step_mask(rng, kind, act, m, K, b, hist, counts, fill, pos, masks[t])
+        step, fill, pos = step_mask(kind, act, K, b, rng.random((1, m)), hist, counts, fill, pos)
+        masks[t] = step[0]
     return masks
 
 
@@ -172,21 +185,22 @@ def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
     for first in range(0, trials, HITTING_BLOCK):
         live = np.arange(first, min(first + HITTING_BLOCK, trials))
         counts = np.zeros((len(live), d), np.int64)
-        start = np.arange(0, counts.size, d)[:, None]   # row r's counts begin at r*d
-        hist = np.zeros((max(K, 1), len(live), m), np.int64)
+        hist = np.zeros((K, len(live), m), np.int64)
+        goal = np.arange(target, counts.size, d)[:, None]   # row r's target position
         fill = pos = steps = 0
         while live.size and steps < cap:
-            masks = sample_masks(rng, coordinate_law(kind, act, b, counts), m)
-            fill, pos = _push_history(hist, counts.reshape(-1), fill, pos, masks + start, K)
+            # all rows' draw k come before any row's draw k + 1
+            u = rng.random((m, len(live))).T
+            at, fill, pos = step_mask(kind, act, K, b, u, hist, counts, fill, pos)
             steps += 1
-            hit = (masks == target).any(axis=1)
+            hit = (at == goal).any(axis=1)
             if hit.any():
                 times[live[hit]] = steps
                 keep = ~hit
                 live, counts = live[keep], counts[keep]
-                # the survivors move up to rows 0..len(live)-1, and so do
-                # the positions their history holds
-                hist = hist[:, keep] - (start[keep] - start[:len(live)])
-                start = start[:len(live)]
+                # the survivors move up to rows 0..len(live)-1, and the
+                # positions their history holds move as their goals do
+                hist = hist[:, keep] - (goal[keep] - goal[:len(live)])
+                goal = goal[:len(live)]
         n_capped += live.size
     return times, n_capped

@@ -12,6 +12,7 @@ experiment harness.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,6 +123,13 @@ def serialize_libsvm(dataset):
     return "\n".join(out) + ("\n" if out else "")
 
 
+def mean_loss_grad(losses, grads):
+    """The mean objective from every shard's (loss, grad): rows summed one
+    after another in shard order, then divided by the shard count."""
+    n = len(losses)
+    return float(np.add.accumulate(losses)[-1] / n), np.add.accumulate(grads)[-1] / n
+
+
 @dataclass(frozen=True)
 class ShardedProblem:
     """n per-worker shards plus the shared L2 coefficient; smoothness and
@@ -143,17 +151,40 @@ class ShardedProblem:
     def d(self):
         return self.shards[0].d
 
+    @cached_property
+    def _stacked(self):
+        # every shard's rows one after another, shard i's features moved to
+        # columns i*d..i*d+d-1: X @ tile(w) gives each row's margin, and the
+        # transpose (a CSC view on the same arrays, not a copy) sums each
+        # shard's rows into its own d gradient entries. Also the labels, the
+        # shard sizes and boundaries, and each row's divisor.
+        X = sp.block_diag([s.X for s in self.shards], format="csr")
+        sizes = np.array([s.n_rows for s in self.shards])
+        return (X, X.T, np.concatenate([s.y for s in self.shards]),
+                sizes, np.concatenate(([0], np.cumsum(sizes))),
+                np.repeat(sizes.astype(np.float64), sizes))
+
     def shard_loss_grad(self, w, i):
         return loss_and_gradient(w, self.shards[i], self.lam)
 
+    def shard_loss_grads(self, w):
+        """Every shard's (loss, grad) at w in one stacked evaluation: losses
+        (n,) and gradients (n, d), row i equal bit for bit to
+        shard_loss_grad(w, i)."""
+        X, XT, y, sizes, bounds, rows = self._stacked
+        w = np.asarray(w, dtype=np.float64)
+        t = -y * (X @ np.tile(w, self.n))
+        terms = np.logaddexp(0.0, t)
+        # np.sum adds pairwise, so each shard sums its own slice, as
+        # loss_and_gradient does
+        sums = np.array([terms[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+        losses = sums / sizes + self.lam * (w @ w)
+        coeff = -y * expit(t) / rows
+        grads = (XT @ coeff).reshape(self.n, -1) + 2.0 * self.lam * w
+        return losses, grads
+
     def full_loss_grad(self, w):
-        loss = 0.0
-        grad = np.zeros(self.d)
-        for shard in self.shards:
-            l, g = loss_and_gradient(w, shard, self.lam)
-            loss += l
-            grad += g
-        return loss / self.n, grad / self.n
+        return mean_loss_grad(*self.shard_loss_grads(w))
 
 
 def partition(dataset, n, rng, lam=0.0):
@@ -236,10 +267,10 @@ def estimate_similarity(problem, probes):
     a_vals = []
     b_vals = []
     for x in probes:
-        _, g_full = problem.full_loss_grad(x)
+        losses, grads = problem.shard_loss_grads(x)
+        _, g_full = mean_loss_grad(losses, grads)
         a = float(g_full @ g_full)
-        for i in range(problem.n):
-            _, g_i = problem.shard_loss_grad(x, i)
+        for g_i in grads:
             diff = g_i - g_full
             a_vals.append(a)
             b_vals.append(float(diff @ diff))
@@ -300,11 +331,14 @@ class QuadraticProblem:
 
     def shard_loss_grad(self, w, i):
         diff = w - self.centers[i]
-        return 0.5 * float(diff @ diff), diff
+        return 0.5 * float((diff * diff).sum()), diff
+
+    def shard_loss_grads(self, w):
+        diffs = w - self.centers
+        return 0.5 * (diffs * diffs).sum(axis=1), diffs
 
     def full_loss_grad(self, w):
-        diffs = w - self.centers
-        return 0.5 * float(np.mean(np.sum(diffs * diffs, axis=1))), diffs.mean(axis=0)
+        return mean_loss_grad(*self.shard_loss_grads(w))
 
 
 def synthetic_binary_dataset(n_rows, d, nnz_per_row, seed, label_noise=0.5):

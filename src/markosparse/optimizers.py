@@ -1,11 +1,13 @@
 """Distributed training loops with compressed gradients.
 
-Three server-side methods over n workers that each hold one shard and one
-compressor state: plain compressed SGD (mqsgd), its momentum-accelerated
-variant (amqsgd) with the closed-form (beta, eta, theta) schedule, and a
-DIANA baseline with per-worker shift vectors. All three run the same
-communication round, `training_round`: they differ only in the point where
-gradients are taken, whether workers hold a shift, and the server update.
+Three server-side methods over n workers that each hold one shard:
+plain compressed SGD (mqsgd), its momentum-accelerated variant (amqsgd)
+with the closed-form (beta, eta, theta) schedule, and a DIANA baseline with
+per-worker shift vectors. All three run the same communication round,
+`training_round`: they differ only in the point where gradients are taken,
+whether workers hold a shift, and the server update. A round steps every
+worker as one row of (n, d) arrays: one stacked shard evaluation, one
+compressor state for all workers, one sum over the rows.
 A run is configured by one `harness.ExperimentConfig`, validated when it is
 built. Also the theoretical step-size calculators and a high-accuracy
 full-gradient reference minimizer used for suboptimality metrics.
@@ -19,6 +21,7 @@ import numpy as np
 
 from .compressors import Compressor
 from .errors import DivergenceError, InvalidArgumentError, NumericalError
+from .objectives import mean_loss_grad
 
 MQSGD = "mqsgd"
 AMQSGD = "amqsgd"
@@ -72,44 +75,46 @@ class ServerState:
 
 
 @dataclass
-class Worker:
-    index: int
+class Workers:
+    """The n workers of a run as the rows of one array: row i holds shard i.
+    One compressor state steps all of them; DIANA workers also hold their
+    shifts h_i as the rows of `shift` (n, d), None for other methods."""
     compressor: Compressor
-    shift: np.ndarray = None  # DIANA h_i, zero-initialized; None for other methods
+    shift: np.ndarray = None
 
 
-def training_round(problem, server, workers, gamma, momentum=None, alpha_shift=0.0):
+def training_round(problem, server, workers, gamma, momentum=None, alpha_shift=0.0,
+                   grads=None):
     """One communication round, shared by every method; returns the next
     server state and the coordinates sent.
 
-    Each worker, in fixed order, takes its shard gradient at the query point
-    (x, or x_g = theta x_f + (1 - theta) x under the amqsgd `momentum`
-    schedule) and compresses it; a worker holding a DIANA shift compresses
-    the difference against the shift instead, sends shift + message, and
-    moves the shift by alpha_shift times the message. The server averages
-    the messages and takes a gradient step, or the accelerated step."""
+    Every worker takes its shard gradient at the query point (x, or x_g =
+    theta x_f + (1 - theta) x under the amqsgd `momentum` schedule), all in
+    one stacked evaluation unless `grads` (n, d) already holds them, and
+    compresses it; a worker holding a DIANA shift compresses the difference
+    against the shift instead, sends shift + message, and moves the shift
+    by alpha_shift times the message. The server averages the messages,
+    summed in worker order, and takes a gradient step, or the accelerated
+    step."""
     if momentum is None:
         x_q = server.x
     else:
         x_q = momentum.theta * server.x_f + (1.0 - momentum.theta) * server.x
-    agg = np.zeros_like(server.x)
-    coords = 0
-    for w in workers:
+    if grads is None:
         # overflow at a diverging iterate is detected, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            _, g = problem.shard_loss_grad(x_q, w.index)
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(
-                server.t, message=f"non-finite gradient on worker {w.index} at t={server.t}")
-        if w.shift is None:
-            q, c = w.compressor.compress(g)
-        else:
-            delta, c = w.compressor.compress(g - w.shift)
-            q = w.shift + delta
-            w.shift = w.shift + alpha_shift * delta
-        agg += q
-        coords += c
-    agg /= len(workers)
+            _, grads = problem.shard_loss_grads(x_q)
+    bad = ~np.isfinite(grads).all(axis=1)
+    if bad.any():
+        raise DivergenceError(
+            server.t, message=f"non-finite gradient on worker {int(bad.argmax())} at t={server.t}")
+    if workers.shift is None:
+        q, coords = workers.compressor.compress(grads)
+    else:
+        delta, coords = workers.compressor.compress(grads - workers.shift)
+        q = workers.shift + delta
+        workers.shift = workers.shift + alpha_shift * delta
+    agg = np.add.accumulate(q)[-1] / len(q)   # one row after another, in worker order
     if momentum is None:
         return ServerState(server.x - gamma * agg, t=server.t + 1), coords
     p, beta, eta = momentum.p, momentum.beta, momentum.eta
@@ -209,9 +214,12 @@ class _TraceBuilder:
         self.start = time.perf_counter()
 
     def record(self, t, coords, x):
+        """Appends the metric row at x; returns every shard's gradient at x,
+        which the next round reuses when it queries x."""
         # overflow at a diverging iterate is detected, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            f, g = self.problem.full_loss_grad(x)
+            losses, grads = self.problem.shard_loss_grads(x)
+            f, g = mean_loss_grad(losses, grads)
             gns = float(g @ g)
             if self.f_star is not None:
                 gap = f - self.f_star
@@ -234,6 +242,7 @@ class _TraceBuilder:
         if not (math.isfinite(f) and math.isfinite(gns)):
             raise DivergenceError(t, trace=self.build(),
                                   message=f"non-finite metrics at t={t}")
+        return grads
 
     def build(self):
         c = self.cols
@@ -247,17 +256,13 @@ class _TraceBuilder:
 
 
 def make_workers(problem, cfg):
-    """One compressor per shard; diana workers also start a zero shift."""
+    """Every shard's worker as one row of one compressor state; diana
+    workers also start a zero shift."""
     d = problem.d
-    m = cfg.mask_size(d)
-    return [
-        Worker(i,
-               Compressor(cfg.compressor, d, m=m, K=cfg.K, b=cfg.b,
-                          activation=cfg.activation, seed=cfg.seed, worker=i,
-                          n_workers=problem.n),
-               np.zeros(d) if cfg.optimizer == DIANA else None)
-        for i in range(problem.n)
-    ]
+    compressor = Compressor(cfg.compressor, d, m=cfg.mask_size(d), K=cfg.K, b=cfg.b,
+                            activation=cfg.activation, seed=cfg.seed,
+                            worker=range(problem.n), n_workers=problem.n)
+    return Workers(compressor, np.zeros((problem.n, d)) if cfg.optimizer == DIANA else None)
 
 
 def run_training(problem, cfg, reference=None):
@@ -266,7 +271,12 @@ def run_training(problem, cfg, reference=None):
     validated harness.ExperimentConfig; m resolves through cfg.mask_size,
     p defaults to 1, alpha_shift to m/d and amqsgd's mu to 2*lambda.
     Deterministic given cfg.seed. Raises a divergence error carrying the
-    partial trace."""
+    partial trace.
+
+    The served point is evaluated once per round. mqsgd and diana query the
+    point they serve, so that evaluation gives both the metric row and the
+    next round's gradients; amqsgd serves x_f but queries x_g, so its round
+    evaluates again."""
     workers = make_workers(problem, cfg)
     x0 = np.zeros(problem.d)
     momentum = None
@@ -282,19 +292,20 @@ def run_training(problem, cfg, reference=None):
 
     tracer = _TraceBuilder(problem, reference)
     coords_cum = 0
-    tracer.record(0, 0, server.served)
+    grads = tracer.record(0, 0, server.served)
     while cfg.T is None or server.t < cfg.T:
         if cfg.budget is not None and coords_cum >= cfg.budget:
             break
         try:
             server, coords = training_round(problem, server, workers, cfg.gamma,
-                                            momentum, alpha_shift)
+                                            momentum, alpha_shift,
+                                            grads=grads if momentum is None else None)
         except DivergenceError as err:
             if err.trace is None:
                 err.trace = tracer.build()
             raise
         # communication is measured in 32-bit coordinate units, so the
         # 9-bit natural rounding counts for 9/32 of a coordinate
-        coords_cum += coords * workers[0].compressor.bits_per_coord / 32.0
-        tracer.record(server.t, coords_cum, server.served)
+        coords_cum += coords * workers.compressor.bits_per_coord / 32.0
+        grads = tracer.record(server.t, coords_cum, server.served)
     return tracer.build()

@@ -258,6 +258,16 @@ def test_exact_hitting_time_matches_monte_carlo():
     assert abs(mean_rand - 10.0) / 10.0 < 0.02
 
 
+@pytest.mark.parametrize("d,m,K,trials,expected", [
+    (10, 1, 7, 5000, (5.756, 0.04948800473369788)),
+    (53, 10, 4, 3000, (3.1773333333333333, 0.02904439015726232)),
+])
+def test_monte_carlo_stream_is_pinned(d, m, K, trials, expected):
+    # exact values recorded when the sampler still took a generator: the
+    # trials' uniforms come from the same stream in the same order
+    assert monte_carlo_hitting_time("banlast", d=d, m=m, K=K, trials=trials, seed=3) == expected
+
+
 def test_monte_carlo_identity_is_instant():
     assert monte_carlo_hitting_time("identity", d=5, trials=10) == (1.0, 0.0)
 

@@ -160,11 +160,80 @@ def test_natural_rounds_to_signed_powers_of_two():
         assert abs(v) / 2 < abs(o) <= 2 * abs(v)
 
 
+def scalar_natural(x, rng):
+    """The per-coordinate natural rounding loop, kept as the reference for
+    the vectorized one."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    for j in range(len(x)):
+        v = x[j]
+        if v == 0.0 or not np.isfinite(v):
+            out[j] = v
+            continue
+        a = abs(v)
+        lo = 2.0 ** np.floor(np.log2(a))
+        if lo > a:  # float log2 can round up at the bin edge
+            lo /= 2.0
+        u = rng.random()
+        if a == lo:  # power of two: keep, but burn the draw for stream stability
+            out[j] = v
+            continue
+        frac = (a - lo) / lo
+        mag = 2.0 * lo if u < frac else lo
+        out[j] = np.copysign(mag, v)
+    return out
+
+
+def test_natural_matches_scalar_reference_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    powers = np.ldexp(1.0, np.array([-1074, -1022, -3, 0, 1, 52, 1023]))
+    edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny, 2.5e-310, -7e-320],
+        edges, -edges, np.random.default_rng(4).standard_normal(40) * 1e3,
+    ])
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = natural_compress(x, a)
+        want = scalar_natural(x, b)
+        assert got.tobytes() == want.tobytes()
+        assert a.random() == b.random()  # both drew once per finite non-zero entry
+
+
 def test_natural_rounding_is_unbiased():
     rng = np.random.default_rng(2)
     v = np.full(20_000, 1.3)
     mean = natural_compress(v, rng).mean()
     assert mean == pytest.approx(1.3, rel=5e-3)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    (RAND, dict(m=3)),
+    (BANLAST, dict(m=2, K=3)),
+    (KAWASAKI, dict(m=2, K=3, b=2.0, activation="softmax")),
+    (PERMK, dict()),
+    (NATURAL, dict()),
+    (IDENTITY, dict()),
+])
+def test_team_rows_equal_single_worker_compressors(kind, kwargs):
+    # a team steps every worker as one row; each row is what that worker's
+    # own compressor produces, bit for bit, and the coordinates add up
+    d, n = 11, 4
+    team = Compressor(kind, d, seed=3, worker=range(n), n_workers=n, **kwargs)
+    solo = [Compressor(kind, d, seed=3, worker=i, n_workers=n, **kwargs) for i in range(n)]
+    rng = np.random.default_rng(0)
+    for _ in range(25):
+        x = rng.standard_normal((n, d))
+        x[1, 2] = 0.0      # natural rows then draw different numbers of
+        x[2, 4] = np.inf   # uniforms, each from its own worker's stream
+        q, coords = team.compress(x)
+        outs = [c.compress(row) for c, row in zip(solo, x)]
+        assert q.tobytes() == np.array([o for o, _ in outs]).tobytes()
+        assert coords == sum(c for _, c in outs)
+        if kind in (RAND, BANLAST, KAWASAKI):
+            np.testing.assert_array_equal(team.last_mask(), [c.last_mask() for c in solo])
+            np.testing.assert_array_equal(team.probabilities(),
+                                          [c.probabilities() for c in solo])
 
 
 def test_natural_reports_nine_bits():
@@ -183,6 +252,8 @@ def test_identity_passthrough():
 def test_compress_checks_vector_length():
     with pytest.raises(InvalidArgumentError):
         Compressor(RAND, d=4, m=1).compress(np.ones(5))
+    with pytest.raises(InvalidArgumentError):
+        Compressor(RAND, d=4, m=1, worker=range(3), n_workers=3).compress(np.ones((2, 4)))
 
 
 def test_constructor_rejects_bad_parameters():

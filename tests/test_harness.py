@@ -229,11 +229,22 @@ def test_golden_csv_matches(mushrooms_path, tmp_path):
      "f31abefedeba4020c0f57751b2dfd95b6e4a174ebaa767927814bc8698034c88"),
     (dict(optimizer="mqsgd", compressor="identity"),
      "6c5801ea07cee508a839e9dec400d005243c6158bd56f214173acb05a3acbd8c"),
-], ids=["amqsgd-kawasaki", "diana-banlast", "diana-rand", "mqsgd-natural", "mqsgd-identity"])
+    (dict(optimizer="mqsgd", compressor="banlast", K=7),
+     "32f39ccb5e1ba5e93d98a272e4534a7f4e3bc31514868cda6a7c415c7a267c65"),
+    (dict(optimizer="mqsgd", compressor="kawasaki", K=7),
+     "4482e6ea7c1ab6b81d7bbcce4f7cbb3c0b450aa94ba21d9e8ae1ab82fc6ea443"),
+    (dict(optimizer="mqsgd", compressor="permk"),
+     "ea1a80fe498ceb687427fd28d19a845fba4006236cd2bb5aef047434a2f730c3"),
+    # 2000 rows over 7 clients: shards of 286 and 285 rows
+    (dict(optimizer="mqsgd", compressor="banlast", K=7, clients=7),
+     "98748e285b1c4a37c71bfd8f1b2e234a941d693e43fe1c32d06cc59e31e5b981"),
+], ids=["amqsgd-kawasaki", "diana-banlast", "diana-rand", "mqsgd-natural", "mqsgd-identity",
+        "mqsgd-banlast", "mqsgd-kawasaki", "mqsgd-permk", "mqsgd-banlast-7-clients"])
 def test_training_csv_is_pinned(mushrooms_path, tmp_path, extra, digest):
     # SHA-256 of the CSV bytes; every method and compressor family is pinned
-    cfg = ExperimentConfig(path=mushrooms_path, dim=112, clients=10, lam=0.05,
-                           gamma=0.855, pct=10.0, T=20, seed=7, **extra)
+    settings = dict(path=mushrooms_path, dim=112, clients=10, lam=0.05,
+                    gamma=0.855, pct=10.0, T=20, seed=7)
+    cfg = ExperimentConfig(**{**settings, **extra})
     out = tmp_path / "out.csv"
     run_experiment(cfg, csv_path=str(out), quiet=True)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

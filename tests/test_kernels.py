@@ -145,7 +145,7 @@ def test_single_row_sampler_matches_scalar_reference():
         p /= np.cumsum(p)[-1]
         m = int(rng.integers(1, np.count_nonzero(p) + 1))
         a, b = fresh_rng(seed), fresh_rng(seed)
-        got = kernels.sample_masks(a, p[None].copy(), m)
+        got = kernels.sample_masks(p[None].copy(), a.random((1, m)))
         assert got.shape == (1, m) and got.dtype == np.int64
         assert got[0].tolist() == scalar_sampler(b, p.copy(), m)
         assert a.random() == b.random()  # both consumed m uniforms
@@ -161,7 +161,7 @@ class TopUniform:
 
 def test_sampler_falls_back_to_the_last_positive_index():
     p = np.array([[0.2, 0.5, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 0.6, 0.4]])
-    got = kernels.sample_masks(TopUniform(), p.copy(), 2)
+    got = kernels.sample_masks(p.copy(), TopUniform().random((2, 2)))
     np.testing.assert_array_equal(got, [[1, 2], [3, 4]])
     for row, mask in zip(p, got):
         assert mask.tolist() == scalar_sampler(TopUniform(), row.copy(), 2)
@@ -170,7 +170,7 @@ def test_sampler_falls_back_to_the_last_positive_index():
 def test_sampler_draws_distinct_positive_coordinates():
     p = np.array([0.1, 0.0, 0.3, 0.2, 0.4])
     for seed in range(5):
-        masks = kernels.sample_masks(fresh_rng(seed), np.tile(p, (50, 1)), 3)
+        masks = kernels.sample_masks(np.tile(p, (50, 1)), fresh_rng(seed).random((50, 3)))
         for mask in masks.tolist():
             assert len(set(mask)) == 3
         assert not np.any(masks == 1)  # zero-probability coordinate never drawn
@@ -182,7 +182,7 @@ def test_batched_mask_frequencies_follow_the_joint_law(m):
     d, n = 6, 20_000
     p = np.array([0.3, 0.05, 0.2, 0.1, 0.25, 0.1])
     law = sequential_mask_law(p, m)
-    masks = kernels.sample_masks(fresh_rng(8 + m), np.tile(p, (n, 1)), m)
+    masks = kernels.sample_masks(np.tile(p, (n, 1)), fresh_rng(8 + m).random((m, n)).T)
     seen = {}
     for mask in map(tuple, masks.tolist()):
         seen[mask] = seen.get(mask, 0) + 1

@@ -171,12 +171,40 @@ def test_estimate_constants_fills_the_problem(small_problem):
     assert len(small_problem.L_i) == 4
 
 
+def assert_stacked_matches_shards(prob, w):
+    losses, grads = prob.shard_loss_grads(w)
+    assert losses.shape == (prob.n,) and grads.shape == (prob.n, prob.d)
+    for i in range(prob.n):
+        loss, grad = prob.shard_loss_grad(w, i)
+        assert losses[i] == loss
+        assert grads[i].tobytes() == np.asarray(grad).tobytes()
+
+
+def test_stacked_evaluation_matches_each_shard_bit_for_bit():
+    rng = np.random.default_rng(9)
+    # 41 rows over 4 shards: sizes 11, 10, 10, 10
+    uneven = partition(synthetic_binary_dataset(41, 9, 4, seed=2), 4, rng, lam=0.03)
+    assert [s.n_rows for s in uneven.shards] == [11, 10, 10, 10]
+    dense = heterogeneous_problem(n=3, d=5, rows_per_shard=17, shift=1.5, lam=0.1, seed=4)
+    quadratic = QuadraticProblem(rng.standard_normal((5, 6)))
+    for prob in (uneven, dense, quadratic):
+        for scale in (0.0, 0.1, 1.0, 30.0):
+            assert_stacked_matches_shards(prob, scale * rng.standard_normal(prob.d))
+
+
 def test_full_loss_is_mean_of_shards(small_problem):
     w = np.linspace(-1, 1, small_problem.d)
     f, g = small_problem.full_loss_grad(w)
     per = [small_problem.shard_loss_grad(w, i) for i in range(len(small_problem.shards))]
     assert f == pytest.approx(np.mean([p[0] for p in per]))
     np.testing.assert_allclose(g, np.mean([p[1] for p in per], axis=0), atol=1e-12)
+    # exactly: the shards summed one after another in shard order
+    loss, grad = 0.0, np.zeros(small_problem.d)
+    for l_i, g_i in per:
+        loss += l_i
+        grad += g_i
+    assert f == loss / small_problem.n
+    assert g.tobytes() == (grad / small_problem.n).tobytes()
 
 
 def test_quadratic_problem_protocol():

@@ -1,5 +1,6 @@
 """Optimizer steps, parameter schedules and the training loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -110,7 +111,7 @@ def test_diana_shift_update_rule():
     server = ServerState(np.zeros(2))
     server, _ = training_round(prob, server, workers, gamma=0.1, alpha_shift=1.0)
     # with identity compression and alpha 1 the shift equals last gradient
-    np.testing.assert_allclose(workers[0].shift, np.zeros(2) - centers[0], atol=1e-15)
+    np.testing.assert_allclose(workers.shift[0], np.zeros(2) - centers[0], atol=1e-15)
     with pytest.raises(ConfigError):
         ExperimentConfig(optimizer="diana", alpha_shift=1.5)
 
@@ -183,6 +184,28 @@ def test_divergence_carries_partial_trace(small_problem):
     assert 0 < len(err.value.trace.t) < 501
 
 
+def test_round_names_the_first_worker_with_a_non_finite_gradient(small_problem):
+    workers = make_workers(small_problem, ExperimentConfig(compressor=RAND, m=2, seed=0))
+    grads = np.ones((small_problem.n, small_problem.d))
+    grads[2, 5] = np.nan
+    grads[3, 0] = np.inf
+    with pytest.raises(DivergenceError, match="worker 2 at t=0"):
+        training_round(small_problem, ServerState(np.zeros(small_problem.d)), workers,
+                       0.1, grads=grads)
+
+
+def test_reference_minimizer_is_pinned_on_mushrooms(mushrooms_path):
+    # SHA-256 of x_star's bytes, recorded before the shard evaluation was
+    # stacked: the full gradient still sums the shards in the same order
+    from markosparse.harness import build_problem
+    problem, _ = build_problem(ExperimentConfig(path=mushrooms_path, dim=112, clients=10,
+                                                lam=0.05, seed=7))
+    x_star, f_star = reference_minimizer(problem)
+    assert hashlib.sha256(x_star.tobytes()).hexdigest() == (
+        "e7149cddaed3723e5063bc2ff86d7e468f6e774c025f614b5782740adcd9c7c1")
+    assert f_star == 0.15729250659615676
+
+
 def test_run_training_validates_configuration(small_problem):
     with pytest.raises(ConfigError):
         run_training(small_problem, ExperimentConfig(optimizer="sgd", T=5))
@@ -193,6 +216,5 @@ def test_run_training_validates_configuration(small_problem):
 def test_make_workers_initializes_shifts(small_problem):
     workers = make_workers(small_problem, ExperimentConfig(optimizer="diana", compressor=RAND,
                                                            m=1, seed=0))
-    assert [w.index for w in workers] == [0, 1, 2, 3]
-    for w in workers:
-        np.testing.assert_array_equal(w.shift, np.zeros(small_problem.d))
+    assert workers.compressor.workers.tolist() == [0, 1, 2, 3]
+    np.testing.assert_array_equal(workers.shift, np.zeros((4, small_problem.d)))
