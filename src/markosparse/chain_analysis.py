@@ -1,26 +1,29 @@
 """Exact finite-state analysis of the compressor mask chains.
 
-A chain state is the ordered tuple of the last K masks (oldest first); the
-state space is all C(d,m)^K tuples. Transitions append the next mask drawn
-from the same probability law the live compressor uses and drop the oldest.
-For small spaces this module builds the transition law, finds the recurrent
-class actually reachable from a fresh start, verifies ergodicity, and
-computes stationary distributions, mixing times and geometric-ergodicity
-bounds, plus the closed-form and simulated hitting times of a target
-coordinate.
+A chain state is the ordered tuple of the last K masks (oldest first),
+numbered by its index: the base-C(d,m) number whose digits are its mask
+indices, oldest most significant, so the state space is all C(d,m)^K
+indices. Transitions append the next mask drawn from the same probability
+law the live compressor uses and drop the oldest. For small spaces this
+module builds the transition law, finds the recurrent class actually
+reachable from a fresh start, verifies ergodicity, and computes stationary
+distributions, mixing times and geometric-ergodicity bounds, plus the
+closed-form and simulated hitting times of a target coordinate.
 
 A state's successors are the C(d,m) histories that drop its oldest mask and
 append a new one, so a chain stores only its next-mask table: row i is the
-law of the mask state i appends. The recurrent-class search, the stationary
-law, deviation curves and mixing times all read that table, at C(d,m)
-operations per state and column; the dense P is built only on request.
+law of the mask state i appends. Every step works on arrays of state
+indices or of their digit rows: one law call fills the table, one per
+warm-up length finds the fresh starts, and the recurrent-class search is a
+breadth-first search over the table's positive entries. The stationary law,
+deviation curves and mixing times read the table at C(d,m) operations per
+state and column; the dense P is built only on request.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -33,10 +36,10 @@ from .errors import (
     TooLargeError,
 )
 
-DEFAULT_STATE_CAP = 200_000
-# bounds the mixing time's two |S| x |C| blocks (C the recurrent class, up to
-# all of S) and the |S| x |S| P that ChainModel.P builds on request
-DEFAULT_MATRIX_CAP = 8_192
+# bounds C(d,m)^max(K,1): the table's rows, the mixing time's two |S| x |C|
+# blocks (C the recurrent class, up to all of S), the |S| x |S| P that
+# ChainModel.P builds on request, and for K=0 the masks of the one-step law
+DEFAULT_STATE_CAP = 8_192
 
 _JOINT_LAW_MAX_M = 6
 
@@ -46,17 +49,6 @@ def enumerate_masks(d, m):
     if not 1 <= m <= d:
         raise InvalidArgumentError(f"need 1 <= m <= d, got m={m}, d={d}")
     return list(combinations(range(d), m))
-
-
-def enumerate_states(d, m, K, cap=DEFAULT_STATE_CAP):
-    """All K-tuples of masks (oldest first), lexicographic; K=0 gives the
-    single empty history."""
-    n_masks = math.comb(d, m)
-    size = n_masks ** K
-    if size > cap:
-        raise TooLargeError(size, cap)
-    masks = enumerate_masks(d, m)
-    return list(product(masks, repeat=K))
 
 
 def sequential_mask_law(p, m):
@@ -82,13 +74,6 @@ def sequential_mask_law(p, m):
     return law
 
 
-def _coordinate_law(kind, history, d, b, activation):
-    """The live compressor's law after the masks in `history`."""
-    counts = np.bincount(np.array(history, dtype=np.int64).ravel(), minlength=d)
-    return kernels.coordinate_law(kernels.KIND_IDS[kind], kernels.ACTIVATION_IDS[activation],
-                                  b, counts)
-
-
 @dataclass
 class ChainModel:
     kind: str
@@ -98,12 +83,19 @@ class ChainModel:
     b: float
     activation: str
     masks: list
-    states: list
     table: np.ndarray   # table[i, k] = P(state i appends mask k)
 
     @property
     def n_states(self):
-        return len(self.states)
+        return len(self.table)
+
+    @property
+    def members(self):
+        """(M, d) membership rows: members[k, j] is True when mask k holds
+        coordinate j."""
+        members = np.zeros((len(self.masks), self.d), bool)
+        members[np.arange(len(self.masks))[:, None], self.masks] = True
+        return members
 
     def successor(self, state, k):
         """The state reached from `state` by appending mask k (ints or
@@ -137,14 +129,29 @@ class StationaryResult:
     iterations: int
 
 
+def _next_mask_law(chain, histories):
+    """Next-mask table rows for rows of mask indices (n, k), oldest first:
+    row i is the law of the mask appended after histories[i]."""
+    law = kernels.coordinate_law(chain.kind, chain.activation, chain.b,
+                                 chain.members[histories].sum(axis=1))
+    if chain.m == 1:  # mask k is coordinate k
+        return law
+    mask_index = {mask: k for k, mask in enumerate(chain.masks)}
+    rows = np.zeros((len(law), len(chain.masks)))
+    for row, p in zip(rows, law):
+        joint = sequential_mask_law(p, chain.m)
+        row[[mask_index[mask] for mask in joint]] = list(joint.values())
+    return rows
+
+
 def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
-                            cap=DEFAULT_STATE_CAP, matrix_cap=DEFAULT_MATRIX_CAP,
-                            joint_law=False):
+                            cap=DEFAULT_STATE_CAP, joint_law=False):
     """Exact chain over K-tuples of masks for rand/banlast/kawasaki.
 
     For m > 1 the next-mask law is the sequential-draw joint law; for
     KAWASAKI that law is a modeling choice, so it must be requested
-    explicitly via joint_law=True.
+    explicitly via joint_law=True. Raises TooLargeError, before any
+    enumeration, when C(d,m)^max(K,1) exceeds `cap`.
     """
     if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no Markov chain for compressor kind '{kind}'")
@@ -153,100 +160,67 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
         raise InvalidArgumentError(
             "kawasaki with m > 1: pass joint_law=True to adopt the sequential-draw joint law"
         )
-    states = enumerate_states(d, m, K, cap=cap)
-    if len(states) > matrix_cap:
-        raise TooLargeError(len(states), matrix_cap)
-    masks = enumerate_masks(d, m)
-    if K == 0:  # the empty history moves to itself
-        return ChainModel(kind, d, m, K, float(b), activation, masks, states, np.ones((1, 1)))
-    # state i holds the base-M digits of i, its mask indices oldest first;
-    # its counts sum the 0/1 membership rows of those masks
-    M = len(masks)
-    digits = np.arange(len(states))[:, None] // M ** np.arange(K - 1, -1, -1) % M
-    members = np.zeros((M, d), np.int64)
-    members[np.arange(M)[:, None], masks] = 1
-    law = kernels.coordinate_law(kernels.KIND_IDS[kind], kernels.ACTIVATION_IDS[activation],
-                                 b, members[digits].sum(axis=1))
-    if m == 1:  # mask k is coordinate k
-        return ChainModel(kind, d, m, K, float(b), activation, masks, states, law)
-    mask_index = {mask: i for i, mask in enumerate(masks)}
-    table = np.zeros((len(states), M))
-    for i, p in enumerate(law):
-        for mask, prob in sequential_mask_law(p, m).items():
-            table[i, mask_index[mask]] = prob
-    return ChainModel(kind, d, m, K, float(b), activation, masks, states, table)
+    size = math.comb(d, m) ** max(K, 1)
+    if size > cap:
+        raise TooLargeError(size, cap)
+    # K=0 is the one empty history, which moves to itself
+    chain = ChainModel(kind, d, m, K, float(b), activation, enumerate_masks(d, m),
+                       np.ones((1, 1)))
+    if K:
+        M = len(chain.masks)
+        digits = np.arange(M ** K)[:, None] // M ** np.arange(K - 1, -1, -1) % M
+        chain.table = _next_mask_law(chain, digits)
+    return chain
 
 
 def _initial_states(chain):
-    """Full histories reachable by warming up from an empty buffer."""
-    mask_index = {mask: i for i, mask in enumerate(chain.masks)}
-    # appending K masks to state 0 shifts all of its digits out
-    partial = {((), 0)}
+    """Full histories reachable by warming up from an empty buffer, as
+    sorted state indices."""
+    M = len(chain.masks)
+    histories = np.zeros((1, 0), np.int64)
     for _ in range(chain.K):
-        partial = {
-            (hist + (mask,), chain.successor(i, mask_index[mask]))
-            for hist, i in partial
-            for mask, prob in sequential_mask_law(
-                _coordinate_law(chain.kind, hist, chain.d, chain.b, chain.activation),
-                chain.m).items()
-            if prob > 0.0
-        }
-    return [i for _, i in partial]
+        rows, k = np.nonzero(_next_mask_law(chain, histories) > 0.0)
+        histories = np.column_stack([histories[rows], k])
+    return histories @ M ** np.arange(chain.K - 1, -1, -1)
 
 
-def _closure(start, neighbours):
-    """Every state reachable from `start` along neighbours[v]."""
-    seen = set(start)
-    frontier = list(seen)
-    while frontier:
-        for w in neighbours[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
-def _period(adj, nodes):
-    """gcd of cycle-length residuals over a BFS tree; 1 means aperiodic."""
-    root = nodes[0]
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    # tree edges add 0; every other edge adds its cycle-length residual
-    g = 0
-    for v in nodes:
-        for w in adj[v]:
-            g = math.gcd(g, dist[v] + 1 - dist[w])
-    return g
+def _bfs(start, src, dst, n):
+    """Hop distances over the n states from the states `start` along the
+    edges src -> dst; -1 where unreached."""
+    dist = np.full(n, -1)
+    dist[start] = 0
+    level = 0
+    while True:
+        new = np.zeros(n, bool)
+        new[dst[dist[src] == level]] = True
+        new &= dist < 0
+        if not new.any():
+            return dist
+        level += 1
+        dist[new] = level
 
 
 def recurrent_class(chain):
     """Indices of the class reachable from a fresh start, after verifying the
     chain restricted to it is irreducible and aperiodic."""
-    M = chain.table.shape[1]
-    succ = chain.successor(np.arange(chain.n_states)[:, None], np.arange(M))
-    adj = [row[live].tolist() for row, live in zip(succ, chain.table > 0.0)]
-    reach = sorted(_closure(_initial_states(chain), adj))
-    radj = {v: [] for v in reach}
-    for v in reach:
-        for w in adj[v]:
-            radj[w].append(v)
+    src, k = np.nonzero(chain.table > 0.0)
+    dst = chain.successor(src, k)
+    n = chain.n_states
+    reach = np.flatnonzero(_bfs(_initial_states(chain), src, dst, n) >= 0)
     # one class exactly when the root reaches every state and every state
     # reaches the root
-    root = [reach[0]]
-    if len(_closure(root, adj)) < len(reach) or len(_closure(root, radj)) < len(reach):
+    root = reach[:1]
+    dist = _bfs(root, src, dst, n)
+    if (dist[reach] < 0).any() or (_bfs(root, dst, src, n)[reach] < 0).any():
         raise NonErgodicError(
             f"reducible: the {len(reach)} reachable states are not one communicating class"
         )
-    period = _period(adj, reach)
+    # tree edges add 0; every other class edge adds its cycle-length residual
+    inside = dist[src] >= 0
+    period = np.gcd.reduce(dist[src[inside]] + 1 - dist[dst[inside]])
     if period != 1:
         raise NonErgodicError(f"periodic with period {period}")
-    return np.array(reach, dtype=np.int64)
+    return reach
 
 
 def _shift_step(chain):
@@ -296,19 +270,14 @@ def column_sum_defect(chain, recurrent):
 
 
 def newest_mask_marginal(chain, pi):
-    """P(coordinate j in the newest mask) under pi, for every j."""
-    marginal = np.zeros(chain.d)
-    for i, state in enumerate(chain.states):
-        if pi[i] == 0.0 or chain.K == 0:
-            continue
-        for j in state[-1]:
-            marginal[j] += pi[i]
-    if chain.K == 0:  # memoryless: the one-step law from the empty history
-        p = _coordinate_law(chain.kind, (), chain.d, chain.b, chain.activation)
-        for mask, prob in sequential_mask_law(p, chain.m).items():
-            for j in mask:
-                marginal[j] += prob
-    return marginal
+    """P(coordinate j in the newest mask) under pi, for every j; for K=0
+    (memoryless) the one-step law from the empty history."""
+    if chain.K == 0:
+        newest = _next_mask_law(chain, np.zeros((1, 0), np.int64))[0]
+    else:
+        # the newest mask is a state's last digit
+        newest = pi.reshape(-1, len(chain.masks)).sum(axis=0)
+    return newest @ chain.members
 
 
 def _deviations(chain, result):
@@ -459,9 +428,7 @@ def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
     times, n_capped = kernels.simulate_hitting_times(
-        rng, kernels.KIND_IDS[kind], kernels.ACTIVATION_IDS[activation],
-        d, m, K, float(b), target, trials, cap,
-    )
+        rng, kind, activation, d, m, K, float(b), target, trials, cap)
     if n_capped:
         raise NumericalError(f"{n_capped} of {trials} trials hit the {cap}-step cap")
     mean = float(times.mean())

@@ -44,7 +44,7 @@ IDENTITY = "identity"
 SPARSIFYING_KINDS = (RAND, BANLAST, KAWASAKI)
 ALL_KINDS = SPARSIFYING_KINDS + (PERMK, NATURAL, IDENTITY)
 
-ACTIVATIONS = tuple(kernels.ACTIVATION_IDS)
+ACTIVATIONS = ("normalize", "softmax", "project")
 
 
 def validate_parameters(kind, d, m=None, K=0, b=50.0, activation="normalize",
@@ -103,7 +103,7 @@ def apply_activation(w, activation):
         total = np.abs(w).sum()
         if not np.isfinite(total) or total <= 0.0:
             raise InvalidArgumentError("normalize needs finite weights with a positive sum")
-    return kernels.activate(w, kernels.ACTIVATION_IDS[activation])
+    return kernels.activate(w, activation)
 
 
 def sparsify(x, mask, d, m):
@@ -141,16 +141,14 @@ def natural_compress(x, rng):
     return out
 
 
-def perm_k_masks(d, n, rng, pad=True):
+def perm_k_masks(d, n, rng):
     """Fresh uniform permutation of range(d) split into n blocks.
 
     With n not dividing d the first d % n workers receive one extra
-    coordinate (pad convention); pass pad=False to reject that case.
+    coordinate.
     """
     if n < 1 or d < n:
         raise InvalidArgumentError(f"need 1 <= n <= d, got n={n}, d={d}")
-    if d % n != 0 and not pad:
-        raise InvalidArgumentError(f"d={d} not divisible by n={n} and padding disabled")
     perm = rng.permutation(d)
     base = d // n
     extra = d % n
@@ -187,9 +185,6 @@ class Compressor:
         self.K = int(K) if kind in (BANLAST, KAWASAKI) else 0
         self.b = float(b)
         self.activation = activation
-        # the kernels take integer ids; None marks kinds without a mask law
-        self._kind_id = kernels.KIND_IDS.get(kind)
-        self._act_id = kernels.ACTIVATION_IDS[activation]
         self.seed = seed
         self.workers = np.atleast_1d(np.asarray(worker, dtype=np.int64))
         self.n_workers = n_workers
@@ -223,10 +218,10 @@ class Compressor:
 
     def probabilities(self):
         """Law of the next mask's sequential draws, given current history."""
-        if self._kind_id is None:
+        if self.kind not in SPARSIFYING_KINDS:
             raise InvalidArgumentError(f"'{self.kind}' has no coordinate law")
         return self._rowwise(
-            kernels.coordinate_law(self._kind_id, self._act_id, self.b, self._counts))
+            kernels.coordinate_law(self.kind, self.activation, self.b, self._counts))
 
     def compress(self, x):
         """One step of every row: returns (compressed x, coordinates sent
@@ -250,7 +245,7 @@ class Compressor:
         for rng, u in zip(self._rngs, self._u_rows):
             rng.random(out=u)
         self._at, self._fill, self._pos = kernels.step_mask(
-            self._kind_id, self._act_id, self.K, self.b, self._u,
+            self.kind, self.activation, self.K, self.b, self._u,
             self._hist, self._counts, self._fill, self._pos,
         )
         return sparsify(x, self._at, self.d, self.m), self._at.size

@@ -20,24 +20,12 @@ the values of m single ``rng.random()`` calls; the Monte Carlo draws all
 rows' uniforms for draw k before any row's draw k + 1. The seed therefore
 fixes the whole mask stream.
 
+Kinds and activations are passed by name (``"banlast"``, ``"softmax"``).
 Nothing here validates its arguments: callers check them once, where they
 enter the package (``compressors.validate_parameters``).
 """
 
 import numpy as np
-
-# compressor kinds handled by the kernels (baselines live in compressors.py)
-KIND_RAND = 0
-KIND_BANLAST = 1
-KIND_KAWASAKI = 2
-
-KIND_IDS = {"rand": KIND_RAND, "banlast": KIND_BANLAST, "kawasaki": KIND_KAWASAKI}
-
-ACT_NORMALIZE = 0
-ACT_SOFTMAX = 1
-ACT_PROJECT = 2
-
-ACTIVATION_IDS = {"normalize": ACT_NORMALIZE, "softmax": ACT_SOFTMAX, "project": ACT_PROJECT}
 
 # hitting-time trials stepped together; bounds the (block, d) law and
 # cumsum arrays, and so the simulation's memory
@@ -56,14 +44,14 @@ def _total(p):
 
 
 def activate(w, act):
-    """Maps each row of weights (..., d) onto the probability simplex;
-    returns a new array.
+    """Maps each row of weights (..., d) onto the probability simplex with
+    the activation named `act`; returns a new array.
 
     normalize: |w| / ||w||_1; softmax; project: Euclidean projection,
     sort-and-threshold form."""
-    if act == ACT_SOFTMAX:
+    if act == "softmax":
         p = np.exp(w - w.max(axis=-1, keepdims=True))
-    elif act == ACT_PROJECT:
+    elif act == "project":
         u = np.sort(w, axis=-1)[..., ::-1]
         t = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, w.shape[-1] + 1)
         # theta is t at the last index with u - t > 0, or 0 where none is
@@ -92,17 +80,18 @@ def _kawasaki_weights(b, counts):
 
 
 def coordinate_law(kind, act, b, counts):
-    """Law of the next draw given per-coordinate counts over the stored
-    masks; counts (..., d) give one law per row.
+    """Law of the next draw of the compressor named `kind` given
+    per-coordinate counts over the stored masks; counts (..., d) give one
+    law per row.
 
     banlast: uniform over the coordinates with count 0. kawasaki: base
     weight 1/d divided by b once per count, mapped through activation `act`.
     rand: uniform; the counts are ignored.
     """
-    if kind == KIND_KAWASAKI:
+    if kind == "kawasaki":
         return activate(_kawasaki_weights(b, counts), act)
     # normalize over 0/1 weights: their total is an exact count
-    allowed = counts == 0 if kind == KIND_BANLAST else np.ones(counts.shape, dtype=bool)
+    allowed = counts == 0 if kind == "banlast" else np.ones(counts.shape, dtype=bool)
     return allowed / allowed.sum(-1, keepdims=True)
 
 

@@ -1,5 +1,6 @@
 """Exact chain analysis: laws, stationarity, bounds, hitting times."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,13 +9,13 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from markosparse import kernels
 from markosparse.chain_analysis import (
     _initial_states,
     banlast_hitting_time_exact,
     build_transition_matrix,
     deviation_curve,
     enumerate_masks,
-    enumerate_states,
     expected_hitting_time_banlast,
     expected_hitting_time_randm,
     mixing_time,
@@ -37,10 +38,9 @@ from markosparse.errors import (
 def test_enumerate_masks_and_states_counts():
     masks = enumerate_masks(4, 2)
     assert masks == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    states = enumerate_states(4, 2, 2)
-    assert len(states) == 36
+    assert build_transition_matrix("rand", d=4, m=2, K=2).n_states == 36
     with pytest.raises(TooLargeError):
-        enumerate_states(30, 5, 4)
+        build_transition_matrix("banlast", d=30, m=5, K=4)
 
 
 def test_sequential_mask_law_m1_is_the_base_law():
@@ -123,7 +123,10 @@ def test_state_and_matrix_caps():
     with pytest.raises(TooLargeError):
         build_transition_matrix("banlast", d=40, m=4, K=3)
     with pytest.raises(TooLargeError):
-        build_transition_matrix("banlast", d=30, m=1, K=3, matrix_cap=1000)
+        build_transition_matrix("banlast", d=30, m=1, K=3, cap=1000)
+    # K=0 has one state but C(d,m) masks in its one-step law
+    with pytest.raises(TooLargeError):
+        build_transition_matrix("rand", d=30, m=5, K=0)
 
 
 def test_kawasaki_multicoordinate_masks_need_joint_law():
@@ -238,6 +241,120 @@ def test_shift_step_matches_dense_products(kind, kwargs):
         dense_tau = next(t for t, dev in enumerate(_dense_deviations(chain, pi_dense))
                          if t >= 1 and dev <= threshold)
         assert mixing_time(chain, eps) == dense_tau, eps
+
+
+def _digest(a):
+    return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
+
+
+# SHA-256 of chain.table bytes, of the sorted fresh-start states and of the
+# recurrent class (int64), then the power iteration's count and the mixing
+# time at eps=0.05, recorded while states were still enumerated as mask
+# tuples. A non-ergodic chain pins its error message instead. The rows cover
+# the shift-step chains above, the benchmark's chains, K=0 chains and a
+# reducible (banlast(3,1,2): two 3-cycles) and a periodic chain.
+CHAIN_PINS = [
+    ("banlast", dict(d=4, m=1, K=0),
+     "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", 1, 1),
+    ("banlast", dict(d=8, m=1, K=3),
+     "10e970861188ca2957ec82d259b0973b4bb34c96d84611b71ab44b14c6a33c7f",
+     "c26dad8917482c969f01abaab08dd323f99b3f6425a3a6b5150d36feec11d36c",
+     "c26dad8917482c969f01abaab08dd323f99b3f6425a3a6b5150d36feec11d36c", 1, 12),
+    ("banlast", dict(d=5, m=2, K=1),
+     "4c12e2c990872f5c0c8e0d9e28fedf00012ed1109397f39f33685005087b8e35",
+     "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a",
+     "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a", 1, 11),
+    ("kawasaki", dict(d=4, m=2, K=2, b=2.0, joint_law=True),
+     "25ca7e459c244a9a12c81d2f2d24e48c8cd74302459ae85b08e3b686ca79ebe9",
+     "0a8debd26c46b3c7b1c0f2cd13e088848852c614fcd2f9fde84622e7b1ba4a00",
+     "0a8debd26c46b3c7b1c0f2cd13e088848852c614fcd2f9fde84622e7b1ba4a00", 21, 9),
+    ("kawasaki", dict(d=4, m=1, K=2, b=2.0),
+     "8974bc730593a5c904de55e6c1c4b6cf6834636e56b734cdf9b16f0217a84b2f",
+     "f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee",
+     "f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee", 12, 7),
+    ("kawasaki", dict(d=6, m=1, K=3, b=2.0, activation="project"),
+     "d9b041e5179175bd14419cb63b02ddba33d2e87f4e7ecbadd80f74c74086984f",
+     "84b39cc609f61c279dd11dd4c00a7a5da0787af7f6b65ceee5f1220cb6c01fca",
+     "84b39cc609f61c279dd11dd4c00a7a5da0787af7f6b65ceee5f1220cb6c01fca", 16, 10),
+    ("kawasaki", dict(d=5, m=1, K=3, b=2.0, activation="softmax"),
+     "d0119694a520c73e8ade527e8648b5fad7fc5f3ef675f3fb782bba610d524947",
+     "58a9478ec9a879a6eeb0f1cabb94b28acd4064aec8872e5138f141cd0031e431",
+     "58a9478ec9a879a6eeb0f1cabb94b28acd4064aec8872e5138f141cd0031e431", 10, 6),
+    ("rand", dict(d=5, m=2, K=2),
+     "36efd0acbb8e9383047d9dd5ebf662ce6eadd71dcffc3b6bb22dbd34a6bada5b",
+     "96bdba67cd0b5e6dc0f9e399f66b17eae627eac812d0620119e87687d789546a",
+     "96bdba67cd0b5e6dc0f9e399f66b17eae627eac812d0620119e87687d789546a", 1, 2),
+    ("kawasaki", dict(d=6, m=1, K=4),
+     "e15e5220b58355bec646458b90ad05f04a43afaf83bb42f305a780619b4cbd58",
+     "fe94fd7d00ccb64891267620f5b05d1deabf796d38693266a82a92e1b4447aaf",
+     "fe94fd7d00ccb64891267620f5b05d1deabf796d38693266a82a92e1b4447aaf", 17, 191),
+    ("banlast", dict(d=10, m=1, K=3),
+     "ca53bdda704102cefccc97350bece5fb13be0f5f6b492ec4aaefb25f1d11f82e",
+     "10ca6cbaa3a0c4ba31d1782a2bed81f88c4b388cac1dc2afd9cc8917fffbf0ff",
+     "10ca6cbaa3a0c4ba31d1782a2bed81f88c4b388cac1dc2afd9cc8917fffbf0ff", 1, 10),
+    ("kawasaki", dict(d=6, m=2, K=2, joint_law=True),
+     "da7493f179deda123f183ebf4ea636eb6f517e1ab10a715eccddb4befeccc897",
+     "34618413e0eb3a9cb7b8ff17362e7ea6d360264c4cda7dd4859823211f0ebff3",
+     "34618413e0eb3a9cb7b8ff17362e7ea6d360264c4cda7dd4859823211f0ebff3", 10, 184),
+    ("kawasaki", dict(d=5, m=1, K=0),
+     "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", 1, 1),
+    ("rand", dict(d=5, m=2, K=0),
+     "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc", 1, 1),
+    ("banlast", dict(d=3, m=1, K=2),
+     "5f2b62bb375cf8ba1141826e5e2225f1bf6d3a2651a17bd6cd4cfc7e66f84511",
+     "4628650b3eb59a6844aacb012761f418623807199efabaa9ef769b04a3136983",
+     "reducible: the 6 reachable states are not one communicating class", None, None),
+    ("banlast", dict(d=2, m=1, K=1),
+     "c9a2fb79c96caefae3797082eb0820d925a5170c74bcba2446db9484124acb82",
+     "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+     "periodic with period 2", None, None),
+
+]
+
+
+@pytest.mark.parametrize("kind, kwargs, table, initial, recurrent, iterations, tau", CHAIN_PINS)
+def test_chain_analysis_is_pinned(kind, kwargs, table, initial, recurrent, iterations, tau):
+    chain = build_transition_matrix(kind, **kwargs)
+    assert _digest(chain.table) == table
+    assert _digest(np.array(sorted(_initial_states(chain)), np.int64)) == initial
+    if iterations is None:
+        with pytest.raises(NonErgodicError, match=recurrent):
+            recurrent_class(chain)
+        return
+    assert _digest(recurrent_class(chain)) == recurrent
+    result = stationary_distribution(chain)
+    assert result.iterations == iterations
+    assert mixing_time(chain, 0.05, stationary=result) == tau
+
+
+def _per_state_marginal(chain, pi):
+    """newest_mask_marginal by one loop over the K-tuples of masks."""
+    marginal = np.zeros(chain.d)
+    if chain.K == 0:  # memoryless: the one-step law from the empty history
+        p = kernels.coordinate_law(chain.kind, chain.activation, chain.b,
+                                   np.zeros(chain.d, np.int64))
+        for mask, prob in sequential_mask_law(p, chain.m).items():
+            for j in mask:
+                marginal[j] += prob
+        return marginal
+    for i, state in enumerate(itertools.product(chain.masks, repeat=chain.K)):
+        for j in state[-1]:
+            marginal[j] += pi[i]
+    return marginal
+
+
+@pytest.mark.parametrize("kind, kwargs", [pin[:2] for pin in CHAIN_PINS if pin[5] is not None])
+def test_newest_mask_marginal_matches_the_per_state_sum(kind, kwargs):
+    chain = build_transition_matrix(kind, **kwargs)
+    pi = stationary_distribution(chain).pi
+    np.testing.assert_allclose(newest_mask_marginal(chain, pi), _per_state_marginal(chain, pi),
+                               rtol=0, atol=1e-15)
 
 
 def test_hitting_time_closed_forms():

@@ -127,6 +127,12 @@ def test_analyze_chain_nonergodic_is_a_structural_failure(capsys):
     assert "periodic" in capsys.readouterr().err
 
 
+def test_analyze_chain_refuses_a_memoryless_chain_with_too_many_masks(capsys):
+    # K=0 has one state, but its one-step law spans C(30,5) = 142506 masks
+    assert main(["analyze-chain", "--kind", "rand", "--d", "30", "--m", "5", "--K", "0"]) == 4
+    assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_analyze_chain_writes_deviation_curve(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1",

@@ -14,7 +14,7 @@ from markosparse.compressors import (
     validate_parameters,
 )
 from markosparse.errors import InfeasibleSampleError, InvalidArgumentError
-from markosparse.kernels import ACT_NORMALIZE, KIND_BANLAST, KIND_KAWASAKI, coordinate_law
+from markosparse.kernels import coordinate_law
 from markosparse import BANLAST, IDENTITY, KAWASAKI, NATURAL, PERMK, RAND
 
 
@@ -30,7 +30,7 @@ def history_counts(history, d):
 
 def test_banlast_probabilities_ban_and_renormalize():
     counts = history_counts([np.array([0, 2])], 5)
-    p = coordinate_law(KIND_BANLAST, ACT_NORMALIZE, 50.0, counts)
+    p = coordinate_law("banlast", "normalize", 50.0, counts)
     np.testing.assert_allclose(p, [0.0, 1 / 3, 0.0, 1 / 3, 1 / 3])
     # two stored masks of 2 leave 1 of 5 coordinates for a mask of 2
     with pytest.raises(InfeasibleSampleError):
@@ -40,7 +40,7 @@ def test_banlast_probabilities_ban_and_renormalize():
 def test_kawasaki_probabilities_count_multiplicity():
     # the same coordinate in two stored masks is divided by b twice
     counts = history_counts([np.array([0]), np.array([0])], 3)
-    p = coordinate_law(KIND_KAWASAKI, ACT_NORMALIZE, 2.0, counts)
+    p = coordinate_law("kawasaki", "normalize", 2.0, counts)
     w = np.array([0.25 / 4, 0.25, 0.25])  # baseline 1/d applies before normalize
     np.testing.assert_allclose(p, w / w.sum())
 
@@ -133,8 +133,6 @@ def test_permk_masks_partition_the_coordinates():
     assert sizes == [3, 3, 4]
     union = np.concatenate(masks)
     assert sorted(union.tolist()) == list(range(10))
-    with pytest.raises(InvalidArgumentError):
-        perm_k_masks(10, 3, rng, pad=False)
 
 
 def test_permk_workers_share_the_permutation():

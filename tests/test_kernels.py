@@ -12,6 +12,7 @@ from markosparse.chain_analysis import (
     optimal_history_size,
     sequential_mask_law,
 )
+from markosparse.compressors import ACTIVATIONS
 from markosparse.errors import NumericalError
 from markosparse.harness import ALPHA_GRID, alpha_to_dm
 
@@ -28,26 +29,33 @@ def test_backend_reports_a_known_name():
 # recorded before the coordinate law was vectorised; a change here means
 # the mask stream, and so every training CSV, has moved
 MASK_STREAM_DIGESTS = [
-    (kernels.KIND_BANLAST, kernels.ACT_NORMALIZE, 112, 11, 7, 50.0,
+    ("banlast", "normalize", 112, 11, 7, 50.0,
      "b53c446b3f15da281aa45bf0a4496fa0d4e87b504999be9c3433f84937767772"),
-    (kernels.KIND_KAWASAKI, kernels.ACT_NORMALIZE, 112, 11, 7, 50.0,
+    ("kawasaki", "normalize", 112, 11, 7, 50.0,
      "29fc21af3dddb7ae438c2c32a58e87d08a425dfd9a823e9825d123f5c42571a0"),
-    (kernels.KIND_KAWASAKI, kernels.ACT_SOFTMAX, 112, 11, 7, 50.0,
+    ("kawasaki", "softmax", 112, 11, 7, 50.0,
      "c04a22b5ee297fea666a7a81b154fee8d214c4331770d5a655f896524490eb40"),
-    (kernels.KIND_KAWASAKI, kernels.ACT_PROJECT, 112, 11, 7, 2.0,
+    ("kawasaki", "project", 112, 11, 7, 2.0,
      "02d768369d3e95cb43ec40f7cf37735a5c6d4be14b9d5635f48d9e9947fd4fa9"),
-    (kernels.KIND_BANLAST, kernels.ACT_NORMALIZE, 10, 1, 7, 50.0,
+    ("banlast", "normalize", 10, 1, 7, 50.0,
      "6b248ff262d876fdea2c0f2e55833530bddf43345930dda87ced74b261ff3c33"),
-    (kernels.KIND_KAWASAKI, kernels.ACT_NORMALIZE, 10, 1, 7, 50.0,
+    ("kawasaki", "normalize", 10, 1, 7, 50.0,
      "fb020e112bdfcf4947429aa6ff3394b986d37a49ea503a70fae02eae46b2faf9"),
-    (kernels.KIND_KAWASAKI, kernels.ACT_SOFTMAX, 10, 1, 7, 50.0,
+    ("kawasaki", "softmax", 10, 1, 7, 50.0,
      "e1c7eb189564129fa0827dac5e042db384d3c2c9f74f129075ca9b32a487be6f"),
-    (kernels.KIND_KAWASAKI, kernels.ACT_PROJECT, 10, 1, 7, 2.0,
+    ("kawasaki", "project", 10, 1, 7, 2.0,
      "7a9f56b5a136b9a6e49f2f00d7c7d98d42d2e15b9f2b22a165a2d4e3d29814f3"),
 ]
 
 
-@pytest.mark.parametrize("kind,act,d,m,K,b,digest", MASK_STREAM_DIGESTS)
+# the ids keep the numbering the kernels once used for kinds (rand 0,
+# banlast 1, kawasaki 2) and activations (normalize 0, softmax 1, project 2),
+# so each pinned stream keeps its test name
+_LEGACY_IDS = {"rand": 0, "banlast": 1, "kawasaki": 2, "normalize": 0, "softmax": 1, "project": 2}
+
+
+@pytest.mark.parametrize("kind,act,d,m,K,b,digest", MASK_STREAM_DIGESTS, ids=[
+    "-".join(str(_LEGACY_IDS.get(v, v)) for v in pin) for pin in MASK_STREAM_DIGESTS])
 def test_markov_mask_stream_is_pinned(kind, act, d, m, K, b, digest):
     masks = kernels.simulate_masks(fresh_rng(11), kind, act, d, m, K, b, 500)
     assert masks.dtype == np.int64 and masks.shape == (500, m)
@@ -57,8 +65,8 @@ def test_markov_mask_stream_is_pinned(kind, act, d, m, K, b, digest):
 def scalar_law(kind, act, b, counts):
     """The coordinate law as loops over Python floats, summed left to right."""
     d = len(counts)
-    if kind != kernels.KIND_KAWASAKI:
-        p = [1.0 if c == 0 or kind == kernels.KIND_RAND else 0.0 for c in counts]
+    if kind != "kawasaki":
+        p = [1.0 if c == 0 or kind == "rand" else 0.0 for c in counts]
     else:
         p = []
         for c in counts:
@@ -66,10 +74,10 @@ def scalar_law(kind, act, b, counts):
             for _ in range(c):
                 w /= b
             p.append(w)
-        if act == kernels.ACT_SOFTMAX:
+        if act == "softmax":
             hi = max(p)
             p = [float(np.exp(v - hi)) for v in p]
-        elif act == kernels.ACT_PROJECT:
+        elif act == "project":
             css, theta = 0.0, 0.0
             for i, v in enumerate(sorted(p, reverse=True)):
                 css += v
@@ -95,8 +103,8 @@ def test_coordinate_law_matches_scalar_reference():
             for _ in range(K):
                 row[rng.choice(d, m, replace=False)] += 1
         b = float(rng.choice([1.5, 2.0, 50.0]))
-        for kind in (kernels.KIND_RAND, kernels.KIND_BANLAST, kernels.KIND_KAWASAKI):
-            for act in kernels.ACTIVATION_IDS.values():
+        for kind in ("rand", "banlast", "kawasaki"):
+            for act in ACTIVATIONS:
                 expect = np.array([scalar_law(kind, act, b, row) for row in counts])
                 np.testing.assert_array_equal(kernels.coordinate_law(kind, act, b, counts), expect)
                 for row, law in zip(counts, expect):
@@ -109,10 +117,10 @@ def test_batched_projection_without_positive_gap():
     w = np.array([[1e20, 1e20, 1e20], [0.5, 0.25, 0.0]])
     u = np.sort(w[0])[::-1]
     assert np.all(u - (np.cumsum(u) - 1.0) / np.arange(1, 4) <= 0.0)
-    got = kernels.activate(w, kernels.ACT_PROJECT)
+    got = kernels.activate(w, "project")
     np.testing.assert_array_equal(got[0], np.full(3, 1.0 / 3))
     for row, p in zip(w, got):
-        np.testing.assert_array_equal(kernels.activate(row, kernels.ACT_PROJECT), p)
+        np.testing.assert_array_equal(kernels.activate(row, "project"), p)
 
 
 def scalar_sampler(rng, p, m):
@@ -194,8 +202,8 @@ def test_batched_mask_frequencies_follow_the_joint_law(m):
 
 def test_banlast_masks_never_repeat_within_window():
     d, m, K, steps = 9, 2, 3, 400
-    masks = kernels.simulate_masks(fresh_rng(1), kernels.KIND_BANLAST,
-                                   kernels.ACT_NORMALIZE, d, m, K, 50.0, steps)
+    masks = kernels.simulate_masks(fresh_rng(1), "banlast",
+                                   "normalize", d, m, K, 50.0, steps)
     masks = np.asarray(masks).reshape(steps, m)
     for t in range(steps):
         banned = set()
@@ -210,7 +218,7 @@ def test_kawasaki_with_huge_forgetting_rate_avoids_recent_coords():
     # 2000-step run on this seed never repeats the previous coordinate
     d, m, K, steps = 5, 1, 1, 2000
     masks = np.asarray(kernels.simulate_masks(
-        fresh_rng(2), kernels.KIND_KAWASAKI, kernels.ACT_NORMALIZE,
+        fresh_rng(2), "kawasaki", "normalize",
         d, m, K, 1e12, steps)).ravel()
     assert np.all(masks[1:] != masks[:-1])
 
@@ -218,7 +226,7 @@ def test_kawasaki_with_huge_forgetting_rate_avoids_recent_coords():
 def test_rand_selection_counts_are_roughly_uniform():
     d, m, steps = 6, 2, 30_000
     masks = kernels.simulate_masks(
-        fresh_rng(3), kernels.KIND_RAND, kernels.ACT_NORMALIZE, d, m, 0, 50.0, steps)
+        fresh_rng(3), "rand", "normalize", d, m, 0, 50.0, steps)
     counts = np.bincount(masks.ravel(), minlength=d)
     freq = counts / (steps * m)
     np.testing.assert_allclose(freq, 1.0 / d, rtol=0.05)
@@ -226,14 +234,14 @@ def test_rand_selection_counts_are_roughly_uniform():
 
 def test_hitting_time_simulation_identity_case():
     # banlast with K=0 is plain uniform sampling: geometric with mean d/m
-    mean, stderr = _hit(kernels.KIND_BANLAST, d=10, m=1, K=0, trials=40_000)
+    mean, stderr = _hit("banlast", d=10, m=1, K=0, trials=40_000)
     assert mean == pytest.approx(10.0, rel=0.05)
     assert stderr < 0.1
 
 
 def _hit(kind, d, m, K, trials):
     times, n_capped = kernels.simulate_hitting_times(
-        fresh_rng(4), kind, kernels.ACT_NORMALIZE, d, m, K, 50.0, 0, trials, 10**7)
+        fresh_rng(4), kind, "normalize", d, m, K, 50.0, 0, trials, 10**7)
     assert n_capped == 0
     times = np.asarray(times, dtype=np.float64)
     return float(times.mean()), float(times.std(ddof=1) / np.sqrt(trials))
@@ -242,7 +250,7 @@ def _hit(kind, d, m, K, trials):
 def test_hitting_times_cover_a_partial_last_block():
     trials = kernels.HITTING_BLOCK + 37
     times, n_capped = kernels.simulate_hitting_times(
-        fresh_rng(9), kernels.KIND_BANLAST, kernels.ACT_NORMALIZE, 10, 1, 3, 50.0, 0,
+        fresh_rng(9), "banlast", "normalize", 10, 1, 3, 50.0, 0,
         trials, 10**7)
     assert times.shape == (trials,) and times.dtype == np.int64
     assert n_capped == 0 and times.min() >= 1
@@ -251,7 +259,7 @@ def test_hitting_times_cover_a_partial_last_block():
 def test_hitting_time_cap_is_recorded():
     # a 2-step cap: trials that miss the target twice record 2 and count as capped
     times, n_capped = kernels.simulate_hitting_times(
-        fresh_rng(10), kernels.KIND_RAND, kernels.ACT_NORMALIZE, 10, 1, 0, 50.0, 0, 500, 2)
+        fresh_rng(10), "rand", "normalize", 10, 1, 0, 50.0, 0, 500, 2)
     assert set(times.tolist()) <= {1, 2}
     assert 0 < n_capped < 500
     assert n_capped <= np.count_nonzero(times == 2)
