@@ -17,7 +17,10 @@ indices or of their digit rows: one law call fills the table, one per
 warm-up length finds the fresh starts, and the recurrent-class search is a
 breadth-first search over the table's positive entries. The stationary law,
 deviation curves and mixing times read the table at C(d,m) operations per
-state and column; the dense P is built only on request.
+state and column; the dense P is built only on request. The law reads only
+counts, so relabelling coordinates maps the chain onto itself: deviation
+curves and mixing times step one start column per orbit of the recurrent
+class, not one per state.
 """
 
 import math
@@ -36,12 +39,15 @@ from .errors import (
     TooLargeError,
 )
 
-# bounds C(d,m)^max(K,1): the table's rows, the mixing time's two |S| x |C|
-# blocks (C the recurrent class, up to all of S), the |S| x |S| P that
+# bounds C(d,m)^max(K,1): the table's rows, the |S| x |S| P that
 # ChainModel.P builds on request, and for K=0 the masks of the one-step law
 DEFAULT_STATE_CAP = 8_192
 
 _JOINT_LAW_MAX_M = 6
+
+# the exact deviation never increases, so when it has gone this many steps
+# without a new minimum it sits on its rounding floor and mixing_time stops
+_STALL_STEPS = 1000
 
 
 def enumerate_masks(d, m):
@@ -162,7 +168,8 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
         )
     size = math.comb(d, m) ** max(K, 1)
     if size > cap:
-        raise TooLargeError(size, cap)
+        raise TooLargeError(size, cap, None if K else
+                            f"the one-step law of the K=0 chain has {size} masks")
     # K=0 is the one empty history, which moves to itself
     chain = ChainModel(kind, d, m, K, float(b), activation, enumerate_masks(d, m),
                        np.ones((1, 1)))
@@ -280,14 +287,39 @@ def newest_mask_marginal(chain, pi):
     return newest @ chain.members
 
 
+def orbit_starts(chain, recurrent):
+    """The smallest state of each orbit of the recurrent class under
+    relabelling coordinates, ascending.
+
+    The coordinate law reads only counts, so relabelling coordinates maps
+    the chain onto itself, and the class, reached from the symmetric empty
+    history, onto itself. A coordinate's profile is the set of window slots
+    whose mask holds it; two states share an orbit exactly when they hold
+    the same multiset of profiles. Each of a state's K*m mask entries is
+    tagged with its coordinate's profile, and the sorted tags are the
+    orbit's key.
+    """
+    if chain.n_states == 1:  # K=0, or one mask
+        return recurrent
+    M, K = len(chain.masks), chain.K
+    digits = recurrent[:, None] // M ** np.arange(K - 1, -1, -1) % M
+    coords = np.asarray(chain.masks)[digits].reshape(len(recurrent), K * chain.m)
+    slot_bit = np.repeat(1 << np.arange(K - 1, -1, -1), chain.m)
+    profile = ((coords[:, :, None] == coords[:, None, :]) * slot_bit).sum(axis=2)
+    _, first = np.unique(np.sort(profile, axis=1), axis=0, return_index=True)
+    return recurrent[np.sort(first)]
+
+
 def _deviations(chain, result):
     """max over recurrent starts s and states j of |P^t(s, j) - pi_j|, for
-    t = 0, 1, ...; x holds one column per start and one row per state."""
+    t = 0, 1, ...; x holds one column per start orbit and one row per
+    state. Relabelling coordinates maps P^t(s, .) and pi onto P^t(g s, .)
+    and pi, so every start of an orbit has the same deviation."""
     step = _shift_step(chain)
-    cls = result.recurrent
+    starts = orbit_starts(chain, result.recurrent)
     pi = result.pi
-    x = np.zeros((chain.n_states, len(cls)))
-    x[cls, np.arange(len(cls))] = 1.0
+    x = np.zeros((chain.n_states, len(starts)))
+    x[starts, np.arange(len(starts))] = 1.0
     out = np.empty_like(x)
     while True:
         # rounding is monotone, so this is max|x - pi| bit for bit
@@ -303,16 +335,26 @@ def deviation_curve(chain, t_max, stationary=None):
 
 
 def mixing_time(chain, eps, cap=10**6, stationary=None):
-    """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min."""
+    """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min.
+
+    Raises NumericalError after `cap` steps, or sooner once the deviation
+    has stalled on its rounding floor above the threshold."""
     if eps <= 0:
         raise InvalidArgumentError("eps must be positive")
     result = stationary or stationary_distribution(chain)
     threshold = eps * result.pi[result.recurrent].min()
     devs = _deviations(chain, result)
     next(devs)  # t = 0: the starts themselves
+    lowest, lowest_t = math.inf, 0
     for t, dev in zip(range(1, cap + 1), devs):
         if dev <= threshold:
             return t
+        if dev < lowest:
+            lowest, lowest_t = dev, t
+        elif t - lowest_t >= _STALL_STEPS:
+            raise NumericalError(
+                f"deviation stalled at {lowest:.3e} above eps*pi_min = {threshold:.3e}: "
+                f"no new minimum in {_STALL_STEPS} steps, rounding sets its floor")
     raise NumericalError(f"chain not mixed to eps*pi_min after {cap} steps")
 
 

@@ -108,6 +108,7 @@ def _cmd_analyze_chain(args):
     print(f"states: {chain.n_states}")
     print(f"recurrent class: {len(result.recurrent)} states "
           f"({result.n_unreachable} unreachable)")
+    print(f"start orbits: {len(chains.orbit_starts(chain, result.recurrent))}")
     print(f"stationary range: [{pi_class.min():.10f}, {pi_class.max():.10f}] "
           f"(uniform would be {1 / len(result.recurrent):.10f})")
     print(f"column-sum defect on the recurrent class: "

@@ -39,12 +39,13 @@ class NonErgodicError(MarkosparseError):
 
 
 class TooLargeError(MarkosparseError):
-    """State space exceeds the configured cap. Carries the computed size."""
+    """A chain exceeds the configured cap. Carries the computed size; `what`
+    names what was counted, the states unless given."""
 
-    def __init__(self, size, cap):
+    def __init__(self, size, cap, what=None):
         self.size = size
         self.cap = cap
-        super().__init__(f"state space has {size} states, exceeds cap {cap}")
+        super().__init__(f"{what or f'state space has {size} states'}, exceeds cap {cap}")
 
 
 class NumericalError(MarkosparseError):

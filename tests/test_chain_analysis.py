@@ -12,6 +12,8 @@ from scipy.sparse.csgraph import connected_components
 from markosparse import kernels
 from markosparse.chain_analysis import (
     _initial_states,
+    _next_mask_law,
+    _shift_step,
     banlast_hitting_time_exact,
     build_transition_matrix,
     deviation_curve,
@@ -22,6 +24,7 @@ from markosparse.chain_analysis import (
     monte_carlo_hitting_time,
     newest_mask_marginal,
     optimal_history_size,
+    orbit_starts,
     recurrent_class,
     rho_bound_banlast,
     rho_bound_kawasaki_normalize,
@@ -331,6 +334,100 @@ def test_chain_analysis_is_pinned(kind, kwargs, table, initial, recurrent, itera
     result = stationary_distribution(chain)
     assert result.iterations == iterations
     assert mixing_time(chain, 0.05, stationary=result) == tau
+
+
+ERGODIC_PINS = [pin[:2] for pin in CHAIN_PINS if pin[5] is not None]
+
+
+def _transpositions(chain):
+    """For each adjacent transposition (j, j+1) of coordinates, the map pm
+    of mask indices (mask k -> pm[k]) and the map g of state indices."""
+    index = {mask: k for k, mask in enumerate(chain.masks)}
+    M = len(chain.masks)
+    place = M ** np.arange(chain.K - 1, -1, -1)
+    digits = np.arange(M ** chain.K)[:, None] // place % M
+    for j in range(chain.d - 1):
+        swap = {j: j + 1, j + 1: j}
+        pm = np.array([index[tuple(sorted(swap.get(c, c) for c in mask))]
+                       for mask in chain.masks])
+        yield pm, pm[digits] @ place
+
+
+@pytest.mark.parametrize("kind, kwargs", ERGODIC_PINS)
+def test_the_law_commutes_with_relabelling_coordinates(kind, kwargs):
+    # the premise of one start per orbit: table[g(s), pm_g[k]] == table[s, k]
+    chain = build_transition_matrix(kind, **kwargs)
+    # the K=0 table is the one-state [[1.0]]; its one-step law carries the premise
+    law = chain.table if chain.K else _next_mask_law(chain, np.zeros((1, 0), np.int64))
+    for pm, g in _transpositions(chain):
+        np.testing.assert_allclose(law[g[:, None], pm], law, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind, kwargs", ERGODIC_PINS)
+def test_orbit_starts_match_transposition_closure(kind, kwargs):
+    # smallest state of each orbit by propagating the minimum label along
+    # every adjacent transposition until nothing changes
+    chain = build_transition_matrix(kind, **kwargs)
+    maps = [g for _, g in _transpositions(chain)]
+    label = np.arange(chain.n_states)
+    while True:
+        new = label.copy()
+        for g in maps:
+            np.minimum(new, new[g], out=new)
+        if np.array_equal(new, label):
+            break
+        label = new
+    cls = recurrent_class(chain)
+    assert np.isin(label[cls], cls).all()  # the class is closed under relabelling
+    np.testing.assert_array_equal(orbit_starts(chain, cls), cls[label[cls] == cls])
+
+
+def _all_start_deviations(chain, result):
+    """The deviation loop with one start column per recurrent state."""
+    step = _shift_step(chain)
+    cls = result.recurrent
+    pi = result.pi
+    x = np.zeros((chain.n_states, len(cls)))
+    x[cls, np.arange(len(cls))] = 1.0
+    out = np.empty_like(x)
+    while True:
+        yield max((x.max(axis=1) - pi).max(), (pi - x.min(axis=1)).max())
+        x, out = step(x, out), x
+
+
+@pytest.mark.parametrize("kind, kwargs, n_orbits", [
+    # the benchmark's chains, then the 2401-state kawasaki chain
+    ("kawasaki", dict(d=6, m=1, K=4), 15),
+    ("banlast", dict(d=10, m=1, K=3), 1),
+    ("kawasaki", dict(d=6, m=2, K=2, joint_law=True), 3),
+    ("kawasaki", dict(d=6, m=1, K=3, activation="project", b=2.0), 5),
+    ("rand", dict(d=5, m=2, K=2), 3),
+    ("kawasaki", dict(d=7, m=1, K=4), 15),
+])
+def test_orbit_starts_match_every_start(kind, kwargs, n_orbits):
+    chain = build_transition_matrix(kind, **kwargs)
+    result = stationary_distribution(chain)
+    assert len(orbit_starts(chain, result.recurrent)) == n_orbits
+    thresholds = {eps: eps * result.pi[result.recurrent].min()
+                  for eps in (0.5, 0.2, 0.05, 0.01)}
+    # t <= 200, and on to the first t >= 1 under every threshold
+    reference = []
+    for dev in _all_start_deviations(chain, result):
+        reference.append(dev)
+        if len(reference) > 201 and min(reference[1:]) <= min(thresholds.values()):
+            break
+    # orbit members differ by rounding only: the joint law sums orderings
+    # in a fixed order, so on kawasaki(6,2,2) they differ by 8.9e-16
+    np.testing.assert_allclose(deviation_curve(chain, 200, stationary=result),
+                               reference[:201], rtol=0, atol=4e-15)
+    for eps, threshold in thresholds.items():
+        tau = next(t for t in range(1, len(reference)) if reference[t] <= threshold)
+        assert mixing_time(chain, eps, stationary=result) == tau, eps
+
+
+def test_a_memoryless_chain_over_the_cap_names_its_masks():
+    with pytest.raises(TooLargeError, match="has 142506 masks, exceeds cap 8192"):
+        build_transition_matrix("rand", d=30, m=5, K=0)
 
 
 def _per_state_marginal(chain, pi):

@@ -2,6 +2,7 @@
 
 import os
 import re
+import time
 
 import pytest
 
@@ -120,6 +121,36 @@ def test_analyze_chain_reports_the_column_sum_defect(capsys):
     assert defect(["--kind", "kawasaki", "--d", "4", "--m", "1", "--K", "2", "--b", "2"]) \
         == pytest.approx(0.4231, abs=1e-4)
     assert defect(["--kind", "banlast", "--d", "6", "--m", "1", "--K", "2"]) == 0.0
+
+
+def test_analyze_chain_prints_its_start_orbits(capsys):
+    # one line added after the recurrent class; every other line as before
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "4", "--m", "1",
+                 "--K", "2", "--b", "2"]) == 0
+    assert capsys.readouterr().out == """\
+states: 16
+recurrent class: 16 states (0 unreachable)
+start orbits: 2
+stationary range: [0.0382352941, 0.0705882353] (uniform would be 0.0625000000)
+column-sum defect on the recurrent class: 0.4230769231
+newest-mask marginal range: [0.2500000000, 0.2500000000] (m/d = 0.2500000000)
+mixing time (eps=0.05): 7
+ergodicity bound: rho=0.9940828402 C=1.0059523810
+"""
+
+
+def test_analyze_chain_stops_when_rounding_cannot_reach_the_threshold(capsys):
+    # eps*pi_min = 1.4e-16, while rounding holds the deviation near 3.9e-16:
+    # the mixing loop stops instead of running to its 10^6-step cap
+    started = time.perf_counter()
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "7", "--m", "1",
+                 "--K", "4", "--eps", "1e-3"]) == 4
+    assert time.perf_counter() - started < 10
+    err = capsys.readouterr().err
+    lowest, threshold = map(float, re.search(
+        r"stalled at (\S+) above eps\*pi_min = (\S+):", err).groups())
+    assert threshold == pytest.approx(1.428e-16, rel=1e-3)
+    assert lowest > threshold
 
 
 def test_analyze_chain_nonergodic_is_a_structural_failure(capsys):
