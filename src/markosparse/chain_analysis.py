@@ -123,8 +123,11 @@ class ChainModel:
 
 @dataclass
 class ErgodicityBound:
+    """Envelope C * rho**t on the deviation from the stationary law; gap is
+    1 - rho, computed without the cancellation that rounds rho to 1."""
     rho: float
     C: float
+    gap: float
 
 
 @dataclass
@@ -368,8 +371,9 @@ def rho_bound_banlast(d, m, K):
             f"out of regime: bound needs d > (2K+1)m = {(2 * K + 1) * m}, got d={d}"
         )
     ratio = Fraction(math.comb(d - 2 * K * m, m), math.comb(d - K * m, m) ** 2)
-    rho = math.sqrt(1.0 - float(ratio ** K))
-    return ErgodicityBound(rho, rho ** -2)
+    q = float(ratio ** K)
+    rho = math.sqrt(1.0 - q)
+    return ErgodicityBound(rho, rho ** -2, -math.expm1(0.5 * math.log1p(-q)))
 
 
 def rho_bound_kawasaki_normalize(d, m, K, b):
@@ -382,8 +386,9 @@ def rho_bound_kawasaki_normalize(d, m, K, b):
     if K < 1:
         raise InvalidArgumentError("bound needs K >= 1")
     base = d * b ** K - m * (b ** K - 1.0)
-    rho = 1.0 - base ** (-m * K)
-    return ErgodicityBound(rho, 1.0 / rho)
+    gap = base ** (-m * K)
+    rho = 1.0 - gap
+    return ErgodicityBound(rho, 1.0 / rho, gap)
 
 
 def expected_hitting_time_randm(alpha):

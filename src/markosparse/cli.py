@@ -125,7 +125,8 @@ def _cmd_analyze_chain(args):
     except InvalidArgumentError as err:
         print(f"ergodicity bound: not applicable ({err})")
     if bound is not None:
-        print(f"ergodicity bound: rho={bound.rho:.10f} C={bound.C:.10f}")
+        print(f"ergodicity bound: rho={bound.rho:.10f} C={bound.C:.10f} "
+              f"gap={bound.gap:.10e}")
     if args.output:
         devs = chains.deviation_curve(chain, args.t_max, stationary=result)
         lines = ["t,deviation" + (",bound" if bound else "")]

@@ -13,6 +13,7 @@ experiment harness.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,12 +21,13 @@ from scipy.special import expit
 
 from .errors import InvalidArgumentError, NumericalError, ParseError
 
-_LABEL_MAPS = (
-    # precedence order; the larger raw label maps to +1
-    ({-1.0, 1.0}, {-1.0: -1.0, 1.0: 1.0}),
-    ({0.0, 1.0}, {0.0: -1.0, 1.0: 1.0}),
-    ({1.0, 2.0}, {1.0: -1.0, 2.0: 1.0}),
-)
+# accepted raw label encodings as (negative, positive), in precedence order
+_LABEL_ENCODINGS = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
+# the largest 1-based index an int32 column index holds
+_MAX_INDEX = 2**31
+# lines parsed per block of array passes; bounds the parse's scratch memory
+_BLOCK_LINES = 256
+_COLON, _SPACE = ord(":"), ord(" ")
 
 
 @dataclass(frozen=True)
@@ -48,69 +50,160 @@ class Dataset:
 
 def parse_libsvm(source, dim=None):
     """Parses LIBSVM text: `<label> <idx>:<val> ...`, 1-based strictly
-    increasing indices. Accepts a string or any iterable of lines.
+    increasing indices. Accepts a string or any iterable of lines; a string
+    splits into lines as a file does, at \\n, \\r\\n or \\r.
 
     Raw labels {-1,+1}, {0,1} and {1,2} are accepted, mapped so the larger
     label becomes +1; the feature dimension is the largest index seen unless
-    `dim` forces a larger one.
+    `dim` forces a larger one. A malformed line raises the ParseError of the
+    first bad line, as reading line by line would.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
-    raw_labels = []
-    rows_idx = []
-    rows_val = []
-    indptr = [0]
-    seen = set()
-    max_idx = 0
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise ParseError(line_no, f"bad label token {tokens[0]!r}") from None
-        seen.add(label)
-        if not any(seen <= accepted for accepted, _ in _LABEL_MAPS):
-            raise ParseError(line_no, f"label {tokens[0]!r} does not fit any accepted encoding")
-        prev = 0
-        for tok in tokens[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise ParseError(line_no, f"expected idx:val, got {tok!r}")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(line_no, f"bad feature token {tok!r}") from None
-            if idx < 1:
-                raise ParseError(line_no, f"index {idx} must be >= 1")
-            if idx <= prev:
-                raise ParseError(line_no, f"indices not strictly increasing at {tok!r}")
-            prev = idx
-            rows_idx.append(idx - 1)
-            rows_val.append(val)
-        max_idx = max(max_idx, prev)
-        raw_labels.append(label)
-        indptr.append(len(rows_idx))
+    lines = _split_lines(source) if isinstance(source, str) else list(source)
+    blocks = []
+    # at least one block, so that empty input still gives (empty) arrays
+    for start in range(0, len(lines) or 1, _BLOCK_LINES):
+        *block, stop = _parse_block(lines[start:start + _BLOCK_LINES], start)
+        blocks.append(block)
+        if stop is not None:
+            break
+    labels, counts, cols, val, row_line = map(np.concatenate, zip(*blocks))
+    n = len(labels)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    # each column against the one before it in its row, -1 at a row start
+    prev = np.full_like(cols, -1)
+    prev[1:] = cols[:-1]
+    prev[indptr[:-1][counts > 0]] = -1
+    bad = np.flatnonzero(cols <= prev)
+    bad_row = np.searchsorted(indptr, bad[0], side="right") - 1 if bad.size else n
+    # each encoding's first row outside it (n if none): the labels fit no
+    # encoding from the row where the last one fails
+    misfit = [np.append(np.isin(labels, accepted), False).argmin()
+              for accepted in _LABEL_ENCODINGS]
+    row = min(max(misfit), bad_row)
+    if row < n or stop is not None:
+        line = row_line[row] if row < n else stop
+        raise _line_error(line + 1, lines[line].split(), set(labels[:row].tolist()))
+    max_idx = int(cols.max()) + 1 if cols.size else 0
     d = max_idx if dim is None else dim
     if dim is not None and dim < max_idx:
         raise InvalidArgumentError(f"dim={dim} smaller than max feature index {max_idx}")
-    for accepted, mapping in _LABEL_MAPS:
-        if seen <= accepted:
-            y = np.array([mapping[v] for v in raw_labels])
-            break
-    else:  # empty input
-        y = np.zeros(0)
-    X = sp.csr_matrix(
-        (np.array(rows_val), np.array(rows_idx, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(raw_labels), d),
-    )
-    return Dataset(X, y, d)
+    positive = next(pos for (_, pos), out in zip(_LABEL_ENCODINGS, misfit) if out == n)
+    X = sp.csr_matrix((val, cols, indptr.astype(np.int32)), shape=(n, d))
+    return Dataset(X, np.where(labels == positive, 1.0, -1.0), d)
+
+
+def _split_lines(text):
+    # as reading a file splits it: at \n, \r\n or \r
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _parse_block(lines, start):
+    """Array form of the non-empty lines among `lines`, which begin at line
+    index `start`: labels (NaN where unreadable), feature counts, 0-based
+    int32 columns (-1 where unreadable or out of range), values and each
+    row's line index. Parsing stops at the first line with a token that is
+    not `idx:val` with text on both sides of its one colon; the last item
+    is that line's index, or None."""
+    tokens = [line.split() for line in lines]
+    at = np.flatnonzero(np.fromiter(map(len, tokens), np.int64, len(tokens)))
+    rows = list(filter(None, tokens))
+    labels = [t.pop(0) for t in rows]
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    text = " ".join(chain.from_iterable(rows))
+    stop = None
+    misplaced = _colon_misplaced(text)
+    if misplaced.any():
+        r = np.searchsorted(np.cumsum(counts), misplaced.argmax(), side="right")
+        stop = start + at[r]
+        at, labels, counts = at[:r], labels[:r], counts[:r]
+        text = " ".join(chain.from_iterable(rows[:r]))
+    del tokens, rows  # freed before the pieces are made, for peak memory
+    pieces = text.replace(":", " ").split()
+    idx_s, val_s = pieces[0::2], pieces[1::2]
+    cols, _ = _converted(idx_s, _column, -1, np.int32)
+    val, unreadable = _converted(val_s, float, 0.0, np.float64)
+    if unreadable:  # marks the column of the first unreadable value as bad
+        cols[min(map(val_s.index, unreadable))] = -1
+    return _converted(labels, float, math.nan, np.float64)[0], counts, cols, val, at + start, stop
+
+
+def _colon_misplaced(text):
+    """For each space-separated token of `text`, whether it does not hold
+    exactly one colon with a character on either side."""
+    b = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if not b.size:
+        return np.zeros(0, dtype=bool)
+    space = np.flatnonzero(b == _SPACE)
+    colon = b == _COLON
+    first = np.concatenate(([0], space + 1))
+    last = np.concatenate((space - 1, [b.size - 1]))
+    return (np.add.reduceat(colon, first, dtype=np.intp) != 1) | colon[first] | colon[last]
+
+
+def _column(s):
+    # -1, which the order check flags, for an index out of range
+    i = int(s)
+    return i - 1 if 1 <= i <= _MAX_INDEX else -1
+
+
+def _converted(strings, convert, fallback, dtype):
+    """convert(s) for every string as a `dtype` array, called once per
+    distinct string, with `fallback` where it raises ValueError; and the
+    strings that raised."""
+    table, failed = {}, []
+    for s in set(strings):
+        try:
+            table[s] = convert(s)
+        except ValueError:
+            table[s] = fallback
+            failed.append(s)
+    return np.fromiter(map(table.__getitem__, strings), dtype, len(strings)), failed
+
+
+def _line_error(line_no, tokens, seen):
+    """The ParseError for one line read after lines whose labels are
+    `seen`: its label first, then each idx:val token in turn. None if the
+    line is well formed."""
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        return ParseError(line_no, f"bad label token {tokens[0]!r}")
+    if not any((seen | {label}) <= set(accepted) for accepted in _LABEL_ENCODINGS):
+        return ParseError(line_no, f"label {tokens[0]!r} does not fit any accepted encoding")
+    prev = 0
+    for tok in tokens[1:]:
+        idx_s, sep, val_s = tok.partition(":")
+        if not sep:
+            return ParseError(line_no, f"expected idx:val, got {tok!r}")
+        try:
+            idx = int(idx_s)
+            float(val_s)
+        except ValueError:
+            return ParseError(line_no, f"bad feature token {tok!r}")
+        if idx < 1:
+            return ParseError(line_no, f"index {idx} must be >= 1")
+        if idx > _MAX_INDEX:
+            return ParseError(line_no, f"index {idx} must be <= {_MAX_INDEX}")
+        if idx <= prev:
+            return ParseError(line_no, f"indices not strictly increasing at {tok!r}")
+        prev = idx
+    return None
 
 
 def load_libsvm(path, dim=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh, dim=dim)
+    """Parses a UTF-8 LIBSVM file; bytes that are not UTF-8 raise the
+    ParseError of their line, unless an earlier line is malformed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = _split_lines(data[:err.start].decode("utf-8"))
+        parse_libsvm(before[:-1])  # raises first if an earlier line is bad
+        raise ParseError(len(before), f"invalid UTF-8 byte 0x{data[err.start]:02x}") from None
+    del data  # the text replaces it
+    return parse_libsvm(text, dim=dim)
 
 
 def serialize_libsvm(dataset):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +153,31 @@ def test_rho_bound_kawasaki_worked_value():
     bound = rho_bound_kawasaki_normalize(2, 1, 1, 2.0)
     assert bound.rho == pytest.approx(2 / 3, abs=1e-15)
     assert bound.C == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("d, m, K, b", [(3, 1, 1, 2), (4, 1, 1, 5), (4, 1, 2, 2), (2, 1, 1, 2),
+                                        (6, 1, 4, 50)])
+def test_kawasaki_bound_gap_is_exact(d, m, K, b):
+    bound = rho_bound_kawasaki_normalize(d, m, K, float(b))
+    exact = Fraction(d * b ** K - m * (b ** K - 1)) ** (-m * K)
+    assert float(Fraction(bound.gap) / exact) == pytest.approx(1.0, abs=1e-14)
+    assert bound.rho == 1.0 - bound.gap
+
+
+def test_kawasaki_bound_gap_survives_where_rho_rounds_to_one():
+    bound = rho_bound_kawasaki_normalize(6, 1, 4, 50.0)
+    assert bound.rho == 1.0  # 1 - 31250001**-4 in float
+    assert float(Fraction(bound.gap) * 31250001 ** 4) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d, m, K", [(4, 1, 1), (6, 1, 2), (10, 1, 3), (12, 2, 2)])
+def test_banlast_bound_gap_is_exact(d, m, K):
+    # rho = sqrt(1 - q), so the gap g = 1 - rho solves g * (2 - g) = q
+    bound = rho_bound_banlast(d, m, K)
+    q = Fraction(math.comb(d - 2 * K * m, m), math.comb(d - K * m, m) ** 2) ** K
+    g = Fraction(bound.gap)
+    assert float(g * (2 - g) / q) == pytest.approx(1.0, abs=1e-14)
+    assert bound.gap == pytest.approx(1.0 - bound.rho, rel=1e-12)
 
 
 def test_deviation_curves_respect_the_ergodicity_bound():

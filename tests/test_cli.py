@@ -69,6 +69,13 @@ def test_train_reports_config_errors(tmp_path, small_file, capsys):
     assert "optimizer.alpha_shift" in capsys.readouterr().err
 
 
+def test_train_reports_bytes_that_are_not_utf8(tmp_path, capsys):
+    data = tmp_path / "latin1.libsvm"
+    data.write_bytes(b"+1 1:1\n-1 2:1\r\n+1 1:1 3:\xff\n-1 1:1\n")
+    assert main(["train", "--config", write_cfg(tmp_path, str(data))]) == 2
+    assert "line 3: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+
 def test_train_reports_divergence(tmp_path, small_file, capsys):
     # overflow needs (gamma * 2 * lambda)^t past 1e308 within T=25 steps
     cfg = write_cfg(tmp_path, small_file, gamma="1.0e+18")
@@ -135,7 +142,7 @@ stationary range: [0.0382352941, 0.0705882353] (uniform would be 0.0625000000)
 column-sum defect on the recurrent class: 0.4230769231
 newest-mask marginal range: [0.2500000000, 0.2500000000] (m/d = 0.2500000000)
 mixing time (eps=0.05): 7
-ergodicity bound: rho=0.9940828402 C=1.0059523810
+ergodicity bound: rho=0.9940828402 C=1.0059523810 gap=5.9171597633e-03
 """
 
 

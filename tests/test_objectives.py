@@ -1,19 +1,23 @@
 """LIBSVM IO, sharding, the logistic objective and its constants."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.sparse as sp
+from hypothesis import assume, given, strategies as st
 
 from markosparse.errors import InvalidArgumentError, ParseError
 from markosparse.objectives import (
+    Dataset,
     QuadraticProblem,
     default_probes,
     estimate_constants,
     estimate_similarity,
     estimate_smoothness,
     heterogeneous_problem,
+    load_libsvm,
     loss_and_gradient,
     parse_libsvm,
     partition,
@@ -69,6 +73,158 @@ def test_serialize_round_trip(tiny_dataset):
     again = parse_libsvm(text, dim=tiny_dataset.d)
     np.testing.assert_array_equal(again.y, tiny_dataset.y)
     assert (again.X != tiny_dataset.X).nnz == 0
+
+
+def dataset_digest(ds):
+    """SHA-256 over every array's dtype and bytes, then d."""
+    h = hashlib.sha256()
+    for a in (ds.X.data, ds.X.indices, ds.X.indptr, ds.y):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    h.update(str(ds.d).encode())
+    return h.hexdigest()
+
+
+def parse_outcome(parse, source):
+    """The Dataset digest, or the ParseError's (line, message)."""
+    try:
+        return dataset_digest(parse(source))
+    except ParseError as err:
+        return err.line_no, str(err)
+
+
+def load_text(tmp_path, text):
+    # the text's exact characters on disk, line ends untranslated
+    path = tmp_path / "data.libsvm"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return load_libsvm(str(path))
+
+
+def test_mushrooms_dataset_is_pinned(mushrooms_path):
+    # recorded from the line-by-line parser
+    expected = "0d00ecb78fbdd01bd54e2a2ee6d56332d280a76a3ee12289d3e3d3ee35c9ecaa"
+    assert dataset_digest(load_libsvm(mushrooms_path)) == expected
+    assert dataset_digest(load_libsvm(mushrooms_path, dim=112)) == expected
+
+
+def _lines(n, bad, good="+1 1:1 5:2"):
+    """n lines of `good`, with line k (1-based) replaced by bad[k]."""
+    return "".join(bad.get(k, good) + "\n" for k in range(1, n + 1))
+
+
+# (text, line, message), recorded from the line-by-line parser
+PARSE_ERRORS = [
+    ("abc 1:1\n", 1, "bad label token 'abc'"),
+    ("0 1:1\n1 1:1\n5 1:1\n", 3, "label '5' does not fit any accepted encoding"),
+    ("0 1:1\n2 1:1\n", 2, "label '2' does not fit any accepted encoding"),
+    ("1 1:1\n2 1:1\n-1 1:1\n", 3, "label '-1' does not fit any accepted encoding"),
+    ("-0 1:1\n+1.0 1:2\n1e0 2:1\n2 1:1\n", 4, "label '2' does not fit any accepted encoding"),
+    ("nan 1:1\n", 1, "label 'nan' does not fit any accepted encoding"),
+    ("1_0 1:1\n", 1, "label '1_0' does not fit any accepted encoding"),
+    ("+1 bad\n", 1, "expected idx:val, got 'bad'"),
+    ("+1 1:1 4\n", 1, "expected idx:val, got '4'"),
+    ("+1 1:x\n", 1, "bad feature token '1:x'"),
+    ("+1 a:1\n", 1, "bad feature token 'a:1'"),
+    ("+1 1:2:3 4\n", 1, "bad feature token '1:2:3'"),
+    ("+1 1:\n", 1, "bad feature token '1:'"),
+    ("+1 :1\n", 1, "bad feature token ':1'"),
+    ("+1 1::2\n", 1, "bad feature token '1::2'"),
+    ("-1 1:1 2:-inf 3:nan 4:1e400 5:0x1\n", 1, "bad feature token '5:0x1'"),
+    ("+1 1:1 é:2\n", 1, "bad feature token 'é:2'"),
+    ("+1 0:1\n", 1, "index 0 must be >= 1"),
+    ("+1 -2:1\n", 1, "index -2 must be >= 1"),
+    ("+1 3:1 2:1\n", 1, "indices not strictly increasing at '2:1'"),
+    ("+1 2:1 2:1\n", 1, "indices not strictly increasing at '2:1'"),
+    ("+1 +3:1 1_0:inf 5:1\n", 1, "indices not strictly increasing at '5:1'"),
+    ("+1 ٣:1 2:1\n", 1, "indices not strictly increasing at '2:1'"),
+    ("+1\t1:1\t\t3:1 2:1\n", 1, "indices not strictly increasing at '2:1'"),
+    # the first bad line wins, and a line's label before its features
+    ("+1 1:1\n+1 3:1 2:1\n+1 bad\nxx 1:1\n", 2, "indices not strictly increasing at '2:1'"),
+    ("1 1:1\n-1 2:1 1:1\n0 1:1\n", 2, "indices not strictly increasing at '1:1'"),
+    ("+1 1:1\n\n\n7 bad\n", 4, "label '7' does not fit any accepted encoding"),
+    ("x 1:y\n", 1, "bad label token 'x'"),
+    # across blocks of lines
+    (_lines(300, {10: "-1 3:1 2:1", 290: "+1 bad"}), 10, "indices not strictly increasing at '2:1'"),
+    (_lines(300, {10: "+1 bad", 290: "-1 3:1 2:1"}), 10, "expected idx:val, got 'bad'"),
+    (_lines(600, {280: "5 1:1", 513: "+1 1:1 1:2"}), 280, "label '5' does not fit any accepted encoding"),
+    (_lines(600, {513: "+1 1:1 1:2", 514: "+1 :"}), 513, "indices not strictly increasing at '1:2'"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", PARSE_ERRORS,
+                         ids=[f"case{k}" for k in range(len(PARSE_ERRORS))])
+def test_parse_errors_are_pinned(tmp_path, text, line, message):
+    expected = (line, f"line {line}: {message}")
+    assert parse_outcome(parse_libsvm, text) == expected
+    assert parse_outcome(lambda t: load_text(tmp_path, t), text) == expected
+
+
+# characters str.splitlines() ends a line at but a file read does not
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"])
+@pytest.mark.parametrize("tail", ["", "+1 bad\n"])
+def test_string_and_file_split_lines_alike(tmp_path, char, tail):
+    text = f"+1 1:1{char}2:1\r-1 1:1\r\n{char}{tail}"
+    from_file = parse_outcome(lambda t: load_text(tmp_path, t), text)
+    assert parse_outcome(parse_libsvm, text) == from_file
+    if tail:
+        assert from_file == (3, "line 3: expected idx:val, got 'bad'")
+    else:
+        assert from_file == dataset_digest(parse_libsvm(["+1 1:1 2:1", "-1 1:1"]))
+
+
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
+    path = tmp_path / "data.libsvm"
+    path.write_bytes(b"+1 1:1\r-1 2:1\r\n\n+1 1:\xe9\n")
+    with pytest.raises(ParseError, match=r"^line 4: invalid UTF-8 byte 0xe9$"):
+        load_libsvm(str(path))
+    # an earlier malformed line still wins
+    path.write_bytes(b"+1 1:1\n+1 bad\n+1 1:\xff\n")
+    with pytest.raises(ParseError, match="^line 2: expected idx:val"):
+        load_libsvm(str(path))
+
+
+def test_index_past_int32_columns_is_a_parse_error():
+    assert parse_libsvm(f"+1 {2**31}:1\n").d == 2**31
+    for text in (f"+1 1:1\n-1 {2**31 + 1}:1\n", f"+1 1:1\n-1 2:1 {10**30}:1\n"):
+        with pytest.raises(ParseError, match=r"^line 2: index \d+ must be <= 2147483648$"):
+            parse_libsvm(text)
+
+
+_ENCODINGS = {"-1/+1": ("-1", "+1"), "0/1": ("0", "1"), "1/2": ("1", "2")}
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308]
+
+
+@st.composite
+def sparse_datasets(draw):
+    d = draw(st.integers(1, 7))
+    values = st.one_of(st.sampled_from(_EDGE_VALUES),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    indices, data, indptr = [], [], [0]
+    rows = draw(st.lists(st.lists(st.integers(0, d - 1), unique=True), min_size=1, max_size=12))
+    for cols in rows:
+        indices += sorted(cols)
+        data += [draw(values) for _ in cols]
+        indptr.append(len(indices))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                               min_size=len(rows), max_size=len(rows))))
+    X = sp.csr_matrix((np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32),
+                       np.array(indptr, dtype=np.int32)), shape=(len(rows), d))
+    return Dataset(X, y, d)
+
+
+@given(ds=sparse_datasets(), encoding=st.sampled_from(sorted(_ENCODINGS)))
+def test_serialize_parse_round_trip_is_bit_exact(ds, encoding):
+    negative, positive = _ENCODINGS[encoding]
+    # a lone raw label 1 reads as +1 under the -1/+1 precedence
+    assume(encoding != "1/2" or (ds.y > 0).any())
+    lines = []
+    for line in serialize_libsvm(ds).splitlines():
+        label, sep, rest = line.partition(" ")
+        lines.append((positive if label == "1" else negative) + sep + rest)
+    again = parse_libsvm("\n".join(lines) + "\n", dim=ds.d)
+    assert dataset_digest(again) == dataset_digest(ds)
 
 
 def test_partition_covers_rows_once():
