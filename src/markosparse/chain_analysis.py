@@ -13,20 +13,21 @@ closed-form and simulated hitting times of a target coordinate.
 A state's successors are the C(d,m) histories that drop its oldest mask and
 append a new one, so a chain stores only its next-mask table: row i is the
 law of the mask state i appends. Every step works on arrays of state
-indices or of their digit rows: one law call fills the table, one per
-warm-up length finds the fresh starts, and the recurrent-class search is a
-breadth-first search over the table's positive entries. The stationary law,
-deviation curves and mixing times read the table at C(d,m) operations per
-state and column; the dense P is built only on request. The law reads only
-counts, so relabelling coordinates maps the chain onto itself: deviation
-curves and mixing times step one start column per orbit of the recurrent
-class, not one per state.
+indices or of their digit rows: for every m, one ``kernels.coordinate_law``
+call and one ``kernels.mask_law`` call (the sampler's exact law) fill the
+table, one such pair per warm-up length finds the fresh starts, and the
+recurrent-class search is a breadth-first search over the table's positive
+entries. The stationary law, deviation curves and mixing times read the
+table at C(d,m) operations per state and column; the dense P is built only
+on request. The law reads only counts, so relabelling coordinates maps the
+chain onto itself: deviation curves and mixing times step one start column
+per orbit of the recurrent class, not one per state.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -57,27 +58,21 @@ def enumerate_masks(d, m):
     return list(combinations(range(d), m))
 
 
-def sequential_mask_law(p, m):
-    """Exact law of a size-m mask under sequential weighted draws without
-    replacement from p. Returns {mask tuple: probability}."""
+def _check_mask_size(m):
     if m > _JOINT_LAW_MAX_M:
         raise InvalidArgumentError(
-            f"joint-law enumeration sums m! orderings; m={m} exceeds {_JOINT_LAW_MAX_M}"
-        )
+            f"joint-law enumeration sums m! orderings; m={m} exceeds {_JOINT_LAW_MAX_M}")
+
+
+def sequential_mask_law(p, m):
+    """Exact law of a size-m mask under sequential weighted draws without
+    replacement from p: the one-row view of kernels.mask_law. Returns
+    {mask tuple: probability} over the masks inside p's support."""
+    _check_mask_size(m)
     p = np.asarray(p, dtype=np.float64)
-    support = [j for j in range(len(p)) if p[j] > 0.0]
-    law = {}
-    for mask in combinations(support, m):
-        total = 0.0
-        for order in permutations(mask):
-            pr = 1.0
-            rem = 1.0
-            for j in order:
-                pr *= p[j] / rem
-                rem -= p[j]
-            total += pr
-        law[mask] = total
-    return law
+    masks = list(combinations(np.flatnonzero(p > 0.0).tolist(), m))
+    law = kernels.mask_law(p[None], np.array(masks, np.int64).reshape(len(masks), m))
+    return dict(zip(masks, law[0]))
 
 
 @dataclass
@@ -141,16 +136,9 @@ class StationaryResult:
 def _next_mask_law(chain, histories):
     """Next-mask table rows for rows of mask indices (n, k), oldest first:
     row i is the law of the mask appended after histories[i]."""
-    law = kernels.coordinate_law(chain.kind, chain.activation, chain.b,
-                                 chain.members[histories].sum(axis=1))
-    if chain.m == 1:  # mask k is coordinate k
-        return law
-    mask_index = {mask: k for k, mask in enumerate(chain.masks)}
-    rows = np.zeros((len(law), len(chain.masks)))
-    for row, p in zip(rows, law):
-        joint = sequential_mask_law(p, chain.m)
-        row[[mask_index[mask] for mask in joint]] = list(joint.values())
-    return rows
+    p = kernels.coordinate_law(chain.kind, chain.activation, chain.b,
+                               chain.members[histories].sum(axis=1))
+    return kernels.mask_law(p, np.asarray(chain.masks))
 
 
 def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
@@ -160,7 +148,8 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
     For m > 1 the next-mask law is the sequential-draw joint law; for
     KAWASAKI that law is a modeling choice, so it must be requested
     explicitly via joint_law=True. Raises TooLargeError, before any
-    enumeration, when C(d,m)^max(K,1) exceeds `cap`.
+    enumeration, when C(d,m)^max(K,1) exceeds `cap`, and
+    InvalidArgumentError when m > 6 (the law sums m! orderings).
     """
     if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no Markov chain for compressor kind '{kind}'")
@@ -173,6 +162,7 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
     if size > cap:
         raise TooLargeError(size, cap, None if K else
                             f"the one-step law of the K=0 chain has {size} masks")
+    _check_mask_size(m)
     # K=0 is the one empty history, which moves to itself
     chain = ChainModel(kind, d, m, K, float(b), activation, enumerate_masks(d, m),
                        np.ones((1, 1)))

@@ -25,8 +25,7 @@ import numpy as np
 import yaml
 
 from . import chain_analysis as chains
-from .compressors import (ALL_KINDS, BANLAST, IDENTITY, KAWASAKI, NATURAL,
-                          ACTIVATIONS)
+from .compressors import ACTIVATIONS, ALL_KINDS, BANLAST, IDENTITY
 from .errors import ConfigError, DivergenceError
 from .objectives import load_libsvm, partition
 from .optimizers import OPTIMIZERS, reference_minimizer, run_training
@@ -34,6 +33,8 @@ from .optimizers import OPTIMIZERS, reference_minimizer, run_training
 CACHE_ENV = "MARKOSPARSE_CACHE_DIR"
 CSV_HEADER = "t,coords_sent_cum,f_value,fdist_ratio,grad_norm_sq,dist_sq_to_opt"
 SUMMARY_THRESHOLDS = (1e-2, 1e-3, 1e-4)
+# gradient-norm tolerance of the cached reference solve
+REFERENCE_TOL = 1e-10
 # data shuffling must not share a stream with any worker id
 _DATA_STREAM = 0x64617461
 
@@ -76,31 +77,43 @@ class ExperimentConfig:
         return d
 
 
+_NUM = (int, float)
+# YAML section -> key -> (ExperimentConfig field, accepted types); the
+# field defaults are the only defaults
 _SCHEMA = {
-    "dataset": {"path": str, "dim": int, "clients": int, "lambda": (int, float)},
-    "optimizer": {"kind": str, "gamma": (int, float), "p": (int, float),
-                  "alpha_shift": (int, float)},
-    "compressor": {"kind": str, "m": int, "pct": (int, float), "K": int,
-                   "b": (int, float), "activation": str},
-    "run": {"T": int, "budget": (int, float), "seed": int, "output": str},
+    "dataset": {"path": ("path", str), "dim": ("dim", int), "clients": ("clients", int),
+                "lambda": ("lam", _NUM)},
+    "optimizer": {"kind": ("optimizer", str), "gamma": ("gamma", _NUM), "p": ("p", _NUM),
+                  "alpha_shift": ("alpha_shift", _NUM)},
+    "compressor": {"kind": ("compressor", str), "m": ("m", int), "pct": ("pct", _NUM),
+                   "K": ("K", int), "b": ("b", _NUM), "activation": ("activation", str)},
+    "run": {"T": ("T", int), "budget": ("budget", _NUM), "seed": ("seed", int),
+            "output": ("output", str)},
 }
+# stored as float whether the YAML writes 1 or 1.0
+_FLOAT_FIELDS = ("lam", "gamma", "b")
 
 
 def _section(tree, name):
+    """The config fields one YAML section sets, checked against _SCHEMA."""
     sec = tree.pop(name, {}) or {}
     if not isinstance(sec, dict):
         raise ConfigError(name, "must be a mapping")
-    allowed = _SCHEMA[name]
+    fields = {}
     for key, value in sec.items():
-        if key not in allowed:
+        if key not in _SCHEMA[name]:
             raise ConfigError(f"{name}.{key}", "unknown key")
-        if not isinstance(value, allowed[key]) or isinstance(value, bool):
-            raise ConfigError(f"{name}.{key}", f"expected {allowed[key]}, got {value!r}")
-    return sec
+        field, types = _SCHEMA[name][key]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ConfigError(f"{name}.{key}", f"expected {types}, got {value!r}")
+        fields[field] = float(value) if field in _FLOAT_FIELDS else value
+    return fields
 
 
 def load_config(path):
-    """Parses and validates a YAML experiment config, applying defaults."""
+    """Parses and validates a YAML experiment config; what it does not set
+    keeps ExperimentConfig's defaults, except that a budget without T runs
+    to the budget alone."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tree = yaml.safe_load(fh)
@@ -112,33 +125,14 @@ def load_config(path):
         tree = {}
     if not isinstance(tree, dict):
         raise ConfigError("file", "top level must be a mapping")
-    ds = _section(tree, "dataset")
-    op = _section(tree, "optimizer")
-    cp = _section(tree, "compressor")
-    rn = _section(tree, "run")
+    fields = {}
+    for name in _SCHEMA:
+        fields.update(_section(tree, name))
     if tree:
         raise ConfigError(next(iter(tree)), "unknown section")
-
-    return ExperimentConfig(
-        path=ds.get("path"),
-        dim=ds.get("dim"),
-        clients=ds.get("clients", 10),
-        lam=float(ds.get("lambda", 0.05)),
-        optimizer=op.get("kind", "mqsgd"),
-        gamma=float(op.get("gamma", 0.1)),
-        p=op.get("p"),
-        alpha_shift=op.get("alpha_shift"),
-        compressor=cp.get("kind", IDENTITY),
-        m=cp.get("m"),
-        pct=cp.get("pct"),
-        K=cp.get("K", 0),
-        b=float(cp.get("b", 50.0)),
-        activation=cp.get("activation", "normalize"),
-        T=rn.get("T", 100 if "budget" not in rn else None),
-        budget=rn.get("budget"),
-        seed=rn.get("seed", 42),
-        output=rn.get("output"),
-    )
+    if "budget" in fields:
+        fields.setdefault("T", None)
+    return ExperimentConfig(**fields)
 
 
 def validate_config(cfg):
@@ -201,7 +195,7 @@ def _save_reference(cache_dir, path, ref):
         raise
 
 
-def _cached_reference(cfg, problem, data_bytes, tol=1e-10):
+def _cached_reference(cfg, problem, data_bytes):
     key = _reference_key(cfg, data_bytes)
     if key in _REFERENCE_MEMORY:
         return _REFERENCE_MEMORY[key]
@@ -211,7 +205,7 @@ def _cached_reference(cfg, problem, data_bytes, tol=1e-10):
         blob = np.load(path)
         ref = (blob["x_star"], float(blob["f_star"]))
     else:
-        ref = reference_minimizer(problem, tol=tol)
+        ref = reference_minimizer(problem, tol=REFERENCE_TOL)
         if path:
             _save_reference(cache_dir, path, ref)
     _REFERENCE_MEMORY[key] = ref
@@ -289,18 +283,18 @@ def build_problem(cfg):
     return problem, data_bytes
 
 
-def run_experiment(cfg, csv_path=None, quiet=False, reference_tol=1e-10):
+def run_experiment(cfg, csv_path=None, quiet=False):
     """Reference solve (cached), training run, CSV emission, summary."""
     problem, data_bytes = build_problem(cfg)
-    return _run_on(cfg, problem, data_bytes, csv_path, quiet, reference_tol)
+    return _run_on(cfg, problem, data_bytes, csv_path, quiet)
 
 
-def _run_on(cfg, problem, data_bytes, csv_path=None, quiet=False, reference_tol=1e-10):
+def _run_on(cfg, problem, data_bytes, csv_path=None, quiet=False):
     # run_experiment on a problem already parsed and sharded for cfg
     m = cfg.mask_size(problem.d)
     if m > problem.d:
         raise ConfigError("compressor.m", f"m={m} exceeds dimension {problem.d}")
-    reference = _cached_reference(cfg, problem, data_bytes, tol=reference_tol)
+    reference = _cached_reference(cfg, problem, data_bytes)
     out = csv_path or cfg.output
     try:
         trace = run_training(problem, cfg, reference=reference)

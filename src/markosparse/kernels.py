@@ -1,16 +1,17 @@
-"""Hot loops: the coordinate law, mask sampling, history updates, chain
-simulation.
+"""Hot loops: the coordinate law, mask sampling and its exact law, history
+updates, chain simulation.
 
 ``coordinate_law`` is the one map from a history's per-coordinate counts to
 the law of the next draw, ``sample_masks`` the one without-replacement
-sampler and ``step_mask`` the one history step; all work on rows, one run
-per row. The live compressors (one row per worker), the exact chain
-analysis (every state's row at once) and the hitting-time Monte Carlo (a
-block of trials at once) all call them, so the analysed chain is the
-simulated one. Every total is a left-to-right sum per row
-(``np.cumsum(..., axis=-1)[..., -1]``), never numpy's pairwise ``sum``, so
-each row's law is the same bit for bit however many rows are computed
-together.
+sampler, ``mask_law`` the sampler's exact law and ``step_mask`` the one
+history step; all work on rows, one run per row. The live compressors (one
+row per worker), the exact chain analysis (every state's row at once: one
+``coordinate_law`` call and one ``mask_law`` call fill its table for every
+m) and the hitting-time Monte Carlo (a block of trials at once) all call
+them, so the analysed chain is the simulated one. Every total is a
+left-to-right sum per row (``np.cumsum(..., axis=-1)[..., -1]``), never
+numpy's pairwise ``sum``, so each row's law is the same bit for bit however
+many rows are computed together.
 
 ``sample_masks`` takes its uniforms, one per row and draw, instead of a
 generator: the caller decides which stream feeds which row. A compressor
@@ -25,11 +26,17 @@ Nothing here validates its arguments: callers check them once, where they
 enter the package (``compressors.validate_parameters``).
 """
 
+from itertools import permutations
+
 import numpy as np
 
 # hitting-time trials stepped together; bounds the (block, d) law and
 # cumsum arrays, and so the simulation's memory
 HITTING_BLOCK = 2048
+
+# entries of each (rows, masks) array mask_law works on; bounds its
+# temporaries to a few times this, however large the table
+LAW_BLOCK = 1 << 20
 
 
 def backend_name():
@@ -123,6 +130,34 @@ def sample_masks(p, u):
     if m > 1:
         masks.sort(1)
     return masks
+
+
+def mask_law(p, masks):
+    """Exact law of sample_masks: out[i, k] (n, M) is the probability that
+    row p[i] (n, d) draws the sorted mask masks[k] (M, m). Each mask sums
+    its m! drawing orders (itertools.permutations order), each order the
+    product of its draws p[j] / (1 - earlier draws); a mask holding a
+    zero-probability coordinate is exactly 0. Rows go in blocks of about
+    LAW_BLOCK entries."""
+    M = len(masks)
+    law = np.zeros((len(p), M))
+    rows = max(1, LAW_BLOCK // max(M, 1))
+    # only a mask outside the support can meet 0/0; it is zeroed below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first in range(0, len(p), rows):
+            q, out = p[first:first + rows], law[first:first + rows]
+            for order in permutations(range(masks.shape[1])):
+                first_draw, *draws = masks[:, list(order)].T
+                pr = q[:, first_draw]  # 1 * (p / 1); 1 - p is left
+                rem = 1.0 - pr
+                for j in draws:
+                    pj = q[:, j]
+                    pr *= pj / rem
+                    rem -= pj
+                out += pr
+            for j in masks.T:
+                out[~(q[:, j] > 0.0)] = 0.0
+    return law
 
 
 def step_mask(kind, act, K, b, u, hist, counts, fill, pos):

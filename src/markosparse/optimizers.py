@@ -9,8 +9,8 @@ whether workers hold a shift, and the server update. A round steps every
 worker as one row of (n, d) arrays: one stacked shard evaluation, one
 compressor state for all workers, one sum over the rows.
 A run is configured by one `harness.ExperimentConfig`, validated when it is
-built. Also the theoretical step-size calculators and a high-accuracy
-full-gradient reference minimizer used for suboptimality metrics.
+built. Also a high-accuracy full-gradient reference minimizer used for
+suboptimality metrics.
 """
 
 import math
@@ -124,28 +124,6 @@ def training_round(problem, server, workers, gamma, momentum=None, alpha_shift=0
          + (1.0 - p) * (1.0 - beta) * server.x
          + (1.0 - p) * beta * x_q)
     return ServerState(x, x_f, x_q, server.t + 1), coords
-
-
-def theory_step_size(regime, L, mu=None, delta_sq=0.0, d=1, m=1, tau=1):
-    """Right-hand sides of the theoretical step-size bounds with the
-    suppressed constant taken as 1; reference values only, practical runs
-    tune gamma."""
-    if L <= 0 or d < 1 or m < 1 or tau < 1 or delta_sq < 0:
-        raise InvalidArgumentError("constants must be positive (delta_sq >= 0)")
-    if regime in ("nonconvex", "pl"):
-        return m * m / (d * d * L * (delta_sq + 1.0) * tau)
-    if regime == "strongly-convex-acc":
-        if mu is None or mu <= 0:
-            raise InvalidArgumentError("accelerated regime needs mu > 0")
-        return mu ** (1.0 / 3.0) * math.sqrt(m) / (tau * L ** (4.0 / 3.0) * math.sqrt(d))
-    raise InvalidArgumentError(f"unknown regime '{regime}'")
-
-
-def theory_momentum_p(d, m, delta_sq, tau):
-    """Default momentum probability min(1, m^2 / (13 d^2 (delta^2+1) tau^2))."""
-    if d < 1 or m < 1 or tau < 1 or delta_sq < 0:
-        raise InvalidArgumentError("constants must be positive (delta_sq >= 0)")
-    return min(1.0, m * m / (13.0 * d * d * (delta_sq + 1.0) * tau * tau))
 
 
 def reference_minimizer(problem, tol=1e-10, max_iter=500_000, x0=None):

@@ -64,6 +64,15 @@ def test_sequential_mask_law_matches_brute_force_m2():
     assert sum(law.values()) == pytest.approx(1.0)
 
 
+def test_the_exact_law_stops_at_six_coordinates():
+    # it sums m! orderings per mask; a 7-coordinate chain fails at once
+    with pytest.raises(InvalidArgumentError, match="m=7 exceeds 6"):
+        sequential_mask_law(np.full(7, 1 / 7), 7)
+    for K in (0, 1):
+        with pytest.raises(InvalidArgumentError, match="m=7 exceeds 6"):
+            build_transition_matrix("rand", d=8, m=7, K=K)
+
+
 def test_transition_matrices_are_stochastic():
     for kind, kwargs in (
         ("banlast", dict(d=5, m=2, K=1)),

@@ -1,6 +1,7 @@
 """Mask kernels: the pinned mask stream and its selection laws."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -185,11 +186,59 @@ def test_sampler_draws_distinct_positive_coordinates():
         assert np.all(np.diff(masks, axis=1) > 0)  # masks are ordered index sets
 
 
+def _scalar_mask_law(p, m):
+    """The exact law one mask at a time, as a dict over the masks inside
+    p's support: each mask sums its m! drawing orders, each order the
+    product of its draws without replacement."""
+    support = [j for j in range(len(p)) if p[j] > 0.0]
+    law = {}
+    for mask in itertools.combinations(support, m):
+        total = 0.0
+        for order in itertools.permutations(mask):
+            pr = 1.0
+            rem = 1.0
+            for j in order:
+                pr *= p[j] / rem
+                rem -= p[j]
+            total += pr
+        law[mask] = total
+    return law
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_mask_law_equals_the_scalar_oracle_bit_for_bit(m, monkeypatch):
+    d, n = 7, 40
+    rng = fresh_rng(20 + m)
+    p = rng.random((n, d))
+    for row in p[::2]:  # every other row keeps between m and d - 1 coordinates
+        row[rng.permutation(d)[:rng.integers(1, d - m + 1)]] = 0.0
+    p /= p.cumsum(1)[:, -1:]
+    # the last row has fewer than m coordinates, and draws that use up all
+    # of its total: no mask can be drawn, and 0/0 must not leak out
+    p[-1] = 0.0
+    p[-1, :m - 1] = {1: [], 2: [1.0], 3: [0.5, 0.5], 4: [0.5, 0.25, 0.25]}[m]
+    masks = np.array(list(itertools.combinations(range(d), m)))
+    # three rows a block: the 40 rows cross 13 block boundaries
+    monkeypatch.setattr(kernels, "LAW_BLOCK", 3 * len(masks))
+    law = kernels.mask_law(p, masks)
+    index = {mask: k for k, mask in enumerate(map(tuple, masks.tolist()))}
+    expect = np.zeros((n, len(masks)))
+    for row, q in zip(expect, p):
+        oracle = _scalar_mask_law(q, m)
+        assert sequential_mask_law(q, m) == oracle  # the one-row view
+        for mask, prob in oracle.items():
+            row[index[mask]] = prob
+    np.testing.assert_array_equal(law, expect)
+    assert (law[::2] == 0.0).any(axis=1).all()
+    assert not law[-1].any()
+    np.testing.assert_allclose(law[:-1].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_batched_mask_frequencies_follow_the_joint_law(m):
     d, n = 6, 20_000
     p = np.array([0.3, 0.05, 0.2, 0.1, 0.25, 0.1])
-    law = sequential_mask_law(p, m)
+    law = sequential_mask_law(p, m)  # the exact law
     masks = kernels.sample_masks(np.tile(p, (n, 1)), fresh_rng(8 + m).random((m, n)).T)
     seen = {}
     for mask in map(tuple, masks.tolist()):

@@ -16,8 +16,6 @@ from markosparse.optimizers import (
     make_workers,
     reference_minimizer,
     run_training,
-    theory_momentum_p,
-    theory_step_size,
     training_round,
 )
 from markosparse import IDENTITY, RAND
@@ -123,24 +121,6 @@ def test_diana_with_zero_alpha_matches_mqsgd(small_problem):
     b = run_training(prob, ExperimentConfig(optimizer="mqsgd", gamma=0.3, compressor=RAND,
                                             m=2, T=40, seed=3))
     np.testing.assert_array_equal(a.f_value, b.f_value)
-
-
-def test_theory_step_size_formulas():
-    v = theory_step_size("nonconvex", L=2.0, delta_sq=3.0, d=10, m=2, tau=4)
-    assert v == pytest.approx(4.0 / (100.0 * 2.0 * 4.0 * 4.0))
-    v = theory_step_size("strongly-convex-acc", L=2.0, mu=0.5, d=9, m=4, tau=2)
-    assert v == pytest.approx(0.5 ** (1 / 3) * 2.0 / (2 * 2.0 ** (4 / 3) * 3.0))
-    with pytest.raises(InvalidArgumentError):
-        theory_step_size("convex-ish", L=1.0)
-    with pytest.raises(InvalidArgumentError):
-        theory_step_size("strongly-convex-acc", L=1.0)
-
-
-def test_theory_momentum_p_caps_at_one():
-    assert theory_momentum_p(d=2, m=2, delta_sq=0.0, tau=1) == pytest.approx(1 / 13)
-    assert theory_momentum_p(d=1, m=1, delta_sq=0.0, tau=1) < 1.0
-    big_m = theory_momentum_p(d=1, m=100, delta_sq=0.0, tau=1)
-    assert big_m == 1.0
 
 
 def test_reference_minimizer_solves_quadratic_exactly():
