@@ -21,11 +21,16 @@ entries. The stationary law, deviation curves and mixing times read the
 table at C(d,m) operations per state and column; the dense P is built only
 on request. The law reads only counts, so relabelling coordinates maps the
 chain onto itself: deviation curves and mixing times step one start column
-per orbit of the recurrent class, not one per state.
+per orbit of the recurrent class, not one per state. Each step's deviation
+max|x - pi| is reduced block by block over the states, each block copied
+start-major so the max and min over starts run along contiguous rows: numpy
+reduces a short last axis one row at a time, at about ten times the cost
+of the step, while the blocks cost about twice the step.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -49,6 +54,11 @@ _JOINT_LAW_MAX_M = 6
 # the exact deviation never increases, so when it has gone this many steps
 # without a new minimum it sits on its rounding floor and mixing_time stops
 _STALL_STEPS = 1000
+
+# entries of x (states by starts) that a deviation reduction copies
+# start-major at a time; 2^15 was the fastest power of two on kawasaki
+# chains of 1296, 32768 and 10^5 states
+_DEVIATION_BLOCK = 1 << 15
 
 
 def enumerate_masks(d, m):
@@ -90,12 +100,13 @@ class ChainModel:
     def n_states(self):
         return len(self.table)
 
-    @property
+    @cached_property
     def members(self):
         """(M, d) membership rows: members[k, j] is True when mask k holds
         coordinate j."""
         members = np.zeros((len(self.masks), self.d), bool)
         members[np.arange(len(self.masks))[:, None], self.masks] = True
+        members.flags.writeable = False  # built once, shared by every reader
         return members
 
     def successor(self, state, k):
@@ -136,9 +147,13 @@ class StationaryResult:
 def _next_mask_law(chain, histories):
     """Next-mask table rows for rows of mask indices (n, k), oldest first:
     row i is the law of the mask appended after histories[i]."""
-    p = kernels.coordinate_law(chain.kind, chain.activation, chain.b,
-                               chain.members[histories].sum(axis=1))
-    return kernels.mask_law(p, np.asarray(chain.masks))
+    masks = np.asarray(chain.masks)
+    n = len(histories)
+    # coordinate counts of each history: a bincount of row*d + coordinate
+    flat = (np.arange(n)[:, None] * chain.d + masks[histories].reshape(n, -1)).ravel()
+    counts = np.bincount(flat, minlength=n * chain.d).reshape(n, chain.d)
+    p = kernels.coordinate_law(chain.kind, chain.activation, chain.b, counts)
+    return kernels.mask_law(p, masks)
 
 
 def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
@@ -303,6 +318,21 @@ def orbit_starts(chain, recurrent):
     return recurrent[np.sort(first)]
 
 
+def _max_deviation(x, pi):
+    """max|x - pi[:, None]| for x of states by starts, bit for bit: max
+    and min are exact and rounding is monotone. Each block of rows is
+    copied start-major, so the per-state max and min over starts are
+    axis-0 reductions that run along contiguous rows."""
+    n, c = x.shape
+    rows = max(1, _DEVIATION_BLOCK // c)
+    dev = -math.inf
+    for i in range(0, n, rows):
+        block = x[i:i + rows].T.copy()
+        p = pi[i:i + rows]
+        dev = max(dev, (block.max(axis=0) - p).max(), (p - block.min(axis=0)).max())
+    return dev
+
+
 def _deviations(chain, result):
     """max over recurrent starts s and states j of |P^t(s, j) - pi_j|, for
     t = 0, 1, ...; x holds one column per start orbit and one row per
@@ -310,19 +340,19 @@ def _deviations(chain, result):
     and pi, so every start of an orbit has the same deviation."""
     step = _shift_step(chain)
     starts = orbit_starts(chain, result.recurrent)
-    pi = result.pi
     x = np.zeros((chain.n_states, len(starts)))
     x[starts, np.arange(len(starts))] = 1.0
     out = np.empty_like(x)
     while True:
-        # rounding is monotone, so this is max|x - pi| bit for bit
-        yield max((x.max(axis=1) - pi).max(), (pi - x.min(axis=1)).max())
+        yield _max_deviation(x, result.pi)
         x, out = step(x, out), x
 
 
 def deviation_curve(chain, t_max, stationary=None):
     """max over start states and entries of |P^t - pi| on the recurrent
     class, for t = 0..t_max."""
+    if t_max < 0:
+        raise InvalidArgumentError(f"t_max must be >= 0, got {t_max}")
     result = stationary or stationary_distribution(chain)
     return np.fromiter(_deviations(chain, result), dtype=np.float64, count=t_max + 1)
 
@@ -332,8 +362,8 @@ def mixing_time(chain, eps, cap=10**6, stationary=None):
 
     Raises NumericalError after `cap` steps, or sooner once the deviation
     has stalled on its rounding floor above the threshold."""
-    if eps <= 0:
-        raise InvalidArgumentError("eps must be positive")
+    if not eps > 0:  # NaN too
+        raise InvalidArgumentError(f"eps must be positive, got {eps}")
     result = stationary or stationary_distribution(chain)
     threshold = eps * result.pi[result.recurrent].min()
     devs = _deviations(chain, result)

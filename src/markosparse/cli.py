@@ -102,6 +102,8 @@ def _cmd_analyze_chain(args):
     chain = chains.build_transition_matrix(
         args.kind, args.d, args.m, args.K, b=args.b, activation=args.activation)
     result = chains.stationary_distribution(chain)
+    if args.output:  # before any output, so a bad --t-max prints nothing
+        devs = chains.deviation_curve(chain, args.t_max, stationary=result)
     pi_class = result.pi[result.recurrent]
     marginal = chains.newest_mask_marginal(chain, result.pi)
     tau = chains.mixing_time(chain, args.eps, stationary=result)
@@ -128,7 +130,6 @@ def _cmd_analyze_chain(args):
         print(f"ergodicity bound: rho={bound.rho:.10f} C={bound.C:.10f} "
               f"gap={bound.gap:.10e}")
     if args.output:
-        devs = chains.deviation_curve(chain, args.t_max, stationary=result)
         lines = ["t,deviation" + (",bound" if bound else "")]
         for t in range(args.t_max + 1):
             row = f"{t},{devs[t]!r}"

@@ -10,7 +10,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from markosparse import kernels
+from markosparse import chain_analysis, kernels
 from markosparse.chain_analysis import (
     _initial_states,
     _next_mask_law,
@@ -417,13 +417,13 @@ def test_orbit_starts_match_transposition_closure(kind, kwargs):
     np.testing.assert_array_equal(orbit_starts(chain, cls), cls[label[cls] == cls])
 
 
-def _all_start_deviations(chain, result):
-    """The deviation loop with one start column per recurrent state."""
+def _one_pass_deviations(chain, result, starts):
+    """The deviation loop with one column per start, each deviation reduced
+    over all of x in one pass."""
     step = _shift_step(chain)
-    cls = result.recurrent
     pi = result.pi
-    x = np.zeros((chain.n_states, len(cls)))
-    x[cls, np.arange(len(cls))] = 1.0
+    x = np.zeros((chain.n_states, len(starts)))
+    x[starts, np.arange(len(starts))] = 1.0
     out = np.empty_like(x)
     while True:
         yield max((x.max(axis=1) - pi).max(), (pi - x.min(axis=1)).max())
@@ -447,7 +447,7 @@ def test_orbit_starts_match_every_start(kind, kwargs, n_orbits):
                   for eps in (0.5, 0.2, 0.05, 0.01)}
     # t <= 200, and on to the first t >= 1 under every threshold
     reference = []
-    for dev in _all_start_deviations(chain, result):
+    for dev in _one_pass_deviations(chain, result, result.recurrent):
         reference.append(dev)
         if len(reference) > 201 and min(reference[1:]) <= min(thresholds.values()):
             break
@@ -458,6 +458,36 @@ def test_orbit_starts_match_every_start(kind, kwargs, n_orbits):
     for eps, threshold in thresholds.items():
         tau = next(t for t in range(1, len(reference)) if reference[t] <= threshold)
         assert mixing_time(chain, eps, stationary=result) == tau, eps
+
+
+@pytest.mark.parametrize("kind, kwargs", ERGODIC_PINS + [("kawasaki", dict(d=7, m=1, K=4))])
+def test_blockwise_deviation_matches_the_one_pass_formula(kind, kwargs, monkeypatch):
+    chain = build_transition_matrix(kind, **kwargs)
+    result = stationary_distribution(chain)
+    starts = orbit_starts(chain, result.recurrent)
+    # a few rows per block, and a row count that leaves the last block ragged
+    rows = next(r for r in itertools.count(3) if chain.n_states % r)
+    monkeypatch.setattr(chain_analysis, "_DEVIATION_BLOCK", rows * len(starts))
+    reference = np.fromiter(_one_pass_deviations(chain, result, starts), np.float64, 61)
+    assert deviation_curve(chain, 60, stationary=result).tobytes() == reference.tobytes()
+    for eps in (0.5, 0.2, 0.05, 0.01):
+        threshold = eps * result.pi[result.recurrent].min()
+        tau = next(t for t, dev in enumerate(_one_pass_deviations(chain, result, starts))
+                   if t >= 1 and dev <= threshold)
+        assert mixing_time(chain, eps, stationary=result) == tau, eps
+
+
+@pytest.mark.parametrize("t_max", [-1, -2])
+def test_deviation_curve_rejects_a_negative_t_max_before_stepping(t_max, monkeypatch):
+    chain = build_transition_matrix("banlast", d=4, m=1, K=1)
+    result = stationary_distribution(chain)
+
+    def no_step(chain):
+        raise AssertionError("stepped the chain")
+
+    monkeypatch.setattr(chain_analysis, "_shift_step", no_step)
+    with pytest.raises(InvalidArgumentError, match="t_max"):
+        deviation_curve(chain, t_max, stationary=result)
 
 
 def test_a_memoryless_chain_over_the_cap_names_its_masks():

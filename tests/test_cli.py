@@ -181,6 +181,33 @@ def test_analyze_chain_writes_deviation_curve(tmp_path, capsys):
     assert len(lines) == 22
 
 
+@pytest.mark.parametrize("t_max", ["-1", "-2"])
+def test_analyze_chain_rejects_a_negative_t_max(t_max, tmp_path, monkeypatch, capsys):
+    # every deviation stream is cut at 10^4 steps, so an unchecked t_max
+    # fails here instead of stepping forever
+    deviations = chains._deviations
+
+    def bounded(*args):
+        for _, dev in zip(range(10**4), deviations(*args)):
+            yield dev
+        raise AssertionError("more than 10^4 deviation steps")
+
+    monkeypatch.setattr(chains, "_deviations", bounded)
+    out = tmp_path / "curve.csv"
+    assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1",
+                 "--t-max", t_max, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "t_max must be >= 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_analyze_chain_rejects_a_nan_eps(capsys):
+    assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1",
+                 "--eps", "nan"]) == 2
+    assert "eps must be positive" in capsys.readouterr().err
+
+
 def test_analyze_chain_solves_the_stationary_law_once(tmp_path, monkeypatch, capsys):
     calls = []
     solve = chains.stationary_distribution
