@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 
 import numpy as np
 
@@ -59,6 +59,10 @@ _STALL_STEPS = 1000
 # start-major at a time; 2^15 was the fastest power of two on kawasaki
 # chains of 1296, 32768 and 10^5 states
 _DEVIATION_BLOCK = 1 << 15
+
+# the most history sizes optimal_history_size searches when no K_max bounds
+# them (alpha up to about 10^6); the search takes about 0.5 s per 10^6 sizes
+HISTORY_SEARCH_CAP = 10**6
 
 
 def enumerate_masks(d, m):
@@ -435,13 +439,20 @@ def expected_hitting_time_banlast(alpha, K):
         raise InvalidArgumentError(
             f"out of regime: need alpha > K+1, got alpha={alpha}, K={K}"
         )
+    return next(islice(_banlast_estimates(alpha), K, None))
+
+
+def _banlast_estimates(alpha):
+    """expected_hitting_time_banlast(alpha, K) for K = 0, 1, 2, ...: the
+    warm-up sum `head` and its `survival` grow by one step from each K to
+    the next, and each K adds its own tail. A value holds while
+    alpha > K + 1; the caller stops drawing there."""
     head = 0.0
     survival = 1.0
-    for s in range(1, K + 1):
-        head += s * survival / (alpha - (s - 1))
-        survival *= 1.0 - 1.0 / (alpha - (s - 1))
-    tail = alpha * (1.0 - 1.0 / (alpha - K)) ** K
-    return head + tail
+    for K in count():
+        yield head + alpha * (1.0 - 1.0 / (alpha - K)) ** K
+        head += (K + 1) * survival / (alpha - K)
+        survival *= 1.0 - 1.0 / (alpha - K)
 
 
 def banlast_hitting_time_exact(alpha, K):
@@ -463,20 +474,22 @@ def banlast_hitting_time_exact(alpha, K):
 
 
 def optimal_history_size(alpha, K_max=None):
-    """argmin over feasible K of expected_hitting_time_banlast(alpha, K);
-    ties break toward smaller K."""
-    if alpha <= 2:
-        raise InvalidArgumentError("need alpha > 2 for a non-trivial history")
+    """argmin over K = 0..ceil(alpha)-2, and K <= K_max if given, of
+    expected_hitting_time_banlast(alpha, K); ties break toward smaller K.
+    One pass extends the estimate from each K to the next. Without K_max,
+    more than HISTORY_SEARCH_CAP sizes raise TooLargeError before the
+    search."""
+    if not alpha > 2 or not math.isfinite(alpha):
+        raise InvalidArgumentError(
+            f"need a finite alpha > 2 for a non-trivial history, got {alpha}")
     hi = math.ceil(alpha) - 2
     if K_max is not None:
         hi = min(hi, K_max)
-    best_k = 0
-    best_v = expected_hitting_time_banlast(alpha, 0)
-    for K in range(1, hi + 1):
-        v = expected_hitting_time_banlast(alpha, K)
-        if v < best_v:
-            best_k, best_v = K, v
-    return best_k
+    elif hi + 1 > HISTORY_SEARCH_CAP:
+        raise TooLargeError(hi + 1, HISTORY_SEARCH_CAP,
+                            f"alpha={alpha:g} gives {hi + 1:.4g} history sizes to search")
+    values = islice(_banlast_estimates(alpha), max(hi, 0) + 1)
+    return min(enumerate(values), key=lambda kv: kv[1])[0]
 
 
 def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",

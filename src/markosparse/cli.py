@@ -22,14 +22,27 @@ def _parse_k_list(text):
         seg = seg.strip()
         if not seg:
             continue
-        if "-" in seg[1:]:
-            lo, _, hi = seg.partition("-")
-            values.extend(range(int(lo), int(hi) + 1))
-        else:
-            values.append(int(seg))
+        try:
+            if "-" in seg[1:]:
+                lo, _, hi = seg.partition("-")
+                lo, hi = int(lo), int(hi)
+                if hi < lo:
+                    raise InvalidArgumentError(f"reversed K range {seg!r}")
+                values.extend(range(lo, hi + 1))
+            else:
+                values.append(int(seg))
+        except ValueError:
+            raise InvalidArgumentError(f"bad K value {seg!r} in {text!r}") from None
     if not values:
         raise InvalidArgumentError(f"no K values in {text!r}")
     return values
+
+
+def _ratio(d, m):
+    # alpha = d/m, checked before the division
+    if m < 1:
+        raise InvalidArgumentError(f"need m >= 1, got m={m}")
+    return d / m
 
 
 def build_parser():
@@ -93,8 +106,8 @@ def _cmd_train(args):
 
 
 def _cmd_sweep_k(args):
-    cfg = harness.load_config(args.config)
-    harness.sweep_k(cfg, _parse_k_list(args.k))
+    ks = _parse_k_list(args.k)
+    harness.sweep_k(harness.load_config(args.config), ks)
     return 0
 
 
@@ -142,7 +155,7 @@ def _cmd_analyze_chain(args):
 
 
 def _cmd_hitting_time(args):
-    alpha = args.d / args.m
+    alpha = _ratio(args.d, args.m)
     print(f"alpha = d/m = {alpha:g}")
     print(f"rand expected hitting time: {chains.expected_hitting_time_randm(alpha)!r}")
     if args.kind == BANLAST:
@@ -164,7 +177,7 @@ def _cmd_hitting_time(args):
 def _cmd_optimal_k(args):
     if args.alpha is None and args.d is None:
         raise InvalidArgumentError("give --alpha or --d/--m")
-    alpha = args.alpha if args.alpha is not None else args.d / args.m
+    alpha = args.alpha if args.alpha is not None else _ratio(args.d, args.m)
     k_star = chains.optimal_history_size(alpha, K_max=args.k_max)
     print(f"alpha: {alpha:g}")
     print(f"optimal K: {k_star}")

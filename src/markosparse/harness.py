@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-import yaml
 
 from . import chain_analysis as chains
 from .compressors import ACTIVATIONS, ALL_KINDS, BANLAST, IDENTITY
@@ -114,6 +113,8 @@ def load_config(path):
     """Parses and validates a YAML experiment config; what it does not set
     keeps ExperimentConfig's defaults, except that a budget without T runs
     to the budget alone."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tree = yaml.safe_load(fh)

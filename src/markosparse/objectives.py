@@ -8,6 +8,11 @@ The distributed objective is f(x) = (1/n) sum_i f_i(x) with per-shard
 Also provides empirical estimators for the smoothness and similarity
 constants and small synthetic problem generators used by tests and the
 experiment harness.
+
+scipy is imported inside the functions that use it (parsing, the stacked
+shards, the loss functions and the generators), not at module level:
+importing this module, and the harness and CLI that import it, then loads
+no scipy, and the chain commands start without it.
 """
 
 import math
@@ -16,8 +21,6 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import InvalidArgumentError, NumericalError, ParseError
 
@@ -33,7 +36,7 @@ _COLON, _SPACE = ord(":"), ord(" ")
 @dataclass(frozen=True)
 class Dataset:
     """Sparse rows (CSR), labels in {-1,+1}, and the feature dimension."""
-    X: sp.csr_matrix
+    X: "scipy.sparse.csr_matrix"
     y: np.ndarray
     d: int
 
@@ -58,6 +61,8 @@ def parse_libsvm(source, dim=None):
     `dim` forces a larger one. A malformed line raises the ParseError of the
     first bad line, as reading line by line would.
     """
+    import scipy.sparse as sp
+
     lines = _split_lines(source) if isinstance(source, str) else list(source)
     blocks = []
     # at least one block, so that empty input still gives (empty) arrays
@@ -251,6 +256,8 @@ class ShardedProblem:
         # transpose (a CSC view on the same arrays, not a copy) sums each
         # shard's rows into its own d gradient entries. Also the labels, the
         # shard sizes and boundaries, and each row's divisor.
+        import scipy.sparse as sp
+
         X = sp.block_diag([s.X for s in self.shards], format="csr")
         sizes = np.array([s.n_rows for s in self.shards])
         return (X, X.T, np.concatenate([s.y for s in self.shards]),
@@ -264,6 +271,8 @@ class ShardedProblem:
         """Every shard's (loss, grad) at w in one stacked evaluation: losses
         (n,) and gradients (n, d), row i equal bit for bit to
         shard_loss_grad(w, i)."""
+        from scipy.special import expit
+
         X, XT, y, sizes, bounds, rows = self._stacked
         w = np.asarray(w, dtype=np.float64)
         t = -y * (X @ np.tile(w, self.n))
@@ -304,6 +313,8 @@ def partition(dataset, n, rng, lam=0.0):
 
 def loss_and_gradient(w, dataset, lam):
     """Value and exact gradient of one shard objective at w."""
+    from scipy.special import expit
+
     w = np.asarray(w, dtype=np.float64)
     z = dataset.X @ w
     t = -dataset.y * z
@@ -437,6 +448,8 @@ class QuadraticProblem:
 def synthetic_binary_dataset(n_rows, d, nnz_per_row, seed, label_noise=0.5):
     """Sparse 0/1-feature dataset with labels from a planted linear rule plus
     Gaussian noise. Deterministic in seed."""
+    import scipy.sparse as sp
+
     if not 1 <= nnz_per_row <= d:
         raise InvalidArgumentError("need 1 <= nnz_per_row <= d")
     rng = np.random.default_rng(seed)
@@ -458,6 +471,8 @@ def separable_binary_dataset(n_rows, d, nnz_per_row, seed):
     from its own half of the feature space, mimicking categorical datasets
     with class-exclusive indicator features. Linearly separable, so worker
     gradients nearly agree at the regularized optimum. Deterministic in seed."""
+    import scipy.sparse as sp
+
     half = d // 2
     if not 1 <= nnz_per_row <= half:
         raise InvalidArgumentError("need 1 <= nnz_per_row <= d // 2")
@@ -479,6 +494,8 @@ def separable_binary_dataset(n_rows, d, nnz_per_row, seed):
 def heterogeneous_problem(n, d, rows_per_shard, shift, lam, seed):
     """n shards of dense Gaussian rows whose feature means are shifted per
     shard, so worker gradients disagree at the optimum (sigma^2 > 0)."""
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(d) / math.sqrt(d)
     shards = []

@@ -561,3 +561,59 @@ def test_optimal_history_size_matches_the_grid():
 
 def test_optimal_history_size_respects_k_max():
     assert optimal_history_size(10.0, K_max=3) == 3
+
+
+def _closed_form_reference(alpha, K):
+    # expected_hitting_time_banlast as a loop of its own for each K
+    head = 0.0
+    survival = 1.0
+    for s in range(1, K + 1):
+        head += s * survival / (alpha - (s - 1))
+        survival *= 1.0 - 1.0 / (alpha - (s - 1))
+    tail = alpha * (1.0 - 1.0 / (alpha - K)) ** K
+    return head + tail
+
+
+def _argmin_reference(alpha):
+    # the per-K search, O(alpha^2)
+    best_k, best_v = 0, _closed_form_reference(alpha, 0)
+    for K in range(1, math.ceil(alpha) - 1):
+        v = _closed_form_reference(alpha, K)
+        if v < best_v:
+            best_k, best_v = K, v
+    return best_k
+
+
+ALPHA_SEARCH_GRID = [2.001, 2.5, 3.0, 3.7, 4.0, 7.25, 10.0, 33.3, 64.0, 99.99,
+                     250.0, 511.5, 1000.0, 1234.5, 2000.0]
+
+
+@pytest.mark.parametrize("alpha", ALPHA_SEARCH_GRID)
+def test_optimal_history_size_matches_the_per_k_search(alpha):
+    assert optimal_history_size(alpha) == _argmin_reference(alpha)
+    for K in {0, 1, math.ceil(alpha) // 2, math.ceil(alpha) - 2}:
+        assert expected_hitting_time_banlast(alpha, K) == _closed_form_reference(alpha, K)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_optimal_history_size_rejects_alpha_outside_its_range(alpha):
+    with pytest.raises(InvalidArgumentError, match="finite alpha > 2"):
+        optimal_history_size(alpha)
+
+
+def test_optimal_history_size_refuses_a_search_past_its_cap(monkeypatch):
+    # the estimates raise when drawn, so a missing cap fails at once
+    # instead of searching 10^300 sizes
+    def refused(alpha):
+        raise AssertionError("searched past the cap")
+        yield
+
+    cap = chain_analysis.HISTORY_SEARCH_CAP
+    monkeypatch.setattr(chain_analysis, "_banlast_estimates", refused)
+    for alpha in (1e300, cap + 1.5):
+        with pytest.raises(TooLargeError, match=f"exceeds cap {cap}"):
+            optimal_history_size(alpha)
+    with pytest.raises(AssertionError, match="searched past the cap"):
+        optimal_history_size(cap + 1.0)  # exactly cap sizes: searched
+    monkeypatch.undo()
+    assert optimal_history_size(10.0 * cap, K_max=3) == 3  # K_max lifts the cap

@@ -1,11 +1,15 @@
 """Exit codes and wiring of the command-line front end."""
 
+import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import markosparse
 from markosparse import chain_analysis as chains
 from markosparse.cli import _parse_k_list, main
 from markosparse.errors import InvalidArgumentError
@@ -46,6 +50,53 @@ def test_parse_k_list_ranges():
     assert _parse_k_list("0,2,5-7") == [0, 2, 5, 6, 7]
     with pytest.raises(InvalidArgumentError):
         _parse_k_list(",")
+    with pytest.raises(InvalidArgumentError, match="reversed K range '5-3'"):
+        _parse_k_list("1,5-3")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["hitting-time", "--d", "10", "--m", "0"], "need m >= 1"),
+    (["optimal-k", "--d", "10", "--m", "0"], "need m >= 1"),
+    (["sweep-k", "--k", "a"], "bad K value 'a'"),
+    (["sweep-k", "--k", "3-x"], "bad K value '3-x'"),
+    (["sweep-k", "--k", "1,5-3"], "reversed K range '5-3'"),
+    (["optimal-k", "--alpha", "nan"], "finite alpha > 2"),
+    (["optimal-k", "--alpha", "inf"], "finite alpha > 2"),
+], ids=["hitting-m0", "optimal-m0", "k-word", "k-bad-range-end", "k-reversed-in-list",
+        "alpha-nan", "alpha-inf"])
+def test_bad_arguments_exit_2(argv, message, tmp_path, small_file, capsys):
+    if argv[0] == "sweep-k":
+        argv = [*argv, "--config", write_cfg(tmp_path, small_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+def test_optimal_k_refuses_a_huge_search(monkeypatch, capsys):
+    def refused(alpha):  # a missing cap fails here instead of searching
+        raise AssertionError("searched past the cap")
+        yield
+
+    monkeypatch.setattr(chains, "_banlast_estimates", refused)
+    assert main(["optimal-k", "--alpha", "1e300"]) == 4
+    assert f"exceeds cap {chains.HISTORY_SEARCH_CAP}" in capsys.readouterr().err
+
+
+def test_chain_commands_load_no_scipy_sparse_special_or_yaml():
+    # a fresh interpreter, so that nothing this suite imported counts
+    program = (
+        "import json, sys\n"
+        "import markosparse, markosparse.harness, markosparse.cli as cli\n"
+        "code = cli.main(['optimal-k', '--alpha', '10'])\n"
+        "print(json.dumps([code, [name for name in ('scipy.sparse', 'scipy.special', 'yaml')"
+        " if name in sys.modules]]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(markosparse.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_train_writes_csv_and_summary(tmp_path, small_file, capsys):

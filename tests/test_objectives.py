@@ -36,6 +36,12 @@ def test_parse_basic_shape(tiny_dataset):
     assert tiny_dataset.X[0, 2] == -1.25
 
 
+def test_parse_returns_a_scipy_csr_matrix(tiny_dataset):
+    # scipy loads on first use, and the rows are still a real csr_matrix
+    assert isinstance(tiny_dataset.X, sp.csr_matrix)
+    assert isinstance(synthetic_binary_dataset(5, 4, 2, seed=1).X, sp.csr_matrix)
+
+
 def test_parse_label_conventions():
     assert parse_libsvm("0 1:1\n1 1:2\n").y.tolist() == [-1.0, 1.0]
     assert parse_libsvm("1 1:1\n2 1:2\n").y.tolist() == [-1.0, 1.0]
