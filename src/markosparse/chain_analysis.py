@@ -64,6 +64,10 @@ _DEVIATION_BLOCK = 1 << 15
 # them (alpha up to about 10^6); the search takes about 0.5 s per 10^6 sizes
 HISTORY_SEARCH_CAP = 10**6
 
+# the most trials monte_carlo_hitting_time runs: it keeps one int64 time per
+# trial, so this bounds that array at 80 MB (criterion 3 runs 10^6)
+HITTING_TRIALS_CAP = 10**7
+
 
 def enumerate_masks(d, m):
     """All size-m coordinate masks in lexicographic order."""
@@ -478,12 +482,14 @@ def optimal_history_size(alpha, K_max=None):
     expected_hitting_time_banlast(alpha, K); ties break toward smaller K.
     One pass extends the estimate from each K to the next. Without K_max,
     more than HISTORY_SEARCH_CAP sizes raise TooLargeError before the
-    search."""
+    search; a negative K_max is an InvalidArgumentError."""
     if not alpha > 2 or not math.isfinite(alpha):
         raise InvalidArgumentError(
             f"need a finite alpha > 2 for a non-trivial history, got {alpha}")
     hi = math.ceil(alpha) - 2
     if K_max is not None:
+        if K_max < 0:
+            raise InvalidArgumentError(f"need K_max >= 0, got {K_max}")
         hi = min(hi, K_max)
     elif hi + 1 > HISTORY_SEARCH_CAP:
         raise TooLargeError(hi + 1, HISTORY_SEARCH_CAP,
@@ -495,9 +501,13 @@ def optimal_history_size(alpha, K_max=None):
 def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
                              target=0, trials=10**5, rng=None, seed=0, cap=10**7):
     """Simulates fresh compressor runs from an empty history and counts steps
-    until `target` appears in a mask. Returns (mean, stderr)."""
+    until `target` appears in a mask. Returns (mean, stderr). More than
+    HITTING_TRIALS_CAP trials raise TooLargeError before anything is
+    allocated."""
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
+    if trials > HITTING_TRIALS_CAP:
+        raise TooLargeError(trials, HITTING_TRIALS_CAP, f"{trials} hitting-time trials")
     if not 0 <= target < d:
         raise InvalidArgumentError(f"target {target} outside [0, {d})")
     validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)

@@ -85,7 +85,7 @@ def build_parser():
     p = sub.add_parser("optimal-k", help="history size minimizing the hitting bound")
     p.add_argument("--alpha", type=float, help="d/m ratio")
     p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int, help="default 1")
     p.add_argument("--k-max", type=int, dest="k_max")
 
     p = sub.add_parser("reproduce-appendix-b",
@@ -175,9 +175,14 @@ def _cmd_hitting_time(args):
 
 
 def _cmd_optimal_k(args):
-    if args.alpha is None and args.d is None:
-        raise InvalidArgumentError("give --alpha or --d/--m")
-    alpha = args.alpha if args.alpha is not None else _ratio(args.d, args.m)
+    if args.alpha is None:
+        if args.d is None:
+            raise InvalidArgumentError("give --alpha or --d/--m")
+        alpha = _ratio(args.d, 1 if args.m is None else args.m)
+    elif args.d is not None or args.m is not None:
+        raise InvalidArgumentError("give --alpha or --d/--m, not both")
+    else:
+        alpha = args.alpha
     k_star = chains.optimal_history_size(alpha, K_max=args.k_max)
     print(f"alpha: {alpha:g}")
     print(f"optimal K: {k_star}")

@@ -8,10 +8,20 @@ history step; all work on rows, one run per row. The live compressors (one
 row per worker), the exact chain analysis (every state's row at once: one
 ``coordinate_law`` call and one ``mask_law`` call fill its table for every
 m) and the hitting-time Monte Carlo (a block of trials at once) all call
-them, so the analysed chain is the simulated one. Every total is a
-left-to-right sum per row (``np.cumsum(..., axis=-1)[..., -1]``), never
-numpy's pairwise ``sum``, so each row's law is the same bit for bit however
-many rows are computed together.
+them, so the analysed chain is the simulated one. Every total and running
+total is a left-to-right sum per row, never numpy's pairwise ``sum``, so
+each row's law and draws are the same bit for bit however many rows are
+computed together. The axis follows the array's shape:
+
+- a *long* array (fewer than ``TALL`` rows per coordinate: one compressor,
+  a team of workers, 300 Monte Carlo trials at d = 53) is summed along
+  each row, ``np.cumsum(..., axis=-1)``;
+- a *tall* array (at least ``TALL`` rows per coordinate: a Monte Carlo
+  block of 2048 trials at d = 10, a chain table) is summed down the leading
+  axis of its transpose, a C-ordered (d, n) copy, one coordinate at a time.
+  numpy reduces a non-contiguous axis element by element, in order, so
+  each column's total is the row's left-to-right sum, and the fixed cost
+  numpy pays per row of a reduction along a short axis is not paid.
 
 ``sample_masks`` takes its uniforms, one per row and draw, instead of a
 generator: the caller decides which stream feeds which row. A compressor
@@ -38,16 +48,31 @@ HITTING_BLOCK = 2048
 # temporaries to a few times this, however large the table
 LAW_BLOCK = 1 << 20
 
+# rows per coordinate from which an array is summed down its leading axis
+# instead of along each row. Timed on coordinate_law plus sample_masks, the
+# two ways broke even at 16-24 rows per coordinate for d = 6 and 10 with
+# m = 1, at 8-12 for d = 25 and 53, and below 4 for d = 112 and 167 with
+# m = 10 or 11
+TALL = 16
+
 
 def backend_name():
     """The array backend the kernels run on."""
     return "numpy"
 
 
-def _total(p):
-    # sequential sum per row, kept as a column: np.sum adds pairwise and
-    # rounds differently
-    return p.cumsum(-1)[..., -1:]
+def _tall(a):
+    # a (rows, d) array with at least TALL rows per coordinate
+    return len(a) >= TALL * a.shape[-1] and a.ndim == 2
+
+
+def _normalize(w):
+    # w over each row's left-to-right total (np.sum adds a contiguous axis
+    # pairwise and rounds differently); a tall result is Fortran-ordered
+    if _tall(w):
+        q = np.ascontiguousarray(w.T)
+        return (q / np.add.reduce(q, axis=0)).T
+    return w / w.cumsum(-1)[..., -1:]
 
 
 def activate(w, act):
@@ -68,7 +93,7 @@ def activate(w, act):
         p = np.where(v > 0.0, v, 0.0)
     else:
         p = np.abs(w)
-    return p / _total(p)
+    return _normalize(p)
 
 
 def _weight_table(d, b, c_max):
@@ -97,8 +122,11 @@ def coordinate_law(kind, act, b, counts):
     """
     if kind == "kawasaki":
         return activate(_kawasaki_weights(b, counts), act)
-    # normalize over 0/1 weights: their total is an exact count
+    # normalize over 0/1 weights: their total is an exact count, which
+    # np.sum gives cheaper than a running total on a few rows
     allowed = counts == 0 if kind == "banlast" else np.ones(counts.shape, dtype=bool)
+    if _tall(allowed):
+        return _normalize(allowed)
     return allowed / allowed.sum(-1, keepdims=True)
 
 
@@ -114,14 +142,24 @@ def sample_masks(p, u):
     """
     d = p.shape[1]
     m = u.shape[1]
+    tall = _tall(p)
     masks = np.empty(u.shape, np.int64)
     for k in range(m):
         if k:
             p[np.arange(len(p)), masks[:, k - 1]] = 0.0
-        acc = p.cumsum(1)
-        above = acc > u[:, k, None] * acc[:, -1:]
-        idx = above.argmax(1)
-        full = above[:, -1]
+        if tall:
+            # running totals down the leading axis of a private copy: the
+            # first index above the scaled uniform is the count at or below
+            acc = p.T.copy()
+            for j in range(1, d):
+                acc[j] += acc[j - 1]
+            idx = np.add.reduce(acc <= u[:, k] * acc[-1], axis=0, dtype=np.intp)
+            full = idx < d
+        else:
+            acc = p.cumsum(1)
+            above = acc > u[:, k, None] * acc[:, -1:]
+            idx = above.argmax(1)
+            full = above[:, -1]
         # argmin finds a row whose uniform rounded up to its total, if any
         # (cheaper than full.all() on the small rows of one compressor)
         if not full[full.argmin()]:
@@ -220,11 +258,11 @@ def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
             hit = (at == goal).any(axis=1)
             if hit.any():
                 times[live[hit]] = steps
-                keep = ~hit
-                live, counts = live[keep], counts[keep]
+                keep = np.flatnonzero(~hit)
+                live, counts = live.take(keep), counts.take(keep, axis=0)
                 # the survivors move up to rows 0..len(live)-1, and the
                 # positions their history holds move as their goals do
-                hist = hist[:, keep] - (goal[keep] - goal[:len(live)])
+                hist = hist.take(keep, axis=1) - (goal.take(keep, axis=0) - goal[:len(live)])
                 goal = goal[:len(live)]
         n_capped += live.size
     return times, n_capped

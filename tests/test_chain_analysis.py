@@ -547,6 +547,14 @@ def test_monte_carlo_stream_is_pinned(d, m, K, trials, expected):
     assert monte_carlo_hitting_time("banlast", d=d, m=m, K=K, trials=trials, seed=3) == expected
 
 
+def test_monte_carlo_refuses_trials_past_its_cap():
+    # 10^13 int64 times would be 80 TB: without the cap numpy refuses that
+    # allocation at once, so this fails fast either way
+    cap = chain_analysis.HITTING_TRIALS_CAP
+    with pytest.raises(TooLargeError, match=f"10000000000000 hitting-time trials, exceeds cap {cap}"):
+        monte_carlo_hitting_time("banlast", d=10, m=1, K=3, trials=10**13)
+
+
 def test_monte_carlo_identity_is_instant():
     assert monte_carlo_hitting_time("identity", d=5, trials=10) == (1.0, 0.0)
 
@@ -561,6 +569,9 @@ def test_optimal_history_size_matches_the_grid():
 
 def test_optimal_history_size_respects_k_max():
     assert optimal_history_size(10.0, K_max=3) == 3
+    assert optimal_history_size(10.0, K_max=0) == 0
+    with pytest.raises(InvalidArgumentError, match="need K_max >= 0, got -5"):
+        optimal_history_size(10.0, K_max=-5)
 
 
 def _closed_form_reference(alpha, K):

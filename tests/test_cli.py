@@ -62,8 +62,11 @@ def test_parse_k_list_ranges():
     (["sweep-k", "--k", "1,5-3"], "reversed K range '5-3'"),
     (["optimal-k", "--alpha", "nan"], "finite alpha > 2"),
     (["optimal-k", "--alpha", "inf"], "finite alpha > 2"),
+    (["optimal-k", "--alpha", "10", "--k-max", "-5"], "need K_max >= 0"),
+    (["optimal-k", "--alpha", "10", "--d", "100", "--m", "1"], "not both"),
+    (["optimal-k", "--alpha", "10", "--m", "3"], "not both"),
 ], ids=["hitting-m0", "optimal-m0", "k-word", "k-bad-range-end", "k-reversed-in-list",
-        "alpha-nan", "alpha-inf"])
+        "alpha-nan", "alpha-inf", "k-max-negative", "alpha-and-d", "alpha-and-m"])
 def test_bad_arguments_exit_2(argv, message, tmp_path, small_file, capsys):
     if argv[0] == "sweep-k":
         argv = [*argv, "--config", write_cfg(tmp_path, small_file)]
@@ -81,6 +84,17 @@ def test_optimal_k_refuses_a_huge_search(monkeypatch, capsys):
     monkeypatch.setattr(chains, "_banlast_estimates", refused)
     assert main(["optimal-k", "--alpha", "1e300"]) == 4
     assert f"exceeds cap {chains.HISTORY_SEARCH_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hitting-time", "--d", "10", "--K", "3"],
+    ["reproduce-appendix-b"],
+], ids=["hitting-time", "reproduce-appendix-b"])
+def test_huge_trial_counts_exit_4(argv, capsys):
+    # without the cap numpy refuses the 80 TB times array at once
+    assert main([*argv, "--trials", "10000000000000"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("failure: 10000000000000 hitting-time trials, exceeds cap")
 
 
 def test_chain_commands_load_no_scipy_sparse_special_or_yaml():

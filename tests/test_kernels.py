@@ -176,6 +176,77 @@ def test_sampler_falls_back_to_the_last_positive_index():
         assert mask.tolist() == scalar_sampler(TopUniform(), row.copy(), 2)
 
 
+def _tall_counts(kind, n, d, rng):
+    # n count rows of a K = 2, m = 1 history; banlast rows leave some
+    # coordinate free
+    counts = np.zeros((n, d), np.int64)
+    for row in counts:
+        row[rng.integers(d, size=2)] += 1
+        if kind == "banlast":
+            row[rng.integers(d)] = 0
+    return counts
+
+
+@pytest.mark.parametrize("kind,act", [
+    ("banlast", "normalize"), ("rand", "normalize"),
+    ("kawasaki", "normalize"), ("kawasaki", "softmax"), ("kawasaki", "project")])
+@pytest.mark.parametrize("d", [3, 10])
+def test_tall_coordinate_law_equals_its_rows_one_at_a_time(kind, act, d):
+    # TALL rows per coordinate and more: totals are taken down the leading
+    # axis; a single row takes the per-row path
+    rng = fresh_rng(30 + d)
+    for n in (kernels.TALL * d, kernels.TALL * d + 37):
+        counts = _tall_counts(kind, n, d, rng)
+        law = kernels.coordinate_law(kind, act, 2.0, counts)
+        assert law.shape == (n, d)
+        expect = np.array([kernels.coordinate_law(kind, act, 2.0, row) for row in counts])
+        np.testing.assert_array_equal(law, expect)
+
+
+class Uniforms:
+    """A stand-in generator that returns the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_tall_sampler_equals_its_rows_one_at_a_time(m, order):
+    d = 6
+    n = kernels.TALL * d + 11
+    rng = fresh_rng(40 + m)
+    p = rng.random((n, d))
+    for _ in range(2):  # up to two zeros a row leave at least four coordinates
+        p[np.arange(n), rng.integers(d, size=n)] = 0.0
+    u = rng.random((n, m))
+    # dyadic weights and uniforms: a scaled uniform lands exactly on a
+    # running total, whose index is not above it
+    p[:8] = [[0.25, 0.25, 0.25, 0.25, 0.0, 0.0], [0.5, 0.0, 0.25, 0.125, 0.125, 0.0]] * 4
+    u[:8] = 0.5
+    # subnormal totals: the uniform just below 1 rounds up to the row's
+    # total, so no running total is above it and the draw falls back to
+    # the last positive index
+    tiny = np.nextafter(0.0, 1.0)
+    p[8:12] = [[0.0, tiny, 3 * tiny, 2 * tiny, 0.0, 0.0]] * 4
+    u[8:12] = np.nextafter(1.0, 0.0)
+    assert all(np.nextafter(1.0, 0.0) * t == t for t in p[8:12].sum(1))
+    q = np.array(p, order=order)
+    masks = kernels.sample_masks(q, u)
+    assert masks.shape == (n, m)
+    for i in range(n):
+        one = p[i:i + 1].copy()
+        row = kernels.sample_masks(one, u[i:i + 1])
+        np.testing.assert_array_equal(masks[i:i + 1], row)
+        assert masks[i].tolist() == scalar_sampler(Uniforms(u[i]), p[i].copy(), m)
+        # p is left with the drawn coordinates zeroed, as one row leaves it
+        np.testing.assert_array_equal(q[i], one[0])
+    np.testing.assert_array_equal(masks[8:12, -1], 3)
+
+
 def test_sampler_draws_distinct_positive_coordinates():
     p = np.array([0.1, 0.0, 0.3, 0.2, 0.4])
     for seed in range(5):
