@@ -9,8 +9,13 @@ fixed schema
     t,coords_sent_cum,f_value,fdist_ratio,grad_norm_sq,dist_sq_to_opt
 
 and prints a summary of the coordinates needed to reach fixed suboptimality
-thresholds. Reference minimizers are cached on disk keyed by dataset hash,
-sharding and lambda so paired runs share one high-accuracy solve.
+thresholds. Paired runs on one dataset share its parse and its solve: the
+last sharded problem is kept in memory, and reference minimizers are cached
+in memory and optionally on disk, both keyed by the dataset's content hash,
+dim, sharding and lambda. The file is read and hashed on every run, so an
+edited file is noticed. A disk-cache blob that cannot be loaded counts as a
+miss and is solved and written again; a cache write that fails prints a
+warning and the run goes on without the disk cache.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+import zipfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -174,6 +180,11 @@ def validate_config(cfg):
 
 
 _REFERENCE_MEMORY = {}
+# one entry: the last sharded problem, by _reference_key
+_LAST_PROBLEM = {}
+# what loading a truncated or foreign blob, or one without our keys, raises
+# (np.load gives a bare array, without the context manager, for a .npy file)
+_BAD_BLOB = (OSError, ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile)
 
 
 def _reference_key(cfg, data_bytes):
@@ -202,15 +213,25 @@ def _cached_reference(cfg, problem, data_bytes):
         return _REFERENCE_MEMORY[key]
     cache_dir = os.environ.get(CACHE_ENV)
     path = os.path.join(cache_dir, f"ref_{key}.npz") if cache_dir else None
-    if path and os.path.exists(path):
-        blob = np.load(path)
-        ref = (blob["x_star"], float(blob["f_star"]))
-    else:
+    ref = _load_reference(path) if path else None
+    if ref is None:
         ref = reference_minimizer(problem, tol=REFERENCE_TOL)
         if path:
-            _save_reference(cache_dir, path, ref)
+            try:
+                _save_reference(cache_dir, path, ref)
+            except OSError as err:
+                print(f"warning: reference cache not written: {err}", file=sys.stderr)
     _REFERENCE_MEMORY[key] = ref
     return ref
+
+
+def _load_reference(path):
+    # a missing, unreadable or truncated blob is a miss
+    try:
+        with np.load(path) as blob:
+            return blob["x_star"], float(blob["f_star"])
+    except _BAD_BLOB:
+        return None
 
 
 def _fmt(v):
@@ -272,15 +293,25 @@ def print_summary(summary, stream=None):
 
 
 def build_problem(cfg):
-    """Loads, shards and returns (problem, dataset bytes) for a config."""
+    """Loads, shards and returns (problem, dataset bytes) for a config.
+
+    The last problem built is kept, keyed by the file's content and (dim,
+    clients, lam, seed), so a run on the same data and sharding skips the
+    parse and the partition. The returned problem is therefore shared: treat
+    it and its shards as read-only."""
     if cfg.path is None:
         raise ConfigError("dataset.path", "required")
     with open(cfg.path, "rb") as fh:
         data_bytes = fh.read()
-    dataset = load_libsvm(cfg.path, dim=cfg.dim)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([cfg.seed, _DATA_STREAM])))
-    problem = partition(dataset, cfg.clients, rng, lam=cfg.lam)
+    key = _reference_key(cfg, data_bytes)
+    problem = _LAST_PROBLEM.get(key)
+    if problem is None:
+        dataset = load_libsvm(cfg.path, dim=cfg.dim)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([cfg.seed, _DATA_STREAM])))
+        problem = partition(dataset, cfg.clients, rng, lam=cfg.lam)
+        _LAST_PROBLEM.clear()
+        _LAST_PROBLEM[key] = problem
     return problem, data_bytes
 
 

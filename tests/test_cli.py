@@ -10,7 +10,7 @@ import time
 import pytest
 
 import markosparse
-from markosparse import chain_analysis as chains
+from markosparse import chain_analysis as chains, harness
 from markosparse.cli import _parse_k_list, main
 from markosparse.errors import InvalidArgumentError
 from markosparse.harness import CSV_HEADER
@@ -121,6 +121,24 @@ def test_train_writes_csv_and_summary(tmp_path, small_file, capsys):
     stdout = capsys.readouterr().out
     assert "final fdist_ratio" in stdout
     assert "iterations: 25" in stdout
+
+
+def test_train_warns_when_the_cache_directory_is_unusable(tmp_path, small_file, monkeypatch,
+                                                        capsys):
+    cfg = write_cfg(tmp_path, small_file)
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv(harness.CACHE_ENV, str(blocker / "cache"))
+    harness._REFERENCE_MEMORY.clear()
+    assert main(["train", "--config", cfg, "--output", str(tmp_path / "a.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+
+    monkeypatch.delenv(harness.CACHE_ENV)
+    harness._REFERENCE_MEMORY.clear()
+    assert main(["train", "--config", cfg, "--output", str(tmp_path / "b.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_train_reports_config_errors(tmp_path, small_file, capsys):
