@@ -23,10 +23,11 @@ Mask laws:
 The rand, banlast and kawasaki laws are computed by kernels.coordinate_law,
 the same function the exact chain analysis uses; validate_parameters checks
 their inputs once, where they enter. Masks are mutually exclusive draws: for
-m > 1 the mask is built by sequential weighted draws without replacement,
-renormalizing after each draw. Randomness comes from numpy's PCG64
-generator; every compressor owns its seeded stream, so runs are reproducible
-from the seed alone.
+m > 1 the mask has the law of sequential weighted draws without replacement,
+renormalizing after each draw, and is drawn in one pass by one-pass keys
+(kernels.sample_masks): d uniforms per worker and step, against one for
+m = 1. Randomness comes from numpy's PCG64 generator; every compressor owns
+its seeded stream, so runs are reproducible from the seed alone.
 """
 
 import numpy as np
@@ -170,8 +171,9 @@ class Compressor:
     for worker[r]); one worker is the one-row case of the same path. Holds
     every row's mask history ((K, rows, m) ring buffer, (rows, d) counts),
     one seeded PCG64 stream per worker, and the per-kind parameters. Each
-    step computes every row's law in one call, draws each worker's m
-    uniforms from its own stream and sparsifies all rows in one write.
+    step computes every row's law in one call, draws each worker's
+    uniforms (kernels.uniforms_per_row: 1 for m = 1, d for m > 1) from its
+    own stream and sparsifies all rows in one write.
     `compress` mutates the state (advances the streams, pushes masks).
     """
 
@@ -204,7 +206,7 @@ class Compressor:
         self._counts = np.zeros((rows, self.d), dtype=np.int64)
         self._fill = 0
         self._pos = 0
-        self._u = np.empty((rows, self.m))
+        self._u = np.empty((rows, kernels.uniforms_per_row(self.d, self.m)))
         self._u_rows = list(self._u)   # each worker's row, filled from its own stream
         self._at = np.zeros((rows, self.m), dtype=np.int64)
 

@@ -207,8 +207,7 @@ def _save_reference(cache_dir, path, ref):
         raise
 
 
-def _cached_reference(cfg, problem, data_bytes):
-    key = _reference_key(cfg, data_bytes)
+def _cached_reference(problem, key):
     if key in _REFERENCE_MEMORY:
         return _REFERENCE_MEMORY[key]
     cache_dir = os.environ.get(CACHE_ENV)
@@ -293,12 +292,13 @@ def print_summary(summary, stream=None):
 
 
 def build_problem(cfg):
-    """Loads, shards and returns (problem, dataset bytes) for a config.
+    """Loads, shards and returns (problem, key) for a config.
 
-    The last problem built is kept, keyed by the file's content and (dim,
-    clients, lam, seed), so a run on the same data and sharding skips the
-    parse and the partition. The returned problem is therefore shared: treat
-    it and its shards as read-only."""
+    The key (_reference_key) hashes the file's content and (dim, clients,
+    lam, seed); it names both this problem and its reference solution. The
+    last problem built is kept under it, so a run on the same data and
+    sharding skips the parse and the partition. The returned problem is
+    therefore shared: treat it and its shards as read-only."""
     if cfg.path is None:
         raise ConfigError("dataset.path", "required")
     with open(cfg.path, "rb") as fh:
@@ -312,21 +312,22 @@ def build_problem(cfg):
         problem = partition(dataset, cfg.clients, rng, lam=cfg.lam)
         _LAST_PROBLEM.clear()
         _LAST_PROBLEM[key] = problem
-    return problem, data_bytes
+    return problem, key
 
 
 def run_experiment(cfg, csv_path=None, quiet=False):
     """Reference solve (cached), training run, CSV emission, summary."""
-    problem, data_bytes = build_problem(cfg)
-    return _run_on(cfg, problem, data_bytes, csv_path, quiet)
+    problem, key = build_problem(cfg)
+    return _run_on(cfg, problem, key, csv_path, quiet)
 
 
-def _run_on(cfg, problem, data_bytes, csv_path=None, quiet=False):
-    # run_experiment on a problem already parsed and sharded for cfg
+def _run_on(cfg, problem, key, csv_path=None, quiet=False):
+    # run_experiment on a problem already parsed and sharded for cfg, whose
+    # build_problem key also names its reference
     m = cfg.mask_size(problem.d)
     if m > problem.d:
         raise ConfigError("compressor.m", f"m={m} exceeds dimension {problem.d}")
-    reference = _cached_reference(cfg, problem, data_bytes)
+    reference = _cached_reference(problem, key)
     out = csv_path or cfg.output
     try:
         trace = run_training(problem, cfg, reference=reference)
@@ -360,13 +361,13 @@ def sweep_k(cfg, k_values, quiet=False):
     """One training run per feasible K with the shared base seed; returns
     rows of coords-to-threshold with the argmin marked. The dataset is
     parsed and sharded once; K changes neither the shards nor the reference."""
-    problem, data_bytes = build_problem(cfg)
+    problem, key = build_problem(cfg)
     feasible, skipped = feasible_history_sizes(cfg, problem.d, k_values)
     for K in skipped:
         print(f"warning: skipping infeasible K={K}", file=sys.stderr)
     rows = []
     for K in feasible:
-        result = _run_on(replace(cfg, K=K, output=None), problem, data_bytes, quiet=True)
+        result = _run_on(replace(cfg, K=K, output=None), problem, key, quiet=True)
         row = {"K": K, "final_fdist_ratio": result["summary"]["final_fdist_ratio"]}
         for thr in SUMMARY_THRESHOLDS:
             row[f"coords_to_{thr:g}"] = result["summary"]["coords_to"][thr]

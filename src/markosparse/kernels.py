@@ -8,10 +8,18 @@ history step; all work on rows, one run per row. The live compressors (one
 row per worker), the exact chain analysis (every state's row at once: one
 ``coordinate_law`` call and one ``mask_law`` call fill its table for every
 m) and the hitting-time Monte Carlo (a block of trials at once) all call
-them, so the analysed chain is the simulated one. Every total and running
-total is a left-to-right sum per row, never numpy's pairwise ``sum``, so
-each row's law and draws are the same bit for bit however many rows are
-computed together. The axis follows the array's shape:
+them, so the analysed chain is the simulated one.
+
+``sample_masks`` draws a mask of m = 1 by inverse CDF, from one uniform
+per row, and a mask of m > 1 by one-pass keys (Efraimidis & Spirakis,
+"Weighted random sampling with a reservoir", 2006), from d uniforms per
+row: the m coordinates with the largest log(u) / p. Both give the law of
+sequential weighted draws without replacement that ``mask_law`` computes
+exactly. Every total and running total of the inverse-CDF draw and of the
+law is a left-to-right sum per row, never numpy's pairwise ``sum``, and
+the keys are elementwise, so each row's law and draws are the same bit for
+bit however many rows are computed together. The axis of a sum follows the
+array's shape:
 
 - a *long* array (fewer than ``TALL`` rows per coordinate: one compressor,
   a team of workers, 300 Monte Carlo trials at d = 53) is summed along
@@ -23,13 +31,13 @@ computed together. The axis follows the array's shape:
   each column's total is the row's left-to-right sum, and the fixed cost
   numpy pays per row of a reduction along a short axis is not paid.
 
-``sample_masks`` takes its uniforms, one per row and draw, instead of a
-generator: the caller decides which stream feeds which row. A compressor
-draws each worker's m uniforms from that worker's own
-``numpy.random.Generator`` with ``rng.random(m)``, which for PCG64 gives
-the values of m single ``rng.random()`` calls; the Monte Carlo draws all
-rows' uniforms for draw k before any row's draw k + 1. The seed therefore
-fixes the whole mask stream.
+``sample_masks`` takes its uniforms, ``uniforms_per_row(d, m)`` per row,
+instead of a generator: the caller decides which stream feeds which row. A
+compressor draws each worker's row from that worker's own
+``numpy.random.Generator`` with ``rng.random(out=row)``, which for PCG64
+gives the values of as many single ``rng.random()`` calls; the Monte Carlo
+draws a block's rows in order, row by row. The seed therefore fixes the
+whole mask stream.
 
 Kinds and activations are passed by name (``"banlast"``, ``"softmax"``).
 Nothing here validates its arguments: callers check them once, where they
@@ -40,8 +48,8 @@ from itertools import permutations
 
 import numpy as np
 
-# hitting-time trials stepped together; bounds the (block, d) law and
-# cumsum arrays, and so the simulation's memory
+# hitting-time trials stepped together; bounds the (block, d) law, cumsum
+# and key arrays, and so the simulation's memory
 HITTING_BLOCK = 2048
 
 # entries of each (rows, masks) array mask_law works on; bounds its
@@ -52,7 +60,8 @@ LAW_BLOCK = 1 << 20
 # instead of along each row. Timed on coordinate_law plus sample_masks, the
 # two ways broke even at 16-24 rows per coordinate for d = 6 and 10 with
 # m = 1, at 8-12 for d = 25 and 53, and below 4 for d = 112 and 167 with
-# m = 10 or 11
+# m = 10 or 11 (timed with the m-draw sampler; the keys of m > 1 take no
+# sums, so there TALL now steers only the law)
 TALL = 16
 
 
@@ -130,43 +139,66 @@ def coordinate_law(kind, act, b, counts):
     return allowed / allowed.sum(-1, keepdims=True)
 
 
-def sample_masks(p, u):
-    """One mask of m distinct coordinates per row of p (n, d), by sequential
-    weighted draws without replacement; (n, m) int64, each row sorted.
+def uniforms_per_row(d, m):
+    """Uniforms sample_masks takes per row of d coordinates for a mask of
+    m: 1 for m = 1 (one inverse-CDF draw), d for m > 1 (one key per
+    coordinate)."""
+    return 1 if m == 1 else d
 
-    Draw k of row i takes the uniform u[i, k] (u is (n, m)) and picks the
-    first index whose running total exceeds it scaled by the row's total,
-    or the last positive index should rounding carry the uniform up to the
-    total. p is overwritten: each drawn coordinate is zeroed before the
-    next draw.
+
+def sample_masks(p, u, m):
+    """One mask of m distinct coordinates per row of p (n, d), with the law
+    of sequential weighted draws without replacement; (n, m) int64, each
+    row sorted. u holds uniforms in [0, 1), uniforms_per_row(d, m) per row.
+
+    m = 1: row i takes the one uniform u[i, 0] and picks the first index
+    whose running total exceeds it scaled by the row's total, or the last
+    positive index should rounding carry the uniform up to the total.
+
+    m > 1: one-pass keys (Efraimidis & Spirakis, 2006). Row i takes d
+    uniforms and keeps the m coordinates with the largest key
+    log(u[i, j]) / p[i, j], whose law is that of the m sequential draws.
+    The keys are computed in place: u is overwritten. A positive
+    coordinate's key is at least -DBL_MAX, also where u is 0.0 or p is so
+    small that the quotient overflows, so -inf marks only p = 0 and a
+    zero-probability coordinate is never kept while m positive ones remain.
     """
-    d = p.shape[1]
-    m = u.shape[1]
-    tall = _tall(p)
-    masks = np.empty(u.shape, np.int64)
-    for k in range(m):
-        if k:
-            p[np.arange(len(p)), masks[:, k - 1]] = 0.0
-        if tall:
-            # running totals down the leading axis of a private copy: the
-            # first index above the scaled uniform is the count at or below
-            acc = p.T.copy()
-            for j in range(1, d):
-                acc[j] += acc[j - 1]
-            idx = np.add.reduce(acc <= u[:, k] * acc[-1], axis=0, dtype=np.intp)
-            full = idx < d
-        else:
-            acc = p.cumsum(1)
-            above = acc > u[:, k, None] * acc[:, -1:]
-            idx = above.argmax(1)
-            full = above[:, -1]
-        # argmin finds a row whose uniform rounded up to its total, if any
-        # (cheaper than full.all() on the small rows of one compressor)
-        if not full[full.argmin()]:
-            idx[~full] = d - 1 - (p[~full, ::-1] > 0.0).argmax(1)
-        masks[:, k] = idx
     if m > 1:
-        masks.sort(1)
+        return _top_keys(p, u, m)
+    d = p.shape[1]
+    if _tall(p):
+        # running totals down the leading axis of a private copy: the first
+        # index above the scaled uniform is the count at or below it
+        acc = p.T.copy()
+        for j in range(1, d):
+            acc[j] += acc[j - 1]
+        idx = np.add.reduce(acc <= u[:, 0] * acc[-1], axis=0, dtype=np.intp)
+        full = idx < d
+    else:
+        acc = p.cumsum(1)
+        above = acc > u * acc[:, -1:]
+        idx = above.argmax(1)
+        full = above[:, -1]
+    # argmin finds a row whose uniform rounded up to its total, if any
+    # (cheaper than full.all() on the small rows of one compressor)
+    if not full[full.argmin()]:
+        idx[~full] = d - 1 - (p[~full, ::-1] > 0.0).argmax(1)
+    return idx[:, None]
+
+
+# the most negative finite double, the floor of a positive coordinate's key
+_KEY_FLOOR = -np.finfo(np.float64).max
+
+
+def _top_keys(p, u, m):
+    # log(0) and x / 0 give -inf, a subnormal p may overflow to -inf
+    with np.errstate(divide="ignore", over="ignore"):
+        np.log(u, out=u)
+        np.divide(u, p, out=u)
+    np.maximum(u, _KEY_FLOOR, out=u, where=p > 0.0)
+    d = u.shape[1]
+    masks = np.argpartition(u, d - m, axis=1)[:, d - m:]
+    masks.sort(1)
     return masks
 
 
@@ -200,14 +232,15 @@ def mask_law(p, masks):
 
 def step_mask(kind, act, K, b, u, hist, counts, fill, pos):
     """One step of a run per row: each row's law from its history counts
-    (n, d), one mask per row drawn with the uniforms u (n, m), and the masks
+    (n, d), one mask of m = hist.shape[2] per row drawn with the uniforms u
+    (n, uniforms_per_row(d, m), overwritten when m > 1), and the masks
     pushed into the ring buffer hist (K, n, m) of the last K masks.
 
     Masks are returned, and kept in hist, as positions in the flat counts:
     row r's coordinate j is r*d + j, so row 0's positions are its
     coordinates. Returns (masks, fill, pos)."""
     n, d = counts.shape
-    at = sample_masks(coordinate_law(kind, act, b, counts), u)
+    at = sample_masks(coordinate_law(kind, act, b, counts), u, hist.shape[2])
     if n > 1:  # a single row's positions are its coordinates already
         at += np.arange(0, n * d, d)[:, None]
     if K:
@@ -229,7 +262,8 @@ def simulate_masks(rng, kind, act, d, m, K, b, steps):
     masks = np.empty((steps, m), np.int64)
     fill = pos = 0
     for t in range(steps):
-        step, fill, pos = step_mask(kind, act, K, b, rng.random((1, m)), hist, counts, fill, pos)
+        u = rng.random((1, uniforms_per_row(d, m)))
+        step, fill, pos = step_mask(kind, act, K, b, u, hist, counts, fill, pos)
         masks[t] = step[0]
     return masks
 
@@ -251,8 +285,7 @@ def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
         goal = np.arange(target, counts.size, d)[:, None]   # row r's target position
         fill = pos = steps = 0
         while live.size and steps < cap:
-            # all rows' draw k come before any row's draw k + 1
-            u = rng.random((m, len(live))).T
+            u = rng.random((len(live), uniforms_per_row(d, m)))
             at, fill, pos = step_mask(kind, act, K, b, u, hist, counts, fill, pos)
             steps += 1
             hit = (at == goal).any(axis=1)

@@ -539,11 +539,12 @@ def test_exact_hitting_time_matches_monte_carlo():
 
 @pytest.mark.parametrize("d,m,K,trials,expected", [
     (10, 1, 7, 5000, (5.756, 0.04948800473369788)),
-    (53, 10, 4, 3000, (3.1773333333333333, 0.02904439015726232)),
+    (53, 10, 4, 3000, (3.1986666666666665, 0.028581356294016178)),
 ])
 def test_monte_carlo_stream_is_pinned(d, m, K, trials, expected):
-    # exact values recorded when the sampler still took a generator: the
-    # trials' uniforms come from the same stream in the same order
+    # exact values: the m = 1 pin recorded when the sampler still took a
+    # generator (the trials' uniforms come from the same stream in the same
+    # order), the m = 10 pin when m > 1 moved to one-pass keys
     assert monte_carlo_hitting_time("banlast", d=d, m=m, K=K, trials=trials, seed=3) == expected
 
 

@@ -332,24 +332,24 @@ def test_golden_csv_matches(mushrooms_path, tmp_path):
 
 @pytest.mark.parametrize("extra,digest", [
     (dict(optimizer="amqsgd", compressor="kawasaki", K=7, p=0.5),
-     "64098d93bc3d570d10141bf1fe654b31c24238538a23e164cd399fdacc9d4fce"),
+     "4a1a0e39b8dc8dee413fee0effd3c79442507360b1b1c9df24ca4c83c677e568"),
     (dict(optimizer="diana", compressor="banlast", K=7),
-     "1dc4fa90d29b61b4584c38eb8b3bfd049e152beb683ebdafa68836983a6735ad"),
+     "4baba88b8e6a4a139f9fa2899c06496b914359acf3c37fbfe74ba68c7721a321"),
     (dict(optimizer="diana", compressor="rand"),
-     "89e8eece73cf996c1b127c5797f2405467690ecefe900c55e38078b914f4e1cc"),
+     "2f760c1a4bb71835dffc56e0f3600d17f89ac9bd3c96c4cc6ce4536116fc3bdd"),
     (dict(optimizer="mqsgd", compressor="natural"),
      "f31abefedeba4020c0f57751b2dfd95b6e4a174ebaa767927814bc8698034c88"),
     (dict(optimizer="mqsgd", compressor="identity"),
      "6c5801ea07cee508a839e9dec400d005243c6158bd56f214173acb05a3acbd8c"),
     (dict(optimizer="mqsgd", compressor="banlast", K=7),
-     "32f39ccb5e1ba5e93d98a272e4534a7f4e3bc31514868cda6a7c415c7a267c65"),
+     "5c7f47c48bcf9dada1d43d3c55744c7c7a17b36141d4ce0dd39c2e031faf4e49"),
     (dict(optimizer="mqsgd", compressor="kawasaki", K=7),
-     "4482e6ea7c1ab6b81d7bbcce4f7cbb3c0b450aa94ba21d9e8ae1ab82fc6ea443"),
+     "c4617b4ec86a6209126d65b5a337c0f14956129128fdc8672aafd6d944fa2747"),
     (dict(optimizer="mqsgd", compressor="permk"),
      "ea1a80fe498ceb687427fd28d19a845fba4006236cd2bb5aef047434a2f730c3"),
     # 2000 rows over 7 clients: shards of 286 and 285 rows
     (dict(optimizer="mqsgd", compressor="banlast", K=7, clients=7),
-     "98748e285b1c4a37c71bfd8f1b2e234a941d693e43fe1c32d06cc59e31e5b981"),
+     "c66d619d64ea648cbecd42bd9f4800e7309b72bd10c32062c0aeac202539b2bf"),
 ], ids=["amqsgd-kawasaki", "diana-banlast", "diana-rand", "mqsgd-natural", "mqsgd-identity",
         "mqsgd-banlast", "mqsgd-kawasaki", "mqsgd-permk", "mqsgd-banlast-7-clients"])
 def test_training_csv_is_pinned(mushrooms_path, tmp_path, extra, digest):
@@ -389,6 +389,20 @@ def test_sweep_k_shards_the_dataset_once(small_file, monkeypatch):
     rows = sweep_k(small_cfg(small_file, compressor="banlast", T=5), [0, 1], quiet=True)
     assert [r["K"] for r in rows] == [0, 1]
     assert len(calls) == 1
+
+
+def test_each_run_hashes_the_dataset_once(small_file, monkeypatch):
+    # the key build_problem computes also names the reference: one hash of
+    # the file per run_experiment, and one per sweep_k over all its K
+    calls = []
+    real_key = harness._reference_key
+    monkeypatch.setattr(harness, "_reference_key",
+                        lambda cfg, data: calls.append(cfg.K) or real_key(cfg, data))
+    run_experiment(small_cfg(small_file, T=5), quiet=True)
+    assert len(calls) == 1
+    rows = sweep_k(small_cfg(small_file, compressor="kawasaki", T=5), [0, 1, 2], quiet=True)
+    assert [r["K"] for r in rows] == [0, 1, 2]
+    assert len(calls) == 2
 
 
 def test_alpha_grid_maps_to_integer_ratios():

@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,18 +28,19 @@ def test_backend_reports_a_known_name():
     assert kernels.backend_name() == "numpy"
 
 
-# SHA-256 of simulate_masks(seed 11, 500 steps) as (steps, m) int64 bytes,
-# recorded before the coordinate law was vectorised; a change here means
+# SHA-256 of simulate_masks(seed 11, 500 steps) as (steps, m) int64 bytes;
+# the m = 1 streams were recorded before the coordinate law was vectorised,
+# the m = 11 streams when m > 1 moved to one-pass keys. A change here means
 # the mask stream, and so every training CSV, has moved
 MASK_STREAM_DIGESTS = [
     ("banlast", "normalize", 112, 11, 7, 50.0,
-     "b53c446b3f15da281aa45bf0a4496fa0d4e87b504999be9c3433f84937767772"),
+     "4708f6f367a0db996d6beae1aba3711d9ac4ca1ea6fb324625003080358b285a"),
     ("kawasaki", "normalize", 112, 11, 7, 50.0,
-     "29fc21af3dddb7ae438c2c32a58e87d08a425dfd9a823e9825d123f5c42571a0"),
+     "d7e0e5834964f2efee319abb0bc205313017a8ca049b6da76cb6cb40c6939312"),
     ("kawasaki", "softmax", 112, 11, 7, 50.0,
-     "c04a22b5ee297fea666a7a81b154fee8d214c4331770d5a655f896524490eb40"),
+     "5a110e5c08161527a304450ee58c92a41c8cebe3e3ae64d22d2318591290baae"),
     ("kawasaki", "project", 112, 11, 7, 2.0,
-     "02d768369d3e95cb43ec40f7cf37735a5c6d4be14b9d5635f48d9e9947fd4fa9"),
+     "18060c16f7b0d5c15dcc64983cd5bf293e9523f7871ae5b7487f0ffceb66a900"),
     ("banlast", "normalize", 10, 1, 7, 50.0,
      "6b248ff262d876fdea2c0f2e55833530bddf43345930dda87ced74b261ff3c33"),
     ("kawasaki", "normalize", 10, 1, 7, 50.0,
@@ -125,10 +128,13 @@ def test_batched_projection_without_positive_gap():
 
 
 def scalar_sampler(rng, p, m):
-    """Sequential weighted draws over Python floats, one rng.random() each;
-    the mask sorted. p is consumed in place."""
-    mask = []
-    for _ in range(m):
+    """The sampler over Python floats; the mask sorted. m = 1 takes one
+    rng.random(): the first index whose running total exceeds it scaled by
+    the total, else the last positive index. m > 1 takes d of them, one key
+    log(u) / p per coordinate (-inf where p = 0, at least -DBL_MAX
+    elsewhere), and keeps the m largest."""
+    d = len(p)
+    if m == 1:
         total = 0.0
         for v in p:
             total += v
@@ -140,9 +146,16 @@ def scalar_sampler(rng, p, m):
                 idx = j
                 if u < acc:
                     break
-        mask.append(idx)
-        p[idx] = 0.0
-    return sorted(mask)
+        return [idx]
+    keys = []
+    for v in map(float, p):
+        u = float(rng.random())
+        if v > 0.0:
+            key = math.log(u) / v if u > 0.0 else -math.inf
+            keys.append(max(key, -sys.float_info.max))
+        else:
+            keys.append(-math.inf)
+    return sorted(sorted(range(d), key=keys.__getitem__, reverse=True)[:m])
 
 
 def test_single_row_sampler_matches_scalar_reference():
@@ -154,10 +167,10 @@ def test_single_row_sampler_matches_scalar_reference():
         p /= np.cumsum(p)[-1]
         m = int(rng.integers(1, np.count_nonzero(p) + 1))
         a, b = fresh_rng(seed), fresh_rng(seed)
-        got = kernels.sample_masks(p[None].copy(), a.random((1, m)))
+        got = kernels.sample_masks(p[None].copy(), a.random((1, kernels.uniforms_per_row(d, m))), m)
         assert got.shape == (1, m) and got.dtype == np.int64
         assert got[0].tolist() == scalar_sampler(b, p.copy(), m)
-        assert a.random() == b.random()  # both consumed m uniforms
+        assert a.random() == b.random()  # both consumed the same uniforms
 
 
 class TopUniform:
@@ -170,10 +183,10 @@ class TopUniform:
 
 def test_sampler_falls_back_to_the_last_positive_index():
     p = np.array([[0.2, 0.5, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 0.6, 0.4]])
-    got = kernels.sample_masks(p.copy(), TopUniform().random((2, 2)))
-    np.testing.assert_array_equal(got, [[1, 2], [3, 4]])
+    got = kernels.sample_masks(p.copy(), TopUniform().random((2, 1)), 1)
+    np.testing.assert_array_equal(got, [[2], [4]])
     for row, mask in zip(p, got):
-        assert mask.tolist() == scalar_sampler(TopUniform(), row.copy(), 2)
+        assert mask.tolist() == scalar_sampler(TopUniform(), row.copy(), 1)
 
 
 def _tall_counts(kind, n, d, rng):
@@ -222,35 +235,65 @@ def test_tall_sampler_equals_its_rows_one_at_a_time(m, order):
     p = rng.random((n, d))
     for _ in range(2):  # up to two zeros a row leave at least four coordinates
         p[np.arange(n), rng.integers(d, size=n)] = 0.0
-    u = rng.random((n, m))
-    # dyadic weights and uniforms: a scaled uniform lands exactly on a
-    # running total, whose index is not above it
-    p[:8] = [[0.25, 0.25, 0.25, 0.25, 0.0, 0.0], [0.5, 0.0, 0.25, 0.125, 0.125, 0.0]] * 4
-    u[:8] = 0.5
-    # subnormal totals: the uniform just below 1 rounds up to the row's
-    # total, so no running total is above it and the draw falls back to
-    # the last positive index
+    u = rng.random((n, kernels.uniforms_per_row(d, m)))
     tiny = np.nextafter(0.0, 1.0)
-    p[8:12] = [[0.0, tiny, 3 * tiny, 2 * tiny, 0.0, 0.0]] * 4
-    u[8:12] = np.nextafter(1.0, 0.0)
-    assert all(np.nextafter(1.0, 0.0) * t == t for t in p[8:12].sum(1))
+    if m == 1:
+        # dyadic weights and uniforms: a scaled uniform lands exactly on a
+        # running total, whose index is not above it
+        p[:8] = [[0.25, 0.25, 0.25, 0.25, 0.0, 0.0], [0.5, 0.0, 0.25, 0.125, 0.125, 0.0]] * 4
+        u[:8] = 0.5
+        # subnormal totals: the uniform just below 1 rounds up to the row's
+        # total, so no running total is above it and the draw falls back to
+        # the last positive index
+        p[8:12] = [[0.0, tiny, 3 * tiny, 2 * tiny, 0.0, 0.0]] * 4
+        u[8:12] = np.nextafter(1.0, 0.0)
+        assert all(np.nextafter(1.0, 0.0) * t == t for t in p[8:12].sum(1))
+    else:
+        # m positive coordinates: a uniform of exactly 0.0 on one of them,
+        # and subnormal weights whose keys overflow, still rank above the
+        # zero-probability coordinates' -inf
+        p[:4] = 0.0
+        p[:4, :m] = np.arange(1, m + 1) / (m * (m + 1) / 2)
+        u[:4, 0] = 0.0
+        u[:4, m] = 0.0
+        p[4:8] = 0.0
+        p[4:8, d - m:] = tiny * np.arange(1, m + 1)
     q = np.array(p, order=order)
-    masks = kernels.sample_masks(q, u)
+    masks = kernels.sample_masks(q, u.copy(), m)
     assert masks.shape == (n, m)
+    np.testing.assert_array_equal(q, p)  # the law is left as it was
     for i in range(n):
-        one = p[i:i + 1].copy()
-        row = kernels.sample_masks(one, u[i:i + 1])
+        row = kernels.sample_masks(p[i:i + 1].copy(), u[i:i + 1].copy(), m)
         np.testing.assert_array_equal(masks[i:i + 1], row)
         assert masks[i].tolist() == scalar_sampler(Uniforms(u[i]), p[i].copy(), m)
-        # p is left with the drawn coordinates zeroed, as one row leaves it
-        np.testing.assert_array_equal(q[i], one[0])
-    np.testing.assert_array_equal(masks[8:12, -1], 3)
+    if m == 1:
+        np.testing.assert_array_equal(masks[8:12, -1], 3)
+    else:
+        np.testing.assert_array_equal(masks[:4], np.tile(np.arange(m), (4, 1)))
+        np.testing.assert_array_equal(masks[4:8], np.tile(np.arange(d - m, d), (4, 1)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_keys_never_draw_a_zero_probability_coordinate(m):
+    # every uniform is 0.0, or the weights are subnormal: every positive key
+    # is -DBL_MAX, still above the -inf of the banned coordinates
+    d, n = 9, 50
+    rng = fresh_rng(50 + m)
+    p = rng.random((n, d))
+    p[:, ::2] = 0.0               # four positive coordinates left
+    p[n // 2:, 1::2] = np.nextafter(0.0, 1.0) * rng.integers(1, 100, size=(n - n // 2, 4))
+    u = rng.random((n, d))
+    u[:n // 2] = 0.0
+    masks = kernels.sample_masks(p, u, m)
+    assert np.all(masks % 2 == 1)
+    assert np.all(np.diff(masks, axis=1) > 0)
 
 
 def test_sampler_draws_distinct_positive_coordinates():
     p = np.array([0.1, 0.0, 0.3, 0.2, 0.4])
     for seed in range(5):
-        masks = kernels.sample_masks(np.tile(p, (50, 1)), fresh_rng(seed).random((50, 3)))
+        u = fresh_rng(seed).random((50, kernels.uniforms_per_row(5, 3)))
+        masks = kernels.sample_masks(np.tile(p, (50, 1)), u, 3)
         for mask in masks.tolist():
             assert len(set(mask)) == 3
         assert not np.any(masks == 1)  # zero-probability coordinate never drawn
@@ -305,19 +348,22 @@ def test_mask_law_equals_the_scalar_oracle_bit_for_bit(m, monkeypatch):
     np.testing.assert_allclose(law[:-1].sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_batched_mask_frequencies_follow_the_joint_law(m):
-    d, n = 6, 20_000
-    p = np.array([0.3, 0.05, 0.2, 0.1, 0.25, 0.1])
-    law = sequential_mask_law(p, m)  # the exact law
-    masks = kernels.sample_masks(np.tile(p, (n, 1)), fresh_rng(8 + m).random((m, n)).T)
-    seen = {}
-    for mask in map(tuple, masks.tolist()):
-        seen[mask] = seen.get(mask, 0) + 1
-    assert set(seen) <= set(law)
-    for mask, q in law.items():
-        sigma = np.sqrt(n * q * (1.0 - q))
-        assert abs(seen.get(mask, 0) - n * q) <= 5.0 * sigma, mask
+    # a full row, and a row with two banned coordinates, each n times
+    n = 20_000
+    rng = fresh_rng(8 + m)
+    for p in (np.array([0.3, 0.05, 0.2, 0.1, 0.25, 0.1]),
+              np.array([0.3, 0.0, 0.2, 0.1, 0.25, 0.0, 0.15])):
+        law = sequential_mask_law(p, m)  # the exact law
+        masks = kernels.sample_masks(np.tile(p, (n, 1)), rng.random((n, len(p))), m)
+        seen = {}
+        for mask in map(tuple, masks.tolist()):
+            seen[mask] = seen.get(mask, 0) + 1
+        assert set(seen) <= set(law)
+        for mask, q in law.items():
+            sigma = np.sqrt(n * q * (1.0 - q))
+            assert abs(seen.get(mask, 0) - n * q) <= 5.0 * sigma, (p, mask)
 
 
 def test_banlast_masks_never_repeat_within_window():
