@@ -19,7 +19,6 @@ warning and the run goes on without the disk cache.
 """
 
 import hashlib
-import math
 import os
 import sys
 import tempfile
@@ -237,22 +236,18 @@ def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(v)
     f = float(v)
-    if not math.isfinite(f):  # a diverged row holds inf or nan
-        return repr(f)
-    if f == int(f) and abs(f) < 1e15:
+    # inf and nan (a diverged row) are not integers, so they keep their repr
+    if f.is_integer() and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
 
 
 def trace_to_csv(trace):
-    lines = [CSV_HEADER]
-    for i in range(trace.rows):
-        lines.append(",".join((
-            _fmt(trace.t[i]), _fmt(trace.coords_sent_cum[i]), _fmt(trace.f_value[i]),
-            _fmt(trace.fdist_ratio[i]), _fmt(trace.grad_norm_sq[i]),
-            _fmt(trace.dist_sq_to_opt[i]),
-        )))
-    return "\n".join(lines) + "\n"
+    # each column as Python scalars, formatted a column at a time
+    cols = (trace.t, trace.coords_sent_cum, trace.f_value, trace.fdist_ratio,
+            trace.grad_norm_sq, trace.dist_sq_to_opt)
+    cells = [list(map(_fmt, col.tolist())) for col in cols]
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
 
 
 def _write_csv(path, trace):

@@ -9,6 +9,16 @@ Also provides empirical estimators for the smoothness and similarity
 constants and small synthetic problem generators used by tests and the
 experiment harness.
 
+`ShardedProblem.shard_loss_grads` evaluates every shard at once, bit for
+bit as each shard alone. All rows are stored once, each row's values times
+its -y (exact, since y is +-1), and two sparse matrices share that data
+array: one with each shard's own columns gives every row's -y<w, x> in one
+matvec with no label multiply, and a block-diagonal one whose transpose
+gives every shard's gradient in one more. Shard losses are summed by runs
+of consecutive equal-size shards, each run one (shards, size) array summed
+along its rows: numpy's pairwise sum of each shard's slice, as one shard
+alone sums it.
+
 scipy is imported inside the functions that use it (parsing, the stacked
 shards, the loss functions and the generators), not at module level:
 importing this module, and the harness and CLI that import it, then loads
@@ -18,7 +28,7 @@ no scipy, and the chain commands start without it.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -251,18 +261,34 @@ class ShardedProblem:
 
     @cached_property
     def _stacked(self):
-        # every shard's rows one after another, shard i's features moved to
-        # columns i*d..i*d+d-1: X @ tile(w) gives each row's margin, and the
-        # transpose (a CSC view on the same arrays, not a copy) sums each
-        # shard's rows into its own d gradient entries. Also the labels, the
-        # shard sizes and boundaries, and each row's divisor.
+        # every shard's rows one after another, each row's values stored
+        # times -y (exact, as y is +-1) in one data array. Two matrices share
+        # it and its indptr: A keeps each shard's columns, so A @ w is every
+        # row's -y<w, x>; B moves shard i's features to columns i*d..i*d+d-1,
+        # and its transpose (a CSC view on the same arrays, not a copy) sums
+        # each shard's rows into its own d gradient entries. Also the runs of
+        # consecutive equal-size shards as (first shard, last + 1, first
+        # row, last + 1, size), the shard sizes and each row's divisor.
         import scipy.sparse as sp
 
-        X = sp.block_diag([s.X for s in self.shards], format="csr")
+        Xs = [s.X for s in self.shards]
         sizes = np.array([s.n_rows for s in self.shards])
-        return (X, X.T, np.concatenate([s.y for s in self.shards]),
-                sizes, np.concatenate(([0], np.cumsum(sizes))),
-                np.repeat(sizes.astype(np.float64), sizes))
+        y = np.concatenate([s.y for s in self.shards])
+        counts = np.concatenate([np.diff(X.indptr) for X in Xs])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        data = np.concatenate([X.data for X in Xs])
+        data *= np.repeat(-y, counts)
+        cols = np.concatenate([X.indices for X in Xs])
+        A = sp.csr_matrix((data, cols, indptr), shape=(len(y), self.d))
+        shifted = np.repeat(np.arange(self.n) * self.d, [X.nnz for X in Xs])
+        shifted += cols
+        B = sp.csr_matrix((A.data, shifted, A.indptr), shape=(len(y), self.n * self.d))
+        runs, shard, row = [], 0, 0
+        for size, group in groupby(sizes.tolist()):
+            k = len(list(group))
+            runs.append((shard, shard + k, row, row + k * size, size))
+            shard, row = shard + k, row + k * size
+        return A, B.T, runs, sizes, np.repeat(sizes.astype(np.float64), sizes)
 
     def shard_loss_grad(self, w, i):
         return loss_and_gradient(w, self.shards[i], self.lam)
@@ -273,16 +299,21 @@ class ShardedProblem:
         shard_loss_grad(w, i)."""
         from scipy.special import expit
 
-        X, XT, y, sizes, bounds, rows = self._stacked
+        A, BT, runs, sizes, rows = self._stacked
         w = np.asarray(w, dtype=np.float64)
-        t = -y * (X @ np.tile(w, self.n))
+        t = A @ w
         terms = np.logaddexp(0.0, t)
-        # np.sum adds pairwise, so each shard sums its own slice, as
-        # loss_and_gradient does
-        sums = np.array([terms[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
-        losses = sums / sizes + self.lam * (w @ w)
-        coeff = -y * expit(t) / rows
-        grads = (XT @ coeff).reshape(self.n, -1) + 2.0 * self.lam * w
+        # np.sum adds each row of a reshaped run pairwise, as one shard's
+        # slice sums in loss_and_gradient
+        losses = np.empty(self.n)
+        for i, j, a, b, size in runs:
+            terms[a:b].reshape(j - i, size).sum(axis=1, out=losses[i:j])
+        losses /= sizes
+        losses += self.lam * (w @ w)
+        coeff = expit(t, out=t)
+        coeff /= rows
+        grads = (BT @ coeff).reshape(self.n, -1)
+        grads += 2.0 * self.lam * w
         return losses, grads
 
     def full_loss_grad(self, w):

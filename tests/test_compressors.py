@@ -277,12 +277,16 @@ def test_constructor_rejects_bad_parameters():
     (RAND, dict(m=1)),
 ])
 def test_time_average_matches_vector(kind, kwargs):
-    # ergodic-average unbiasedness: mean of Q(x) over a long run approaches x
-    d = 10
+    # ergodic-average unbiasedness: mean of Q(x) over a long run approaches
+    # x. 50 workers, each on its own stream (row 0 is the one worker's
+    # stream), for 6000 steps: over 3e5 draws rand's relative standard error
+    # per coordinate is 3/sqrt(3e5), so rtol 0.03 sits 5.5 of them out;
+    # banlast and kawasaki have lower long-run variance, so further out
+    d, rows, steps = 10, 50, 6_000
     x = np.linspace(1.0, 2.0, d)
-    c = Compressor(kind, d, seed=6, **kwargs)
-    steps = 30_000
-    acc = np.zeros(d)
+    c = Compressor(kind, d, seed=6, worker=range(rows), n_workers=rows, **kwargs)
+    team = np.tile(x, (rows, 1))
+    acc = np.zeros((rows, d))
     for _ in range(steps):
-        acc += c.compress(x)[0]
-    np.testing.assert_allclose(acc / steps, x, rtol=0.03)
+        acc += c.compress(team)[0]
+    np.testing.assert_allclose(acc.sum(axis=0) / (rows * steps), x, rtol=0.03)

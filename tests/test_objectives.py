@@ -12,6 +12,7 @@ from markosparse.errors import InvalidArgumentError, ParseError
 from markosparse.objectives import (
     Dataset,
     QuadraticProblem,
+    ShardedProblem,
     default_probes,
     estimate_constants,
     estimate_similarity,
@@ -315,7 +316,6 @@ def test_estimate_similarity_on_shifted_quadratics():
 
 
 def test_estimate_similarity_identical_shards_is_zero():
-    from markosparse.objectives import ShardedProblem
     ds = synthetic_binary_dataset(10, 5, 2, seed=6)
     prob = ShardedProblem((ds, ds), 0.1)
     probes = default_probes(prob, n_probes=5, seed=1)
@@ -335,23 +335,44 @@ def test_estimate_constants_fills_the_problem(small_problem):
 
 def assert_stacked_matches_shards(prob, w):
     losses, grads = prob.shard_loss_grads(w)
+    per = [prob.shard_loss_grad(w, i) for i in range(prob.n)]
     assert losses.shape == (prob.n,) and grads.shape == (prob.n, prob.d)
-    for i in range(prob.n):
-        loss, grad = prob.shard_loss_grad(w, i)
-        assert losses[i] == loss
+    for i, (loss, grad) in enumerate(per):
+        assert losses[i].tobytes() == np.float64(loss).tobytes()
         assert grads[i].tobytes() == np.asarray(grad).tobytes()
 
 
-def test_stacked_evaluation_matches_each_shard_bit_for_bit():
+def test_stacked_evaluation_matches_each_shard_bit_for_bit(mushrooms_path):
     rng = np.random.default_rng(9)
     # 41 rows over 4 shards: sizes 11, 10, 10, 10
     uneven = partition(synthetic_binary_dataset(41, 9, 4, seed=2), 4, rng, lam=0.03)
     assert [s.n_rows for s in uneven.shards] == [11, 10, 10, 10]
     dense = heterogeneous_problem(n=3, d=5, rows_per_shard=17, shift=1.5, lam=0.1, seed=4)
     quadratic = QuadraticProblem(rng.standard_normal((5, 6)))
-    for prob in (uneven, dense, quadratic):
-        for scale in (0.0, 0.1, 1.0, 30.0):
+    # shards past numpy's 128-element pairwise block, in runs of equal sizes:
+    # mushrooms over 7 clients (286 x 5, then 285 x 2), and hand-built
+    # shards of 300, 130, 130, 300 and 7 rows
+    mushrooms = load_libsvm(mushrooms_path)
+    seven = partition(mushrooms, 7, rng, lam=0.01)
+    assert [s.n_rows for s in seven.shards] == [286] * 5 + [285] * 2
+    bounds = np.cumsum([0, 300, 130, 130, 300, 7])
+    runs = ShardedProblem(tuple(Dataset(mushrooms.X[a:b], mushrooms.y[a:b], mushrooms.d)
+                                for a, b in zip(bounds[:-1], bounds[1:])), 0.02)
+    for prob in (uneven, dense, quadratic, seven, runs):
+        # w = 0 gives signed-zero margins; 1e3 saturates every margin
+        for scale in (0.0, 0.1, 1.0, 30.0, 1e3):
             assert_stacked_matches_shards(prob, scale * rng.standard_normal(prob.d))
+    # an inf entry, and a -inf one whose rows sharing both get NaN margins:
+    # the same non-finite entries as each shard's own evaluation
+    for prob in (uneven, seven, runs):
+        w = rng.standard_normal(prob.d)
+        w[[1, 5]] = math.inf, -math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses, grads = prob.shard_loss_grads(w)
+            per = [prob.shard_loss_grad(w, i) for i in range(prob.n)]
+        assert not np.isfinite(grads).all() and np.isfinite(grads).any()
+        np.testing.assert_array_equal(np.isfinite(losses), [math.isfinite(l) for l, _ in per])
+        np.testing.assert_array_equal(np.isfinite(grads), np.isfinite([g for _, g in per]))
 
 
 def test_full_loss_is_mean_of_shards(small_problem):
