@@ -60,6 +60,14 @@ _STALL_STEPS = 1000
 # chains of 1296, 32768 and 10^5 states
 _DEVIATION_BLOCK = 1 << 15
 
+# power iteration stops once its residual ||pi P - pi||_1 is at most
+# STATIONARY_TOL, and raises NumericalError after STATIONARY_MAX_ITER steps
+STATIONARY_TOL = 1e-12
+STATIONARY_MAX_ITER = 10**6
+
+# the most steps mixing_time takes before it raises NumericalError
+MIXING_STEPS_CAP = 10**6
+
 # the most history sizes optimal_history_size searches when no K_max bounds
 # them (alpha up to about 10^6); the search takes about 0.5 s per 10^6 sizes
 HISTORY_SEARCH_CAP = 10**6
@@ -67,6 +75,10 @@ HISTORY_SEARCH_CAP = 10**6
 # the most trials monte_carlo_hitting_time runs: it keeps one int64 time per
 # trial, so this bounds that array at 80 MB (criterion 3 runs 10^6)
 HITTING_TRIALS_CAP = 10**7
+
+# the most steps one hitting-time trial runs; a trial that has not hit by
+# then makes monte_carlo_hitting_time raise NumericalError
+HITTING_STEPS_CAP = 10**7
 
 
 def enumerate_masks(d, m):
@@ -265,21 +277,23 @@ def _shift_step(chain):
     return step
 
 
-def stationary_distribution(chain, tol=1e-12, max_iter=10**6):
-    """Power iteration on the recurrent class; residual ||piP - pi||_1 <= tol."""
+def stationary_distribution(chain):
+    """Power iteration on the recurrent class; residual ||piP - pi||_1 <=
+    STATIONARY_TOL within STATIONARY_MAX_ITER steps."""
     cls = recurrent_class(chain)
     step = _shift_step(chain)
     pi = np.zeros(chain.n_states)
     pi[cls] = 1.0 / len(cls)
     prev = np.empty_like(pi)
-    for it in range(1, max_iter + 1):
+    for it in range(1, STATIONARY_MAX_ITER + 1):
         pi, prev = step(pi, prev), pi
         residual = np.abs(pi[cls] - prev[cls]).sum()
-        if residual <= tol:
+        if residual <= STATIONARY_TOL:
             full = np.zeros(chain.n_states)
             full[cls] = pi[cls] / pi[cls].sum()
             return StationaryResult(full, cls, chain.n_states - len(cls), it)
-    raise NumericalError(f"power iteration residual > {tol} after {max_iter} iterations")
+    raise NumericalError(f"power iteration residual > {STATIONARY_TOL} "
+                         f"after {STATIONARY_MAX_ITER} iterations")
 
 
 def column_sum_defect(chain, recurrent):
@@ -365,11 +379,11 @@ def deviation_curve(chain, t_max, stationary=None):
     return np.fromiter(_deviations(chain, result), dtype=np.float64, count=t_max + 1)
 
 
-def mixing_time(chain, eps, cap=10**6, stationary=None):
+def mixing_time(chain, eps, stationary=None):
     """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min.
 
-    Raises NumericalError after `cap` steps, or sooner once the deviation
-    has stalled on its rounding floor above the threshold."""
+    Raises NumericalError after MIXING_STEPS_CAP steps, or sooner once the
+    deviation has stalled on its rounding floor above the threshold."""
     if not eps > 0:  # NaN too
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
     result = stationary or stationary_distribution(chain)
@@ -377,7 +391,7 @@ def mixing_time(chain, eps, cap=10**6, stationary=None):
     devs = _deviations(chain, result)
     next(devs)  # t = 0: the starts themselves
     lowest, lowest_t = math.inf, 0
-    for t, dev in zip(range(1, cap + 1), devs):
+    for t, dev in zip(range(1, MIXING_STEPS_CAP + 1), devs):
         if dev <= threshold:
             return t
         if dev < lowest:
@@ -386,7 +400,7 @@ def mixing_time(chain, eps, cap=10**6, stationary=None):
             raise NumericalError(
                 f"deviation stalled at {lowest:.3e} above eps*pi_min = {threshold:.3e}: "
                 f"no new minimum in {_STALL_STEPS} steps, rounding sets its floor")
-    raise NumericalError(f"chain not mixed to eps*pi_min after {cap} steps")
+    raise NumericalError(f"chain not mixed to eps*pi_min after {MIXING_STEPS_CAP} steps")
 
 
 def rho_bound_banlast(d, m, K):
@@ -499,11 +513,12 @@ def optimal_history_size(alpha, K_max=None):
 
 
 def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
-                             target=0, trials=10**5, rng=None, seed=0, cap=10**7):
+                             target=0, trials=10**5, seed=0):
     """Simulates fresh compressor runs from an empty history and counts steps
     until `target` appears in a mask. Returns (mean, stderr). More than
     HITTING_TRIALS_CAP trials raise TooLargeError before anything is
-    allocated."""
+    allocated; a trial still running after HITTING_STEPS_CAP steps raises
+    NumericalError."""
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     if trials > HITTING_TRIALS_CAP:
@@ -515,12 +530,11 @@ def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
         return 1.0, 0.0
     if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no hitting-time simulation for kind '{kind}'")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
     times, n_capped = kernels.simulate_hitting_times(
-        rng, kind, activation, d, m, K, float(b), target, trials, cap)
+        np.random.Generator(np.random.PCG64(seed)), kind, activation, d, m, K, float(b),
+        target, trials, HITTING_STEPS_CAP)
     if n_capped:
-        raise NumericalError(f"{n_capped} of {trials} trials hit the {cap}-step cap")
+        raise NumericalError(f"{n_capped} of {trials} trials hit the {HITTING_STEPS_CAP}-step cap")
     mean = float(times.mean())
     stderr = float(times.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

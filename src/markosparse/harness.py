@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chain_analysis as chains
-from .compressors import ACTIVATIONS, ALL_KINDS, BANLAST, IDENTITY
+from .compressors import ACTIVATIONS, ALL_KINDS, BANLAST, IDENTITY, validate_parameters
 from .errors import ConfigError, DivergenceError
 from .objectives import load_libsvm, partition
 from .optimizers import OPTIMIZERS, reference_minimizer, run_training
@@ -37,8 +37,6 @@ from .optimizers import OPTIMIZERS, reference_minimizer, run_training
 CACHE_ENV = "MARKOSPARSE_CACHE_DIR"
 CSV_HEADER = "t,coords_sent_cum,f_value,fdist_ratio,grad_norm_sq,dist_sq_to_opt"
 SUMMARY_THRESHOLDS = (1e-2, 1e-3, 1e-4)
-# gradient-norm tolerance of the cached reference solve
-REFERENCE_TOL = 1e-10
 # data shuffling must not share a stream with any worker id
 _DATA_STREAM = 0x64617461
 
@@ -213,7 +211,7 @@ def _cached_reference(problem, key):
     path = os.path.join(cache_dir, f"ref_{key}.npz") if cache_dir else None
     ref = _load_reference(path) if path else None
     if ref is None:
-        ref = reference_minimizer(problem, tol=REFERENCE_TOL)
+        ref = reference_minimizer(problem)
         if path:
             try:
                 _save_reference(cache_dir, path, ref)
@@ -276,14 +274,13 @@ def summarize(trace):
     return summary
 
 
-def print_summary(summary, stream=None):
-    stream = stream or sys.stdout
-    print(f"iterations: {summary['iterations']}", file=stream)
-    print(f"coords sent: {_fmt(summary['coords_sent'])}", file=stream)
-    print(f"final fdist_ratio: {summary['final_fdist_ratio']:.6e}", file=stream)
+def print_summary(summary):
+    print(f"iterations: {summary['iterations']}")
+    print(f"coords sent: {_fmt(summary['coords_sent'])}")
+    print(f"final fdist_ratio: {summary['final_fdist_ratio']:.6e}")
     for thr, coords in summary["coords_to"].items():
         shown = _fmt(coords) if coords is not None else "not reached"
-        print(f"coords to fdist_ratio {thr:g}: {shown}", file=stream)
+        print(f"coords to fdist_ratio {thr:g}: {shown}")
 
 
 def build_problem(cfg):
@@ -316,12 +313,19 @@ def run_experiment(cfg, csv_path=None, quiet=False):
     return _run_on(cfg, problem, key, csv_path, quiet)
 
 
+def _check_compressor(cfg, d, K):
+    # cfg's compressor at history size K on d features, checked before any
+    # reference solve or training
+    m = cfg.mask_size(d)
+    if m > d:
+        raise ConfigError("compressor.m", f"m={m} exceeds dimension {d}")
+    validate_parameters(cfg.compressor, d, m, K, cfg.b, cfg.activation)
+
+
 def _run_on(cfg, problem, key, csv_path=None, quiet=False):
     # run_experiment on a problem already parsed and sharded for cfg, whose
     # build_problem key also names its reference
-    m = cfg.mask_size(problem.d)
-    if m > problem.d:
-        raise ConfigError("compressor.m", f"m={m} exceeds dimension {problem.d}")
+    _check_compressor(cfg, problem.d, cfg.K)
     reference = _cached_reference(problem, key)
     out = csv_path or cfg.output
     try:
@@ -354,12 +358,16 @@ def feasible_history_sizes(cfg, d, k_values):
 
 def sweep_k(cfg, k_values, quiet=False):
     """One training run per feasible K with the shared base seed; returns
-    rows of coords-to-threshold with the argmin marked. The dataset is
+    rows of coords-to-threshold with the argmin marked. Every feasible K's
+    compressor parameters are checked before the first run, so a bad K
+    fails before any training. The dataset is
     parsed and sharded once; K changes neither the shards nor the reference."""
     problem, key = build_problem(cfg)
     feasible, skipped = feasible_history_sizes(cfg, problem.d, k_values)
     for K in skipped:
         print(f"warning: skipping infeasible K={K}", file=sys.stderr)
+    for K in feasible:
+        _check_compressor(cfg, problem.d, K)
     rows = []
     for K in feasible:
         result = _run_on(replace(cfg, K=K, output=None), problem, key, quiet=True)
@@ -389,12 +397,11 @@ def alpha_to_dm(alpha):
     return frac.numerator, frac.denominator
 
 
-def reproduce_hitting_table(alphas=ALPHA_GRID, trials=10**5, seed=2024,
-                            output=None, quiet=False):
-    """The alpha-grid table: optimal K, hitting-time formulas, Monte-Carlo
+def reproduce_hitting_table(trials=10**5, seed=2024, output=None, quiet=False):
+    """The ALPHA_GRID table: optimal K, hitting-time formulas, Monte-Carlo
     cross-check, and the zero-intercept linear fit of K* on alpha."""
     rows = []
-    for alpha in alphas:
+    for alpha in ALPHA_GRID:
         d, m = alpha_to_dm(alpha)
         k_star = chains.optimal_history_size(alpha)
         formula = chains.expected_hitting_time_banlast(alpha, k_star)

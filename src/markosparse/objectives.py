@@ -5,9 +5,8 @@ The distributed objective is f(x) = (1/n) sum_i f_i(x) with per-shard
     f_i(w) = (1/|S_i|) sum_{s in S_i} log(1 + exp(-y_s <w, x_s>)) + lambda ||w||^2
 
 (no 1/2 on the regularizer, so the strong-convexity constant is 2*lambda).
-Also provides empirical estimators for the smoothness and similarity
-constants and small synthetic problem generators used by tests and the
-experiment harness.
+Also provides an empirical estimator of the smoothness constants and small
+synthetic problem generators used by tests and the experiment harness.
 
 `ShardedProblem.shard_loss_grads` evaluates every shard at once, bit for
 bit as each shard alone. All rows are stored once, each row's values times
@@ -41,6 +40,12 @@ _MAX_INDEX = 2**31
 # lines parsed per block of array passes; bounds the parse's scratch memory
 _BLOCK_LINES = 256
 _COLON, _SPACE = ord(":"), ord(" ")
+# estimate_smoothness's power iteration stops at this relative change of its
+# eigenvalue estimate, and raises NumericalError after SMOOTHNESS_MAX_ITER steps
+SMOOTHNESS_TOL = 1e-8
+SMOOTHNESS_MAX_ITER = 10_000
+# standard deviation of the Gaussian noise on synthetic_binary_dataset's margins
+LABEL_NOISE = 0.5
 
 
 @dataclass(frozen=True)
@@ -240,16 +245,13 @@ def mean_loss_grad(losses, grads):
 
 @dataclass(frozen=True)
 class ShardedProblem:
-    """n per-worker shards plus the shared L2 coefficient; smoothness and
-    similarity constants are None until estimated."""
+    """n per-worker shards plus the shared L2 coefficient; the smoothness
+    constants and mu are None until estimate_constants fills them in."""
     shards: tuple
     lam: float
     L_i: tuple = None
     L_global: float = None
-    L_sq: float = None
     mu: float = None
-    delta_sq: float = None
-    sigma_sq: float = None
 
     @property
     def n(self):
@@ -356,9 +358,9 @@ def loss_and_gradient(w, dataset, lam):
     return loss, np.asarray(grad)
 
 
-def estimate_smoothness(dataset, lam, tol=1e-8, max_iter=10_000):
+def estimate_smoothness(dataset, lam):
     """L_i = lambda_max(X^T X)/(4 |shard|) + 2 lambda, largest eigenvalue by
-    power iteration to relative tolerance tol."""
+    power iteration to relative tolerance SMOOTHNESS_TOL."""
     if dataset.n_rows == 0:
         raise InvalidArgumentError("empty shard")
     d = dataset.d
@@ -366,7 +368,7 @@ def estimate_smoothness(dataset, lam, tol=1e-8, max_iter=10_000):
     v = 1.0 + np.arange(d) / max(d, 1)
     v /= np.linalg.norm(v)
     eig = 0.0
-    for _ in range(max_iter):
+    for _ in range(SMOOTHNESS_MAX_ITER):
         u = dataset.X @ v
         new = dataset.X.T @ u
         norm = np.linalg.norm(new)
@@ -374,10 +376,11 @@ def estimate_smoothness(dataset, lam, tol=1e-8, max_iter=10_000):
             return 2.0 * lam
         new_eig = float(v @ new)
         v = np.asarray(new) / norm
-        if abs(new_eig - eig) <= tol * max(abs(new_eig), 1e-30):
+        if abs(new_eig - eig) <= SMOOTHNESS_TOL * max(abs(new_eig), 1e-30):
             return new_eig / (4.0 * dataset.n_rows) + 2.0 * lam
         eig = new_eig
-    raise NumericalError(f"power iteration did not converge within {max_iter} iterations")
+    raise NumericalError(
+        f"power iteration did not converge within {SMOOTHNESS_MAX_ITER} iterations")
 
 
 def strong_convexity_constant(lam):
@@ -387,65 +390,12 @@ def strong_convexity_constant(lam):
     return 2.0 * lam
 
 
-def estimate_similarity(problem, probes):
-    """Conservative (delta^2, sigma^2) envelope for the gradient-similarity
-    inequality ||grad f_i - grad f||^2 <= delta^2 ||grad f||^2 + sigma^2.
-
-    Over all (shard, probe) pairs let a = ||grad f||^2, b = ||grad f_i -
-    grad f||^2. sigma^2 is the max b among pairs with a below the median;
-    delta^2 is the max of (b - sigma^2)/a over the rest, clamped at 0. This
-    is an empirical estimate, not a certificate.
-    """
-    probes = list(probes)
-    if len(probes) < 2:
-        raise InvalidArgumentError("need at least 2 probe points")
-    a_vals = []
-    b_vals = []
-    for x in probes:
-        losses, grads = problem.shard_loss_grads(x)
-        _, g_full = mean_loss_grad(losses, grads)
-        a = float(g_full @ g_full)
-        for g_i in grads:
-            diff = g_i - g_full
-            a_vals.append(a)
-            b_vals.append(float(diff @ diff))
-    a_vals = np.array(a_vals)
-    b_vals = np.array(b_vals)
-    med = float(np.median(a_vals))
-    # zero-gradient probes cannot inform delta, so they feed the sigma pool
-    low = (a_vals < med) | (a_vals == 0.0)
-    sigma_sq = float(b_vals[low].max()) if low.any() else 0.0
-    rest = ~low
-    if rest.any():
-        delta_sq = float(np.max((b_vals[rest] - sigma_sq) / a_vals[rest]))
-        delta_sq = max(delta_sq, 0.0)
-    else:
-        delta_sq = 0.0
-    return delta_sq, sigma_sq
-
-
-def default_probes(problem, n_probes=8, seed=0, scale=1.0, trajectory=()):
-    """Gaussian perturbations of w=0, optionally extended by iterates from a
-    training trajectory."""
-    rng = np.random.default_rng(seed)
-    probes = [np.zeros(problem.d)]
-    probes += [scale * rng.standard_normal(problem.d) for _ in range(n_probes - 1)]
-    probes += [np.asarray(x) for x in trajectory]
-    return probes
-
-
-def estimate_constants(problem, probes=None, tol=1e-8):
-    """Returns a copy of the problem with L_i, L_global, L_sq, mu and the
-    similarity constants filled in."""
-    L_i = tuple(estimate_smoothness(s, problem.lam, tol=tol) for s in problem.shards)
+def estimate_constants(problem):
+    """Returns a copy of the problem with L_i, L_global and mu filled in."""
+    L_i = tuple(estimate_smoothness(s, problem.lam) for s in problem.shards)
     L_global = float(np.mean(L_i))
-    L_sq = float(np.mean(np.square(L_i)))
     mu = strong_convexity_constant(problem.lam) if problem.lam > 0 else None
-    if probes is None:
-        probes = default_probes(problem)
-    delta_sq, sigma_sq = estimate_similarity(problem, probes)
-    return replace(problem, L_i=L_i, L_global=L_global, L_sq=L_sq, mu=mu,
-                   delta_sq=delta_sq, sigma_sq=sigma_sq)
+    return replace(problem, L_i=L_i, L_global=L_global, mu=mu)
 
 
 class QuadraticProblem:
@@ -476,9 +426,9 @@ class QuadraticProblem:
         return mean_loss_grad(*self.shard_loss_grads(w))
 
 
-def synthetic_binary_dataset(n_rows, d, nnz_per_row, seed, label_noise=0.5):
+def synthetic_binary_dataset(n_rows, d, nnz_per_row, seed):
     """Sparse 0/1-feature dataset with labels from a planted linear rule plus
-    Gaussian noise. Deterministic in seed."""
+    Gaussian noise of standard deviation LABEL_NOISE. Deterministic in seed."""
     import scipy.sparse as sp
 
     if not 1 <= nnz_per_row <= d:
@@ -492,7 +442,7 @@ def synthetic_binary_dataset(n_rows, d, nnz_per_row, seed, label_noise=0.5):
     data = np.ones(n_rows * nnz_per_row)
     indptr = np.arange(0, (n_rows + 1) * nnz_per_row, nnz_per_row, dtype=np.int32)
     X = sp.csr_matrix((data, indices, indptr), shape=(n_rows, d))
-    margin = X @ w_true / math.sqrt(nnz_per_row) + label_noise * rng.standard_normal(n_rows)
+    margin = X @ w_true / math.sqrt(nnz_per_row) + LABEL_NOISE * rng.standard_normal(n_rows)
     y = np.where(margin >= 0, 1.0, -1.0)
     return Dataset(X, y, d)
 
@@ -524,7 +474,7 @@ def separable_binary_dataset(n_rows, d, nnz_per_row, seed):
 
 def heterogeneous_problem(n, d, rows_per_shard, shift, lam, seed):
     """n shards of dense Gaussian rows whose feature means are shifted per
-    shard, so worker gradients disagree at the optimum (sigma^2 > 0)."""
+    shard, so worker gradients disagree at the optimum."""
     import scipy.sparse as sp
 
     rng = np.random.default_rng(seed)

@@ -28,6 +28,11 @@ AMQSGD = "amqsgd"
 DIANA = "diana"
 OPTIMIZERS = (MQSGD, AMQSGD, DIANA)
 
+# reference_minimizer stops once the full gradient norm is at most
+# REFERENCE_TOL, and raises NumericalError after REFERENCE_MAX_ITER steps
+REFERENCE_TOL = 1e-10
+REFERENCE_MAX_ITER = 500_000
+
 
 @dataclass(frozen=True)
 class AmqsgdParams:
@@ -126,24 +131,24 @@ def training_round(problem, server, workers, gamma, momentum=None, alpha_shift=0
     return ServerState(x, x_f, x_q, server.t + 1), coords
 
 
-def reference_minimizer(problem, tol=1e-10, max_iter=500_000, x0=None):
-    """Full-gradient descent with Armijo backtracking until the full
-    gradient norm is at most tol. Assumes a unique minimizer (lambda > 0
-    for the logistic objective).
+def reference_minimizer(problem):
+    """Full-gradient descent from 0 with Armijo backtracking until the full
+    gradient norm is at most REFERENCE_TOL. Assumes a unique minimizer
+    (lambda > 0 for the logistic objective).
 
     Near the optimum the f-gap falls below float resolution before the
     gradient does, so Armijo alone cannot certify descent there; the step is
     additionally capped at 1/L_est with L_est the largest curvature observed
     along the trajectory, which keeps every step a true descent step and
-    lets the gradient contract all the way to tol."""
-    x = np.zeros(problem.d) if x0 is None else np.array(x0, dtype=np.float64)
+    lets the gradient contract all the way to REFERENCE_TOL."""
+    x = np.zeros(problem.d)
     f, g = problem.full_loss_grad(x)
     step = 1.0
     L_est = 0.0
     eps = float(np.finfo(np.float64).eps)
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_MAX_ITER):
         gnorm_sq = float(g @ g)
-        if math.sqrt(gnorm_sq) <= tol:
+        if math.sqrt(gnorm_sq) <= REFERENCE_TOL:
             return x, f
         step *= 2.0  # let the line search grow back after conservative steps
         if L_est > 0.0:
@@ -164,7 +169,8 @@ def reference_minimizer(problem, tol=1e-10, max_iter=500_000, x0=None):
             L_est = max(L_est, float(np.linalg.norm(g_new - g)) / move)
         x, f, g = x_new, f_new, g_new
     raise NumericalError(
-        f"reference minimizer stalled at ||grad|| = {float(np.linalg.norm(g)):.3e} > {tol}"
+        f"reference minimizer stalled at ||grad|| = {float(np.linalg.norm(g)):.3e} "
+        f"> {REFERENCE_TOL}"
     )
 
 

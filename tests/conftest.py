@@ -35,7 +35,7 @@ def mushrooms_path():
 
 @pytest.fixture(scope="session")
 def small_problem():
-    """40 rows, d=8, 4 shards, with smoothness/similarity constants."""
+    """40 rows, d=8, 4 shards, with L_i, L_global and mu filled in."""
     ds = synthetic_binary_dataset(n_rows=40, d=8, nnz_per_row=3, seed=11)
     prob = partition(ds, 4, np.random.default_rng(3), lam=0.1)
     return estimate_constants(prob)

@@ -35,6 +35,7 @@ from markosparse.chain_analysis import (
 from markosparse.errors import (
     InvalidArgumentError,
     NonErgodicError,
+    NumericalError,
     TooLargeError,
 )
 
@@ -208,6 +209,29 @@ def test_mixing_time_decreases_with_looser_eps():
     t_tight = mixing_time(chain, eps=1e-6)
     t_loose = mixing_time(chain, eps=0.2)
     assert 1 <= t_loose <= t_tight
+
+
+def test_power_iteration_raises_at_its_iteration_cap(monkeypatch):
+    # pi is not uniform on kawasaki(4,1,2) at b=2, so power iteration from
+    # the uniform start needs 12 steps (CHAIN_PINS)
+    chain = build_transition_matrix("kawasaki", d=4, m=1, K=2, b=2.0)
+    monkeypatch.setattr(chain_analysis, "STATIONARY_MAX_ITER", 11)
+    with pytest.raises(NumericalError,
+                       match="power iteration residual > 1e-12 after 11 iterations"):
+        stationary_distribution(chain)
+    monkeypatch.setattr(chain_analysis, "STATIONARY_MAX_ITER", 12)
+    assert stationary_distribution(chain).iterations == 12
+
+
+def test_mixing_time_raises_at_its_step_cap(monkeypatch):
+    # kawasaki(6,1,4) at b=50 mixes to eps=0.05 in 191 steps (CHAIN_PINS)
+    chain = build_transition_matrix("kawasaki", d=6, m=1, K=4)
+    result = stationary_distribution(chain)
+    monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 190)
+    with pytest.raises(NumericalError, match=r"not mixed to eps\*pi_min after 190 steps"):
+        mixing_time(chain, 0.05, stationary=result)
+    monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 191)
+    assert mixing_time(chain, 0.05, stationary=result) == 191
 
 
 def _dense_stationary(chain, tol=1e-12):

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import markosparse
-from markosparse import chain_analysis as chains, harness
+from markosparse import chain_analysis as chains, harness, optimizers
 from markosparse.cli import _parse_k_list, main
 from markosparse.errors import InvalidArgumentError
 from markosparse.harness import CSV_HEADER
@@ -141,6 +141,22 @@ def test_train_warns_when_the_cache_directory_is_unusable(tmp_path, small_file, 
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_train_exits_4_at_the_reference_cap_and_caches_nothing(tmp_path, small_file,
+                                                              monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(harness.CACHE_ENV, str(cache))
+    monkeypatch.setattr(harness, "_REFERENCE_MEMORY", {})
+    monkeypatch.setattr(optimizers, "REFERENCE_MAX_ITER", 1)
+    out = tmp_path / "metrics.csv"
+    assert main(["train", "--config", write_cfg(tmp_path, small_file),
+                 "--output", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("failure: reference minimizer stalled at ")
+    assert err[0].endswith(" > 1e-10")
+    assert list(cache.glob("*")) == []
+    assert not out.exists()
+
+
 def test_train_reports_config_errors(tmp_path, small_file, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("dataset:\n  pathological: 1\n", encoding="utf-8")
@@ -193,6 +209,45 @@ def test_sweep_k_prints_rows(tmp_path, small_file, capsys):
     assert "K=0:" in out and "K=1:" in out
 
 
+@pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k", "0,1,2,20"]],
+                         ids=["train", "sweep-k"])
+def test_a_refused_compressor_fails_before_any_solve_or_training(argv, tmp_path, small_file,
+                                                                 monkeypatch, capsys):
+    # (1/6)/b^2 underflows to 0 at b=1e300, so a window of K=20 can zero
+    # every coordinate and K=20 is refused; K=0, 1 and 2 are valid alone
+    cfg = tmp_path / "refused.yaml"
+    cfg.write_text(f"""
+dataset:
+  path: {small_file}
+  clients: 3
+compressor:
+  kind: kawasaki
+  m: 1
+  K: 20
+  b: 1.0e+300
+run:
+  T: 5
+""", encoding="utf-8")
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(harness.CACHE_ENV, str(cache))
+    monkeypatch.setattr(harness, "_REFERENCE_MEMORY", {})
+    trained = []
+    run_training = harness.run_training
+
+    def counted(problem, cfg, reference=None):
+        trained.append(cfg.K)
+        return run_training(problem, cfg, reference=reference)
+
+    monkeypatch.setattr(harness, "run_training", counted)
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert trained == []
+    assert list(cache.glob("*")) == []
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_analyze_chain_reports_structure(capsys):
     assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1"]) == 0
     out = capsys.readouterr().out
@@ -241,6 +296,27 @@ def test_analyze_chain_stops_when_rounding_cannot_reach_the_threshold(capsys):
         r"stalled at (\S+) above eps\*pi_min = (\S+):", err).groups())
     assert threshold == pytest.approx(1.428e-16, rel=1e-3)
     assert lowest > threshold
+
+
+def test_analyze_chain_exits_4_at_the_power_iteration_cap(monkeypatch, capsys):
+    # pi is not uniform on kawasaki(4,1,2) at b=2: power iteration needs 12 steps
+    monkeypatch.setattr(chains, "STATIONARY_MAX_ITER", 11)
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "4", "--K", "2",
+                 "--b", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failure: power iteration residual > 1e-12 after 11 iterations\n"
+
+
+def test_analyze_chain_refuses_kawasaki_with_multicoordinate_masks(capsys):
+    # the command passes no joint_law, so the sequential-draw law of kawasaki
+    # at m > 1 is built only through the API
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "6", "--m", "2",
+                 "--K", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: kawasaki with m > 1: pass joint_law=True to adopt the sequential-draw joint law"]
 
 
 def test_analyze_chain_nonergodic_is_a_structural_failure(capsys):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from markosparse import kernels
+from markosparse import chain_analysis, kernels
 from markosparse.chain_analysis import (
     banlast_hitting_time_exact,
     monte_carlo_hitting_time,
@@ -422,15 +422,16 @@ def test_hitting_times_cover_a_partial_last_block():
     assert n_capped == 0 and times.min() >= 1
 
 
-def test_hitting_time_cap_is_recorded():
+def test_hitting_time_cap_is_recorded(monkeypatch):
     # a 2-step cap: trials that miss the target twice record 2 and count as capped
     times, n_capped = kernels.simulate_hitting_times(
         fresh_rng(10), "rand", "normalize", 10, 1, 0, 50.0, 0, 500, 2)
     assert set(times.tolist()) <= {1, 2}
     assert 0 < n_capped < 500
     assert n_capped <= np.count_nonzero(times == 2)
-    with pytest.raises(NumericalError, match="cap"):
-        monte_carlo_hitting_time("rand", d=10, m=1, trials=500, seed=10, cap=2)
+    monkeypatch.setattr(chain_analysis, "HITTING_STEPS_CAP", 2)
+    with pytest.raises(NumericalError, match="trials hit the 2-step cap"):
+        monte_carlo_hitting_time("rand", d=10, m=1, trials=500, seed=10)
 
 
 def test_hitting_workload_means_match_the_exact_banlast_mean():

@@ -13,9 +13,7 @@ from markosparse.objectives import (
     Dataset,
     QuadraticProblem,
     ShardedProblem,
-    default_probes,
     estimate_constants,
-    estimate_similarity,
     estimate_smoothness,
     heterogeneous_problem,
     load_libsvm,
@@ -303,33 +301,9 @@ def test_strong_convexity_constant():
         strong_convexity_constant(0.0)
 
 
-def test_estimate_similarity_on_shifted_quadratics():
-    # grad f_i - grad f = mean(centers) - center_i independent of x, so the
-    # envelope puts everything in the sigma bucket: delta^2 = 0
-    centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [6.0, 0.0]])
-    prob = QuadraticProblem(centers)
-    probes = default_probes(prob, n_probes=6, seed=0, scale=3.0)
-    delta_sq, sigma_sq = estimate_similarity(prob, probes)
-    expect_sigma = max(float(np.sum((c - centers.mean(axis=0)) ** 2)) for c in centers)
-    assert sigma_sq == pytest.approx(expect_sigma, rel=1e-12)
-    assert delta_sq == pytest.approx(0.0, abs=1e-12)
-
-
-def test_estimate_similarity_identical_shards_is_zero():
-    ds = synthetic_binary_dataset(10, 5, 2, seed=6)
-    prob = ShardedProblem((ds, ds), 0.1)
-    probes = default_probes(prob, n_probes=5, seed=1)
-    delta_sq, sigma_sq = estimate_similarity(prob, probes)
-    assert delta_sq == 0.0
-    assert sigma_sq == 0.0
-
-
 def test_estimate_constants_fills_the_problem(small_problem):
     assert small_problem.L_global > 0
     assert small_problem.mu == pytest.approx(0.2)
-    assert small_problem.L_sq >= 0
-    assert small_problem.delta_sq >= 0
-    assert small_problem.sigma_sq >= 0
     assert len(small_problem.L_i) == 4
 
 

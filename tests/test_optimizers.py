@@ -132,7 +132,7 @@ def test_reference_minimizer_solves_quadratic_exactly():
 
 
 def test_reference_minimizer_reaches_gradient_tolerance(small_problem):
-    x, f = reference_minimizer(small_problem, tol=1e-10)
+    x, f = reference_minimizer(small_problem)
     _, g = small_problem.full_loss_grad(x)
     assert float(np.linalg.norm(g)) <= 1e-10
 
