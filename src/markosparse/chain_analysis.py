@@ -26,6 +26,14 @@ max|x - pi| is reduced block by block over the states, each block copied
 start-major so the max and min over starts run along contiguous rows: numpy
 reduces a short last axis one row at a time, at about ten times the cost
 of the step, while the blocks cost about twice the step.
+
+Each chain is solved once. Its first read of ``ChainModel.stationary``
+(through ``stationary_distribution``, ``mixing_time`` or ``deviation_curve``)
+finds the recurrent class and runs the power iteration; its first read of
+``ChainModel.starts`` finds the start orbits. Both are cached on the chain,
+their arrays read-only, and shared by every later reader; a solve that
+raises caches nothing. So a chain's ``table`` must not change after its
+first solve.
 """
 
 import math
@@ -129,6 +137,22 @@ class ChainModel:
         members.flags.writeable = False  # built once, shared by every reader
         return members
 
+    @cached_property
+    def stationary(self):
+        """The StationaryResult of stationary_distribution, solved on the
+        first read."""
+        result = _power_iteration(self, recurrent_class(self))
+        result.pi.flags.writeable = result.recurrent.flags.writeable = False
+        return result
+
+    @cached_property
+    def starts(self):
+        """One start state per orbit of the recurrent class (orbit_starts),
+        found on the first read."""
+        starts = orbit_starts(self, self.stationary.recurrent)
+        starts.flags.writeable = False
+        return starts
+
     def successor(self, state, k):
         """The state reached from `state` by appending mask k (ints or
         arrays). States are mixed-radix numbers of their mask indices, so
@@ -156,7 +180,7 @@ class ErgodicityBound:
     gap: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class StationaryResult:
     pi: np.ndarray          # over all states; zero off the recurrent class
     recurrent: np.ndarray   # indices of the recurrent class
@@ -279,8 +303,13 @@ def _shift_step(chain):
 
 def stationary_distribution(chain):
     """Power iteration on the recurrent class; residual ||piP - pi||_1 <=
-    STATIONARY_TOL within STATIONARY_MAX_ITER steps."""
-    cls = recurrent_class(chain)
+    STATIONARY_TOL within STATIONARY_MAX_ITER steps. The first call solves
+    the chain; later calls return the same result (ChainModel.stationary)."""
+    return chain.stationary
+
+
+def _power_iteration(chain, cls):
+    """The StationaryResult on the recurrent class cls, from its uniform law."""
     step = _shift_step(chain)
     pi = np.zeros(chain.n_states)
     pi[cls] = 1.0 / len(cls)
@@ -336,8 +365,14 @@ def orbit_starts(chain, recurrent):
     coords = np.asarray(chain.masks)[digits].reshape(len(recurrent), K * chain.m)
     slot_bit = np.repeat(1 << np.arange(K - 1, -1, -1), chain.m)
     profile = ((coords[:, :, None] == coords[:, None, :]) * slot_bit).sum(axis=2)
-    _, first = np.unique(np.sort(profile, axis=1), axis=0, return_index=True)
-    return recurrent[np.sort(first)]
+    keys = np.sort(profile, axis=1)
+    # a stable sort of the keys, first column most significant, puts each
+    # orbit's smallest state first among its equal keys
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(order), bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return recurrent[np.sort(order[first])]
 
 
 def _max_deviation(x, pi):
@@ -355,40 +390,39 @@ def _max_deviation(x, pi):
     return dev
 
 
-def _deviations(chain, result):
+def _deviations(chain):
     """max over recurrent starts s and states j of |P^t(s, j) - pi_j|, for
     t = 0, 1, ...; x holds one column per start orbit and one row per
     state. Relabelling coordinates maps P^t(s, .) and pi onto P^t(g s, .)
     and pi, so every start of an orbit has the same deviation."""
     step = _shift_step(chain)
-    starts = orbit_starts(chain, result.recurrent)
+    pi, starts = chain.stationary.pi, chain.starts
     x = np.zeros((chain.n_states, len(starts)))
     x[starts, np.arange(len(starts))] = 1.0
     out = np.empty_like(x)
     while True:
-        yield _max_deviation(x, result.pi)
+        yield _max_deviation(x, pi)
         x, out = step(x, out), x
 
 
-def deviation_curve(chain, t_max, stationary=None):
+def deviation_curve(chain, t_max):
     """max over start states and entries of |P^t - pi| on the recurrent
     class, for t = 0..t_max."""
     if t_max < 0:
         raise InvalidArgumentError(f"t_max must be >= 0, got {t_max}")
-    result = stationary or stationary_distribution(chain)
-    return np.fromiter(_deviations(chain, result), dtype=np.float64, count=t_max + 1)
+    return np.fromiter(_deviations(chain), dtype=np.float64, count=t_max + 1)
 
 
-def mixing_time(chain, eps, stationary=None):
+def mixing_time(chain, eps):
     """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min.
 
     Raises NumericalError after MIXING_STEPS_CAP steps, or sooner once the
     deviation has stalled on its rounding floor above the threshold."""
     if not eps > 0:  # NaN too
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
-    result = stationary or stationary_distribution(chain)
+    result = chain.stationary
     threshold = eps * result.pi[result.recurrent].min()
-    devs = _deviations(chain, result)
+    devs = _deviations(chain)
     next(devs)  # t = 0: the starts themselves
     lowest, lowest_t = math.inf, 0
     for t, dev in zip(range(1, MIXING_STEPS_CAP + 1), devs):

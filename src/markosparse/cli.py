@@ -116,14 +116,14 @@ def _cmd_analyze_chain(args):
         args.kind, args.d, args.m, args.K, b=args.b, activation=args.activation)
     result = chains.stationary_distribution(chain)
     if args.output:  # before any output, so a bad --t-max prints nothing
-        devs = chains.deviation_curve(chain, args.t_max, stationary=result)
+        devs = chains.deviation_curve(chain, args.t_max)
     pi_class = result.pi[result.recurrent]
     marginal = chains.newest_mask_marginal(chain, result.pi)
-    tau = chains.mixing_time(chain, args.eps, stationary=result)
+    tau = chains.mixing_time(chain, args.eps)
     print(f"states: {chain.n_states}")
     print(f"recurrent class: {len(result.recurrent)} states "
           f"({result.n_unreachable} unreachable)")
-    print(f"start orbits: {len(chains.orbit_starts(chain, result.recurrent))}")
+    print(f"start orbits: {len(chain.starts)}")
     print(f"stationary range: [{pi_class.min():.10f}, {pi_class.max():.10f}] "
           f"(uniform would be {1 / len(result.recurrent):.10f})")
     print(f"column-sum defect on the recurrent class: "

@@ -229,9 +229,53 @@ def test_mixing_time_raises_at_its_step_cap(monkeypatch):
     result = stationary_distribution(chain)
     monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 190)
     with pytest.raises(NumericalError, match=r"not mixed to eps\*pi_min after 190 steps"):
-        mixing_time(chain, 0.05, stationary=result)
+        mixing_time(chain, 0.05)
     monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 191)
-    assert mixing_time(chain, 0.05, stationary=result) == 191
+    assert mixing_time(chain, 0.05) == 191
+
+
+def _count_calls(monkeypatch, names):
+    """Wraps each named chain_analysis function to log its name per call."""
+    calls = []
+    for name in names:
+        def counted(*args, name=name, original=getattr(chain_analysis, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(chain_analysis, name, counted)
+    return calls
+
+
+def test_a_chain_is_solved_once(monkeypatch):
+    calls = _count_calls(monkeypatch, ["recurrent_class", "_power_iteration", "orbit_starts"])
+    # kawasaki(4,1,2) at b=2: 12 power iterations, tau = 7 (CHAIN_PINS)
+    chain = build_transition_matrix("kawasaki", d=4, m=1, K=2, b=2.0)
+    result = stationary_distribution(chain)
+    assert stationary_distribution(chain) is result
+    assert calls == ["recurrent_class", "_power_iteration"]
+    assert mixing_time(chain, 0.05) == 7
+    curve = deviation_curve(chain, 20)
+    assert len(chain.starts) == 2
+    assert mixing_time(chain, 0.05) == 7
+    assert deviation_curve(chain, 20).tobytes() == curve.tobytes()
+    assert stationary_distribution(chain) is result
+    assert calls == ["recurrent_class", "_power_iteration", "orbit_starts"]
+    # mixing_time first solves a fresh chain just the same, once
+    chain = build_transition_matrix("kawasaki", d=4, m=1, K=2, b=2.0)
+    calls.clear()
+    assert mixing_time(chain, 0.05) == 7
+    assert deviation_curve(chain, 20).tobytes() == curve.tobytes()
+    assert stationary_distribution(chain).iterations == 12
+    assert calls == ["recurrent_class", "_power_iteration", "orbit_starts"]
+
+
+def test_a_shared_solve_is_read_only():
+    chain = build_transition_matrix("kawasaki", d=4, m=1, K=2, b=2.0)
+    result = stationary_distribution(chain)
+    for array in (result.pi, result.recurrent, chain.starts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(AttributeError):
+        result.pi = np.zeros(chain.n_states)
 
 
 def _dense_stationary(chain, tol=1e-12):
@@ -296,7 +340,7 @@ def test_shift_step_matches_dense_products(kind, kwargs):
     assert result.iterations == iterations
     np.testing.assert_allclose(result.pi, pi_dense, rtol=0, atol=1e-15)
     dense = list(itertools.islice(_dense_deviations(chain, pi_dense), 101))
-    np.testing.assert_allclose(deviation_curve(chain, t_max=100, stationary=result),
+    np.testing.assert_allclose(deviation_curve(chain, t_max=100),
                                dense, rtol=0, atol=1e-15)
     for eps in (0.2, 0.05, 1e-3):
         threshold = eps * pi_dense[result.recurrent].min()
@@ -392,7 +436,7 @@ def test_chain_analysis_is_pinned(kind, kwargs, table, initial, recurrent, itera
     assert _digest(recurrent_class(chain)) == recurrent
     result = stationary_distribution(chain)
     assert result.iterations == iterations
-    assert mixing_time(chain, 0.05, stationary=result) == tau
+    assert mixing_time(chain, 0.05) == tau
 
 
 ERGODIC_PINS = [pin[:2] for pin in CHAIN_PINS if pin[5] is not None]
@@ -477,11 +521,11 @@ def test_orbit_starts_match_every_start(kind, kwargs, n_orbits):
             break
     # orbit members differ by rounding only: the joint law sums orderings
     # in a fixed order, so on kawasaki(6,2,2) they differ by 8.9e-16
-    np.testing.assert_allclose(deviation_curve(chain, 200, stationary=result),
+    np.testing.assert_allclose(deviation_curve(chain, 200),
                                reference[:201], rtol=0, atol=4e-15)
     for eps, threshold in thresholds.items():
         tau = next(t for t in range(1, len(reference)) if reference[t] <= threshold)
-        assert mixing_time(chain, eps, stationary=result) == tau, eps
+        assert mixing_time(chain, eps) == tau, eps
 
 
 @pytest.mark.parametrize("kind, kwargs", ERGODIC_PINS + [("kawasaki", dict(d=7, m=1, K=4))])
@@ -493,12 +537,12 @@ def test_blockwise_deviation_matches_the_one_pass_formula(kind, kwargs, monkeypa
     rows = next(r for r in itertools.count(3) if chain.n_states % r)
     monkeypatch.setattr(chain_analysis, "_DEVIATION_BLOCK", rows * len(starts))
     reference = np.fromiter(_one_pass_deviations(chain, result, starts), np.float64, 61)
-    assert deviation_curve(chain, 60, stationary=result).tobytes() == reference.tobytes()
+    assert deviation_curve(chain, 60).tobytes() == reference.tobytes()
     for eps in (0.5, 0.2, 0.05, 0.01):
         threshold = eps * result.pi[result.recurrent].min()
         tau = next(t for t, dev in enumerate(_one_pass_deviations(chain, result, starts))
                    if t >= 1 and dev <= threshold)
-        assert mixing_time(chain, eps, stationary=result) == tau, eps
+        assert mixing_time(chain, eps) == tau, eps
 
 
 @pytest.mark.parametrize("t_max", [-1, -2])
@@ -511,7 +555,7 @@ def test_deviation_curve_rejects_a_negative_t_max_before_stepping(t_max, monkeyp
 
     monkeypatch.setattr(chain_analysis, "_shift_step", no_step)
     with pytest.raises(InvalidArgumentError, match="t_max"):
-        deviation_curve(chain, t_max, stationary=result)
+        deviation_curve(chain, t_max)
 
 
 def test_a_memoryless_chain_over_the_cap_names_its_masks():

@@ -376,10 +376,20 @@ def test_analyze_chain_solves_the_stationary_law_once(tmp_path, monkeypatch, cap
         return solve(chain, *args, **kwargs)
 
     monkeypatch.setattr(chains, "stationary_distribution", counted)
+    orbit_calls = []
+    find_orbits = chains.orbit_starts
+
+    def counted_orbits(chain, recurrent):
+        orbit_calls.append(chain.n_states)
+        return find_orbits(chain, recurrent)
+
+    monkeypatch.setattr(chains, "orbit_starts", counted_orbits)
     code = main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1",
                  "--K", "2", "--output", str(tmp_path / "curve.csv")])
     assert code == 0
     assert calls == [16]
+    # the deviation curve, the mixing time and the printed count share one
+    assert orbit_calls == [16]
 
 
 def test_hitting_time_command(capsys):
