@@ -616,6 +616,17 @@ def test_monte_carlo_stream_is_pinned(d, m, K, trials, expected):
     assert monte_carlo_hitting_time("banlast", d=d, m=m, K=K, trials=trials, seed=3) == expected
 
 
+@pytest.mark.parametrize("kind,d,m,K,trials,seed,expected", [
+    ("banlast", 53, 10, 4, 300, 1, (3.3033333333333332, 0.09237342822232968)),
+    ("kawasaki", 10, 1, 3, 2048, 2, (7.583984375, 0.1457182451633997)),
+])
+def test_monte_carlo_of_at_most_one_block_is_pinned(kind, d, m, K, trials, seed, expected):
+    # exact values for calls of at most kernels.HITTING_BLOCK trials: every
+    # trial starts at step 0 and the rows draw their uniforms in row order
+    assert trials <= kernels.HITTING_BLOCK
+    assert monte_carlo_hitting_time(kind, d=d, m=m, K=K, trials=trials, seed=seed) == expected
+
+
 def test_monte_carlo_refuses_trials_past_its_cap():
     # 10^13 int64 times would be 80 TB: without the cap numpy refuses that
     # allocation at once, so this fails fast either way
