@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import chain as chained, combinations, count, islice
 
 import numpy as np
 
@@ -405,25 +405,27 @@ def _deviations(chain):
         x, out = step(x, out), x
 
 
+def _check_t_max(t_max):
+    if t_max < 0:
+        raise InvalidArgumentError(f"t_max must be >= 0, got {t_max}")
+
+
 def deviation_curve(chain, t_max):
     """max over start states and entries of |P^t - pi| on the recurrent
     class, for t = 0..t_max."""
-    if t_max < 0:
-        raise InvalidArgumentError(f"t_max must be >= 0, got {t_max}")
+    _check_t_max(t_max)
     return np.fromiter(_deviations(chain), dtype=np.float64, count=t_max + 1)
 
 
-def mixing_time(chain, eps):
-    """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min.
-
-    Raises NumericalError after MIXING_STEPS_CAP steps, or sooner once the
-    deviation has stalled on its rounding floor above the threshold."""
+def _mixing_threshold(chain, eps):
     if not eps > 0:  # NaN too
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
     result = chain.stationary
-    threshold = eps * result.pi[result.recurrent].min()
-    devs = _deviations(chain)
-    next(devs)  # t = 0: the starts themselves
+    return eps * result.pi[result.recurrent].min()
+
+
+def _first_below(devs, threshold):
+    # the first t >= 1 whose deviation, the t-th of devs, is at most threshold
     lowest, lowest_t = math.inf, 0
     for t, dev in zip(range(1, MIXING_STEPS_CAP + 1), devs):
         if dev <= threshold:
@@ -435,6 +437,29 @@ def mixing_time(chain, eps):
                 f"deviation stalled at {lowest:.3e} above eps*pi_min = {threshold:.3e}: "
                 f"no new minimum in {_STALL_STEPS} steps, rounding sets its floor")
     raise NumericalError(f"chain not mixed to eps*pi_min after {MIXING_STEPS_CAP} steps")
+
+
+def mixing_time(chain, eps):
+    """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min.
+
+    Raises NumericalError after MIXING_STEPS_CAP steps, or sooner once the
+    deviation has stalled on its rounding floor above the threshold."""
+    threshold = _mixing_threshold(chain, eps)
+    devs = _deviations(chain)
+    next(devs)  # t = 0: the starts themselves
+    return _first_below(devs, threshold)
+
+
+def curve_and_mixing_time(chain, t_max, eps):
+    """(deviation_curve(chain, t_max), mixing_time(chain, eps)) from one
+    pass over the chain's steps: the mixing time is read off the curve when
+    it is at most t_max, and otherwise the same steps go on from t_max. Both
+    arguments are checked before the first step."""
+    _check_t_max(t_max)
+    threshold = _mixing_threshold(chain, eps)
+    devs = _deviations(chain)
+    curve = np.fromiter(devs, dtype=np.float64, count=t_max + 1)
+    return curve, _first_below(chained(curve[1:].tolist(), devs), threshold)
 
 
 def rho_bound_banlast(d, m, K):

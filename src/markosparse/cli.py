@@ -115,11 +115,13 @@ def _cmd_analyze_chain(args):
     chain = chains.build_transition_matrix(
         args.kind, args.d, args.m, args.K, b=args.b, activation=args.activation)
     result = chains.stationary_distribution(chain)
-    if args.output:  # before any output, so a bad --t-max prints nothing
-        devs = chains.deviation_curve(chain, args.t_max)
+    # before any output, so a bad --t-max or --eps prints nothing
+    if args.output:
+        devs, tau = chains.curve_and_mixing_time(chain, args.t_max, args.eps)
+    else:
+        tau = chains.mixing_time(chain, args.eps)
     pi_class = result.pi[result.recurrent]
     marginal = chains.newest_mask_marginal(chain, result.pi)
-    tau = chains.mixing_time(chain, args.eps)
     print(f"states: {chain.n_states}")
     print(f"recurrent class: {len(result.recurrent)} states "
           f"({result.n_unreachable} unreachable)")

@@ -202,10 +202,9 @@ class Compressor:
         self._rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
                       for s in seeds]
 
-        self._hist = np.zeros((self.K, rows, self.m), dtype=np.int64)
+        self._hist = np.full((self.K, rows, self.m), -1, dtype=np.int64)   # -1: empty slot
         self._counts = np.zeros((rows, self.d), dtype=np.int64)
-        self._fill = 0
-        self._pos = 0
+        self._steps = 0
         self._u = np.empty((rows, kernels.uniforms_per_row(self.d, self.m)))
         self._u_rows = list(self._u)   # each worker's row, filled from its own stream
         self._at = np.zeros((rows, self.m), dtype=np.int64)
@@ -246,10 +245,9 @@ class Compressor:
             return out.reshape(x.shape), len(cols)
         for rng, u in zip(self._rngs, self._u_rows):
             rng.random(out=u)
-        self._at, self._fill, self._pos = kernels.step_mask(
-            self.kind, self.activation, self.K, self.b, self._u,
-            self._hist, self._counts, self._fill, self._pos,
-        )
+        self._at = kernels.step_mask(self.kind, self.activation, self.K, self.b, self._u,
+                                     self._hist, self._counts, self._steps)
+        self._steps += 1
         return sparsify(x, self._at, self.d, self.m), self._at.size
 
     def last_mask(self):

@@ -7,8 +7,11 @@ sampler, ``mask_law`` the sampler's exact law and ``step_mask`` the one
 history step; all work on rows, one run per row. The live compressors (one
 row per worker), the exact chain analysis (every state's row at once: one
 ``coordinate_law`` call and one ``mask_law`` call fill its table for every
-m) and the hitting-time Monte Carlo (a block of trials at once) all call
-them, so the analysed chain is the simulated one.
+m) and the hitting-time Monte Carlo (a pool of trials at once, each row
+taking the next trial when its own ends) all call them, so the analysed
+chain is the simulated one. A history is a ring buffer of the last K masks
+per row; a slot that holds no mask yet, in a row fewer than K steps into
+its run, holds a negative position (-1) and leaves the counts alone.
 
 ``sample_masks`` draws a mask of m = 1 by inverse CDF, from one uniform
 per row, and a mask of m > 1 by one-pass keys (Efraimidis & Spirakis,
@@ -25,7 +28,7 @@ array's shape:
   a team of workers, 300 Monte Carlo trials at d = 53) is summed along
   each row, ``np.cumsum(..., axis=-1)``;
 - a *tall* array (at least ``TALL`` rows per coordinate: a Monte Carlo
-  block of 2048 trials at d = 10, a chain table) is summed down the leading
+  pool of 2048 trials at d = 10, a chain table) is summed down the leading
   axis of its transpose, a C-ordered (d, n) copy, one coordinate at a time.
   numpy reduces a non-contiguous axis element by element, in order, so
   each column's total is the row's left-to-right sum, and the fixed cost
@@ -36,7 +39,7 @@ instead of a generator: the caller decides which stream feeds which row. A
 compressor draws each worker's row from that worker's own
 ``numpy.random.Generator`` with ``rng.random(out=row)``, which for PCG64
 gives the values of as many single ``rng.random()`` calls; the Monte Carlo
-draws a block's rows in order, row by row. The seed therefore fixes the
+draws its pool's rows in order, row by row. The seed therefore fixes the
 whole mask stream.
 
 Kinds and activations are passed by name (``"banlast"``, ``"softmax"``).
@@ -48,8 +51,11 @@ from itertools import permutations
 
 import numpy as np
 
-# hitting-time trials stepped together; bounds the (block, d) law, cumsum
-# and key arrays, and so the simulation's memory
+# rows of the hitting-time pool, one trial per row, stepped together; a row
+# whose trial ends takes the next one. Bounds the (rows, d) law, cumsum and
+# key arrays, and so the simulation's memory. On the 5*10^4-trial banlast and
+# 2*10^4-trial kawasaki runs at d = 10, pools of 1024, 4096 and 8192 rows
+# took longer in total
 HITTING_BLOCK = 2048
 
 # entries of each (rows, masks) array mask_law works on; bounds its
@@ -230,72 +236,90 @@ def mask_law(p, masks):
     return law
 
 
-def step_mask(kind, act, K, b, u, hist, counts, fill, pos):
-    """One step of a run per row: each row's law from its history counts
-    (n, d), one mask of m = hist.shape[2] per row drawn with the uniforms u
-    (n, uniforms_per_row(d, m), overwritten when m > 1), and the masks
-    pushed into the ring buffer hist (K, n, m) of the last K masks.
+def step_mask(kind, act, K, b, u, hist, counts, t):
+    """Step t (0, 1, ...) of a run per row: each row's law from its history
+    counts (n, d), one mask of m = hist.shape[2] per row drawn with the
+    uniforms u (n, uniforms_per_row(d, m), overwritten when m > 1), and the
+    masks pushed into the ring buffer hist (K, n, m) of the last K masks,
+    at slot t % K in place of the oldest mask, which leaves the counts.
 
     Masks are returned, and kept in hist, as positions in the flat counts:
     row r's coordinate j is r*d + j, so row 0's positions are its
-    coordinates. Returns (masks, fill, pos)."""
+    coordinates. An empty slot, of a row fewer than K steps into its run,
+    holds a negative position and removes nothing. Returns the masks."""
     n, d = counts.shape
     at = sample_masks(coordinate_law(kind, act, b, counts), u, hist.shape[2])
     if n > 1:  # a single row's positions are its coordinates already
         at += np.arange(0, n * d, d)[:, None]
     if K:
         flat = counts.reshape(-1)
-        if fill == K:
-            np.subtract.at(flat, hist[pos], 1)
-        else:
-            fill += 1
+        pos = t % K
+        old = hist[pos]
+        np.subtract.at(flat, old[old >= 0], 1)
         hist[pos] = at
         np.add.at(flat, at, 1)
-        pos = (pos + 1) % K
-    return at, fill, pos
+    return at
 
 
 def simulate_masks(rng, kind, act, d, m, K, b, steps):
     """Mask sequence of a fresh compressor run; (steps, m) int64 array."""
-    hist = np.zeros((K, 1, m), np.int64)
+    hist = np.full((K, 1, m), -1, np.int64)
     counts = np.zeros((1, d), np.int64)
     masks = np.empty((steps, m), np.int64)
-    fill = pos = 0
     for t in range(steps):
         u = rng.random((1, uniforms_per_row(d, m)))
-        step, fill, pos = step_mask(kind, act, K, b, u, hist, counts, fill, pos)
-        masks[t] = step[0]
+        masks[t] = step_mask(kind, act, K, b, u, hist, counts, t)[0]
     return masks
 
 
 def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
     """Steps until `target` first appears in a mask, per fresh-start trial.
 
-    Trials run in blocks of HITTING_BLOCK that start fresh and step
-    together; a trial leaves its block when it hits. Returns (times,
-    n_capped); trials that never hit within `cap` steps are recorded as
-    `cap` and counted in n_capped.
+    Trials run in one pool of min(trials, HITTING_BLOCK) rows that step
+    together, one trial per row, each step's uniforms drawn in row order.
+    A row whose trial hits, or reaches `cap` steps of its own, takes the
+    next unstarted trial, from an empty history; finished rows take new
+    trials in row order. Once no trial is left to start, a finished row
+    leaves the pool. Returns (times, n_capped); trials that never hit
+    within `cap` steps are recorded as `cap` and counted in n_capped.
     """
-    times = np.full(trials, cap, np.int64)
+    times = np.empty(trials, np.int64)
     n_capped = 0
-    for first in range(0, trials, HITTING_BLOCK):
-        live = np.arange(first, min(first + HITTING_BLOCK, trials))
-        counts = np.zeros((len(live), d), np.int64)
-        hist = np.zeros((K, len(live), m), np.int64)
-        goal = np.arange(target, counts.size, d)[:, None]   # row r's target position
-        fill = pos = steps = 0
-        while live.size and steps < cap:
-            u = rng.random((len(live), uniforms_per_row(d, m)))
-            at, fill, pos = step_mask(kind, act, K, b, u, hist, counts, fill, pos)
-            steps += 1
-            hit = (at == goal).any(axis=1)
-            if hit.any():
-                times[live[hit]] = steps
-                keep = np.flatnonzero(~hit)
-                live, counts = live.take(keep), counts.take(keep, axis=0)
-                # the survivors move up to rows 0..len(live)-1, and the
-                # positions their history holds move as their goals do
-                hist = hist.take(keep, axis=1) - (goal.take(keep, axis=0) - goal[:len(live)])
-                goal = goal[:len(live)]
-        n_capped += live.size
+    live = np.arange(min(trials, HITTING_BLOCK))   # each row's trial
+    started = len(live)
+    start = np.zeros(len(live), np.int64)          # the step each row's trial started after
+    counts = np.zeros((len(live), d), np.int64)
+    hist = np.full((K, len(live), m), -1, np.int64)
+    goal = np.arange(target, counts.size, d)[:, None]   # row r's target position
+    steps = 0
+    while live.size:
+        u = rng.random((len(live), uniforms_per_row(d, m)))
+        at = step_mask(kind, act, K, b, u, hist, counts, steps)
+        steps += 1
+        finished = (at == goal).any(axis=1)
+        if steps >= cap:
+            capped = ~finished & (steps - start >= cap)
+            n_capped += int(np.count_nonzero(capped))
+            finished |= capped
+        rows = np.flatnonzero(finished)
+        if not rows.size:
+            continue
+        times[live[rows]] = steps - start[rows]
+        fresh = rows[:trials - started]
+        if fresh.size:
+            live[fresh] = np.arange(started, started + fresh.size)
+            started += fresh.size
+            start[fresh] = steps
+            counts[fresh] = 0
+            hist[:, fresh] = -1
+            if fresh.size == rows.size:
+                continue
+            finished[fresh] = False
+        keep = np.flatnonzero(~finished)
+        live, start, counts = live.take(keep), start.take(keep), counts.take(keep, axis=0)
+        # the survivors move up to rows 0..len(live)-1, and the positions
+        # their history holds move as their goals do; an empty slot stays
+        # negative
+        hist = hist.take(keep, axis=1) - (goal.take(keep, axis=0) - goal[:len(live)])
+        goal = goal[:len(live)]
     return times, n_capped

@@ -17,6 +17,7 @@ from markosparse.chain_analysis import (
     _shift_step,
     banlast_hitting_time_exact,
     build_transition_matrix,
+    curve_and_mixing_time,
     deviation_curve,
     enumerate_masks,
     expected_hitting_time_banlast,
@@ -232,6 +233,43 @@ def test_mixing_time_raises_at_its_step_cap(monkeypatch):
         mixing_time(chain, 0.05)
     monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 191)
     assert mixing_time(chain, 0.05) == 191
+
+
+@pytest.mark.parametrize("t_max", [0, 3, 7, 20])
+def test_curve_and_mixing_time_step_the_chain_once(t_max, monkeypatch):
+    # kawasaki(4,1,2) at b=2: tau = 7 (CHAIN_PINS); tau is read off a curve
+    # that reaches it, and a shorter curve is stepped on to it
+    chain = build_transition_matrix("kawasaki", d=4, m=1, K=2, b=2.0)
+    curve = deviation_curve(chain, t_max)
+    steps = []
+    deviations = chain_analysis._deviations
+
+    def counted(chain):
+        for t, dev in enumerate(deviations(chain)):
+            steps.append(t)
+            yield dev
+
+    monkeypatch.setattr(chain_analysis, "_deviations", counted)
+    both, tau = curve_and_mixing_time(chain, t_max, 0.05)
+    assert both.tobytes() == curve.tobytes()
+    assert tau == mixing_time(chain, 0.05) == 7
+    steps.clear()
+    curve_and_mixing_time(chain, t_max, 0.05)
+    assert steps == list(range(max(t_max, 7) + 1))
+
+
+def test_curve_and_mixing_time_check_their_arguments_and_cap(monkeypatch):
+    chain = build_transition_matrix("kawasaki", d=6, m=1, K=4)
+    with pytest.raises(InvalidArgumentError, match="t_max must be >= 0"):
+        curve_and_mixing_time(chain, -1, 0.05)
+    with pytest.raises(InvalidArgumentError, match="eps must be positive"):
+        curve_and_mixing_time(chain, 10, float("nan"))
+    # tau = 191 (CHAIN_PINS), past a 190-step cap whether or not the curve
+    # reaches the cap
+    monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 190)
+    for t_max in (50, 200):
+        with pytest.raises(NumericalError, match=r"not mixed to eps\*pi_min after 190 steps"):
+            curve_and_mixing_time(chain, t_max, 0.05)
 
 
 def _count_calls(monkeypatch, names):
@@ -606,13 +644,13 @@ def test_exact_hitting_time_matches_monte_carlo():
 
 
 @pytest.mark.parametrize("d,m,K,trials,expected", [
-    (10, 1, 7, 5000, (5.756, 0.04948800473369788)),
-    (53, 10, 4, 3000, (3.1986666666666665, 0.028581356294016178)),
+    (10, 1, 7, 5000, (5.714, 0.04914187404604094)),
+    (53, 10, 4, 3000, (3.2043333333333335, 0.028871832514686415)),
 ])
 def test_monte_carlo_stream_is_pinned(d, m, K, trials, expected):
-    # exact values: the m = 1 pin recorded when the sampler still took a
-    # generator (the trials' uniforms come from the same stream in the same
-    # order), the m = 10 pin when m > 1 moved to one-pass keys
+    # exact values, recorded when a row whose trial finished began taking
+    # the next trial: with more trials than kernels.HITTING_BLOCK rows, a
+    # step's uniforms go to a mix of old and new trials
     assert monte_carlo_hitting_time("banlast", d=d, m=m, K=K, trials=trials, seed=3) == expected
 
 

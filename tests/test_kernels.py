@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from markosparse import chain_analysis, kernels
 from markosparse.chain_analysis import (
@@ -413,7 +414,7 @@ def _hit(kind, d, m, K, trials):
     return float(times.mean()), float(times.std(ddof=1) / np.sqrt(trials))
 
 
-def test_hitting_times_cover_a_partial_last_block():
+def test_hitting_times_cover_more_trials_than_the_pool():
     trials = kernels.HITTING_BLOCK + 37
     times, n_capped = kernels.simulate_hitting_times(
         fresh_rng(9), "banlast", "normalize", 10, 1, 3, 50.0, 0,
@@ -421,6 +422,98 @@ def test_hitting_times_cover_a_partial_last_block():
     assert times.shape == (trials,) and times.dtype == np.int64
     assert n_capped == 0 and times.min() >= 1
 
+
+def _replay_hitting_times(rng, kind, d, m, K, b, target, trials, cap, pool):
+    """simulate_hitting_times one trial at a time: each row is a Python list
+    [trial, steps, masks]. Each step takes the pool's uniforms in row order
+    and makes one coordinate_law and one sample_masks call per row; a
+    finished row takes the next trial, or leaves once none is left."""
+    times, n_capped = [None] * trials, 0
+    rows = [[i, 0, []] for i in range(min(trials, pool))]
+    started = len(rows)
+    while rows:
+        u = rng.random((len(rows), kernels.uniforms_per_row(d, m)))
+        survivors = []
+        for row, draw in zip(rows, u):
+            counts = np.zeros((1, d), np.int64)
+            for mask in row[2][-K:] if K else []:
+                counts[0, mask] += 1
+            law = kernels.coordinate_law(kind, "normalize", b, counts)
+            mask = kernels.sample_masks(law, draw[None].copy(), m)[0].tolist()
+            row[1] += 1
+            row[2].append(mask)
+            if target not in mask and row[1] < cap:
+                survivors.append(row)
+                continue
+            times[row[0]] = row[1]
+            n_capped += target not in mask
+            if started < trials:
+                survivors.append([started, 0, []])
+                started += 1
+        rows = survivors
+    return times, n_capped
+
+
+@pytest.mark.parametrize("kind,d,m,K,trials,cap,pool", [
+    # refills: more trials than HITTING_BLOCK rows
+    ("banlast", 10, 1, 3, None, 10**7, None),
+    ("banlast", 53, 10, 4, None, 10**7, None),
+    ("kawasaki", 10, 1, 3, None, 10**7, None),
+    # a cap counted from each trial's own start, with refills mid-run
+    ("rand", 10, 1, 0, 60, 3, 8),
+    ("banlast", 10, 1, 3, 60, 4, 8),
+    ("banlast", 12, 2, 2, 60, 2, 8),
+    # no refill: rows only leave
+    ("banlast", 53, 10, 4, 300, 10**7, None),
+    ("kawasaki", 10, 1, 3, 9, 10**7, 8),
+])
+def test_hitting_times_match_a_one_trial_replay(kind, d, m, K, trials, cap, pool, monkeypatch):
+    if pool is not None:
+        monkeypatch.setattr(kernels, "HITTING_BLOCK", pool)
+    pool = kernels.HITTING_BLOCK
+    trials = pool + 37 if trials is None else trials
+    times, n_capped = kernels.simulate_hitting_times(
+        fresh_rng(12), kind, "normalize", d, m, K, 50.0, 0, trials, cap)
+    ref_times, ref_capped = _replay_hitting_times(
+        fresh_rng(12), kind, d, m, K, 50.0, 0, trials, cap, pool)
+    assert times.tolist() == ref_times
+    assert n_capped == ref_capped
+    if cap < 10**7:
+        assert 0 < n_capped < trials
+
+
+def _banlast_hitting_pmf(d, m, K, t_max):
+    """P(T = t) for t = 1..t_max of banlast's fresh-start hitting time, whose
+    hazard at step t is m / (d - min(t-1, K) m), and P(T > t_max)."""
+    pmf, survival = [], 1.0
+    for t in range(1, t_max + 1):
+        hazard = m / (d - min(t - 1, K) * m)
+        pmf.append(survival * hazard)
+        survival *= 1.0 - hazard
+    return np.array(pmf), survival
+
+
+@pytest.mark.parametrize("d,m,K", [(10, 1, 7), (53, 10, 4)])
+def test_hitting_times_follow_the_exact_banlast_law(d, m, K):
+    # chi-square against the exact pmf; the run size, seed and p-value
+    # floor were fixed before any result was seen. Each step t is its own
+    # bin while it and the tail beyond it expect at least 5 trials; the
+    # tail is one more bin
+    trials = 20_000
+    assert trials > kernels.HITTING_BLOCK
+    times, n_capped = kernels.simulate_hitting_times(
+        fresh_rng(1), "banlast", "normalize", d, m, K, 50.0, 0, trials, 10**7)
+    assert n_capped == 0
+    pmf, _ = _banlast_hitting_pmf(d, m, K, int(times.max()) + 1)
+    tail = 1.0 - np.cumsum(pmf)
+    bins = 0
+    while bins < len(pmf) and trials * pmf[bins] >= 5 and trials * tail[bins] >= 5:
+        bins += 1
+    expected = trials * np.append(pmf[:bins], 1.0 - pmf[:bins].sum())
+    observed = np.bincount(np.minimum(times, bins + 1), minlength=bins + 2)[1:]
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    p_value = chi2.sf(stat, len(expected) - 1)
+    assert p_value >= 1e-3, (d, m, K, stat, p_value)
 
 def test_hitting_time_cap_is_recorded(monkeypatch):
     # a 2-step cap: trials that miss the target twice record 2 and count as capped
