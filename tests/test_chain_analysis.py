@@ -648,9 +648,9 @@ def test_exact_hitting_time_matches_monte_carlo():
     (53, 10, 4, 3000, (3.2043333333333335, 0.028871832514686415)),
 ])
 def test_monte_carlo_stream_is_pinned(d, m, K, trials, expected):
-    # exact values, recorded when a row whose trial finished began taking
-    # the next trial: with more trials than kernels.HITTING_BLOCK rows, a
-    # step's uniforms go to a mix of old and new trials
+    # exact values of calls with more trials than kernels.HITTING_BLOCK
+    # rows: a finished row takes the next trial, so a step's uniforms go to
+    # a mix of old and new trials
     assert monte_carlo_hitting_time("banlast", d=d, m=m, K=K, trials=trials, seed=3) == expected
 
 
