@@ -510,12 +510,7 @@ def expected_hitting_time_banlast(alpha, K):
     monte_carlo_hitting_time; see banlast_hitting_time_exact for the exact
     mean of that process.
     """
-    if K < 0:
-        raise InvalidArgumentError("K must be non-negative")
-    if alpha <= K + 1:
-        raise InvalidArgumentError(
-            f"out of regime: need alpha > K+1, got alpha={alpha}, K={K}"
-        )
+    _check_banlast_regime(alpha, K)
     return next(islice(_banlast_estimates(alpha), K, None))
 
 
@@ -532,6 +527,15 @@ def _banlast_estimates(alpha):
         survival *= 1.0 - 1.0 / (alpha - K)
 
 
+def _check_banlast_regime(alpha, K):
+    if K < 0:
+        raise InvalidArgumentError("K must be non-negative")
+    if alpha <= K + 1:
+        raise InvalidArgumentError(
+            f"out of regime: need alpha > K+1, got alpha={alpha}, K={K}"
+        )
+
+
 def banlast_hitting_time_exact(alpha, K):
     """Exact mean hitting time of the fresh-start ban process.
 
@@ -541,12 +545,7 @@ def banlast_hitting_time_exact(alpha, K):
         E = (K+2) - (K+1)(K+2)/(2 alpha) + (alpha-K-1)^2 / alpha,
     which reduces to alpha at K=0 and matches simulation for all K.
     """
-    if K < 0:
-        raise InvalidArgumentError("K must be non-negative")
-    if alpha <= K + 1:
-        raise InvalidArgumentError(
-            f"out of regime: need alpha > K+1, got alpha={alpha}, K={K}"
-        )
+    _check_banlast_regime(alpha, K)
     return (K + 2) - (K + 1) * (K + 2) / (2.0 * alpha) + (alpha - K - 1) ** 2 / alpha
 
 

@@ -95,18 +95,6 @@ def _check_kawasaki_support(d, m, K, b):
             "coordinates drawable; lower b or K")
 
 
-def apply_activation(w, activation):
-    """Maps weights onto the probability simplex with the named activation."""
-    if activation not in ACTIVATIONS:
-        raise InvalidArgumentError(f"unknown activation '{activation}'")
-    w = np.asarray(w, dtype=np.float64)
-    if activation == "normalize":
-        total = np.abs(w).sum()
-        if not np.isfinite(total) or total <= 0.0:
-            raise InvalidArgumentError("normalize needs finite weights with a positive sum")
-    return kernels.activate(w, activation)
-
-
 def sparsify(x, mask, d, m):
     """(d/m) * x at the positions `mask` of the flattened x, zero elsewhere:
     a vector's kept coordinates, or for (rows, d) rows r*d + j for row r's

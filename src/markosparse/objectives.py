@@ -8,6 +8,13 @@ The distributed objective is f(x) = (1/n) sum_i f_i(x) with per-shard
 Also provides an empirical estimator of the smoothness constants and small
 synthetic problem generators used by tests and the experiment harness.
 
+`parse_libsvm` reads LIBSVM text with one grammar, line by line: each line
+is split once, its label checked against the label encodings that still
+hold every label so far, then each idx:val token in turn, so the first bad
+line raises its own ParseError. A table of converted tokens, cleared every
+_BLOCK_LINES lines to bound its memory, converts each distinct token of a
+block once.
+
 `ShardedProblem.shard_loss_grads` evaluates every shard at once, bit for
 bit as each shard alone. All rows are stored once, each row's values times
 its -y (exact, since y is +-1), and two sparse matrices share that data
@@ -25,9 +32,10 @@ no scipy, and the chain commands start without it.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -37,9 +45,8 @@ from .errors import InvalidArgumentError, NumericalError, ParseError
 _LABEL_ENCODINGS = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
 # the largest 1-based index an int32 column index holds
 _MAX_INDEX = 2**31
-# lines parsed per block of array passes; bounds the parse's scratch memory
+# lines between clears of the parser's token table; bounds its memory
 _BLOCK_LINES = 256
-_COLON, _SPACE = ord(":"), ord(" ")
 # estimate_smoothness's power iteration stops at this relative change of its
 # eigenvalue estimate, and raises NumericalError after SMOOTHNESS_MAX_ITER steps
 SMOOTHNESS_TOL = 1e-8
@@ -73,44 +80,53 @@ def parse_libsvm(source, dim=None):
 
     Raw labels {-1,+1}, {0,1} and {1,2} are accepted, mapped so the larger
     label becomes +1; the feature dimension is the largest index seen unless
-    `dim` forces a larger one. A malformed line raises the ParseError of the
-    first bad line, as reading line by line would.
+    `dim` forces a larger one. The first malformed line raises its
+    ParseError: its label is checked first, then each idx:val token in turn.
     """
     import scipy.sparse as sp
 
-    lines = _split_lines(source) if isinstance(source, str) else list(source)
-    blocks = []
-    # at least one block, so that empty input still gives (empty) arrays
-    for start in range(0, len(lines) or 1, _BLOCK_LINES):
-        *block, stop = _parse_block(lines[start:start + _BLOCK_LINES], start)
-        blocks.append(block)
-        if stop is not None:
-            break
-    labels, counts, cols, val, row_line = map(np.concatenate, zip(*blocks))
-    n = len(labels)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    # each column against the one before it in its row, -1 at a row start
-    prev = np.full_like(cols, -1)
-    prev[1:] = cols[:-1]
-    prev[indptr[:-1][counts > 0]] = -1
-    bad = np.flatnonzero(cols <= prev)
-    bad_row = np.searchsorted(indptr, bad[0], side="right") - 1 if bad.size else n
-    # each encoding's first row outside it (n if none): the labels fit no
-    # encoding from the row where the last one fails
-    misfit = [np.append(np.isin(labels, accepted), False).argmin()
-              for accepted in _LABEL_ENCODINGS]
-    row = min(max(misfit), bad_row)
-    if row < n or stop is not None:
-        line = row_line[row] if row < n else stop
-        raise _line_error(line + 1, lines[line].split(), set(labels[:row].tolist()))
+    lines = _split_lines(source) if isinstance(source, str) else source
+    encodings = _LABEL_ENCODINGS  # those that hold every label so far
+    # values as C doubles, so no float object outlives its block's features
+    labels, cols, vals, indptr = [], [], array("d"), [0]
+    features = {}  # token -> (column, value), each distinct token converted once
+    for i, line in enumerate(lines):
+        if i % _BLOCK_LINES == 0:
+            features.clear()
+        tokens = line.split()
+        if not tokens:
+            continue
+        line_no = i + 1
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(line_no, f"bad label token {tokens[0]!r}") from None
+        encodings = [accepted for accepted in encodings if label in accepted]
+        if not encodings:
+            raise ParseError(line_no, f"label {tokens[0]!r} does not fit any accepted encoding")
+        prev = -1
+        for tok in tokens[1:]:
+            pair = features.get(tok)
+            if pair is None:
+                pair = features[tok] = _feature(line_no, tok)
+            col, val = pair
+            if col <= prev:
+                raise ParseError(line_no, f"indices not strictly increasing at {tok!r}")
+            prev = col
+            cols.append(col)
+            vals.append(val)
+        labels.append(label)
+        indptr.append(len(cols))
+    del features
+    cols = np.array(cols, dtype=np.int32)
     max_idx = int(cols.max()) + 1 if cols.size else 0
     d = max_idx if dim is None else dim
     if dim is not None and dim < max_idx:
         raise InvalidArgumentError(f"dim={dim} smaller than max feature index {max_idx}")
-    positive = next(pos for (_, pos), out in zip(_LABEL_ENCODINGS, misfit) if out == n)
-    X = sp.csr_matrix((val, cols, indptr.astype(np.int32)), shape=(n, d))
-    return Dataset(X, np.where(labels == positive, 1.0, -1.0), d)
+    X = sp.csr_matrix((np.array(vals, dtype=np.float64), cols, np.array(indptr, dtype=np.int32)),
+                      shape=(len(labels), d))
+    positive = encodings[0][1]
+    return Dataset(X, np.where(np.array(labels) == positive, 1.0, -1.0), d)
 
 
 def _split_lines(text):
@@ -118,97 +134,22 @@ def _split_lines(text):
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _parse_block(lines, start):
-    """Array form of the non-empty lines among `lines`, which begin at line
-    index `start`: labels (NaN where unreadable), feature counts, 0-based
-    int32 columns (-1 where unreadable or out of range), values and each
-    row's line index. Parsing stops at the first line with a token that is
-    not `idx:val` with text on both sides of its one colon; the last item
-    is that line's index, or None."""
-    tokens = [line.split() for line in lines]
-    at = np.flatnonzero(np.fromiter(map(len, tokens), np.int64, len(tokens)))
-    rows = list(filter(None, tokens))
-    labels = [t.pop(0) for t in rows]
-    counts = np.fromiter(map(len, rows), np.int64, len(rows))
-    text = " ".join(chain.from_iterable(rows))
-    stop = None
-    misplaced = _colon_misplaced(text)
-    if misplaced.any():
-        r = np.searchsorted(np.cumsum(counts), misplaced.argmax(), side="right")
-        stop = start + at[r]
-        at, labels, counts = at[:r], labels[:r], counts[:r]
-        text = " ".join(chain.from_iterable(rows[:r]))
-    del tokens, rows  # freed before the pieces are made, for peak memory
-    pieces = text.replace(":", " ").split()
-    idx_s, val_s = pieces[0::2], pieces[1::2]
-    cols, _ = _converted(idx_s, _column, -1, np.int32)
-    val, unreadable = _converted(val_s, float, 0.0, np.float64)
-    if unreadable:  # marks the column of the first unreadable value as bad
-        cols[min(map(val_s.index, unreadable))] = -1
-    return _converted(labels, float, math.nan, np.float64)[0], counts, cols, val, at + start, stop
-
-
-def _colon_misplaced(text):
-    """For each space-separated token of `text`, whether it does not hold
-    exactly one colon with a character on either side."""
-    b = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    if not b.size:
-        return np.zeros(0, dtype=bool)
-    space = np.flatnonzero(b == _SPACE)
-    colon = b == _COLON
-    first = np.concatenate(([0], space + 1))
-    last = np.concatenate((space - 1, [b.size - 1]))
-    return (np.add.reduceat(colon, first, dtype=np.intp) != 1) | colon[first] | colon[last]
-
-
-def _column(s):
-    # -1, which the order check flags, for an index out of range
-    i = int(s)
-    return i - 1 if 1 <= i <= _MAX_INDEX else -1
-
-
-def _converted(strings, convert, fallback, dtype):
-    """convert(s) for every string as a `dtype` array, called once per
-    distinct string, with `fallback` where it raises ValueError; and the
-    strings that raised."""
-    table, failed = {}, []
-    for s in set(strings):
-        try:
-            table[s] = convert(s)
-        except ValueError:
-            table[s] = fallback
-            failed.append(s)
-    return np.fromiter(map(table.__getitem__, strings), dtype, len(strings)), failed
-
-
-def _line_error(line_no, tokens, seen):
-    """The ParseError for one line read after lines whose labels are
-    `seen`: its label first, then each idx:val token in turn. None if the
-    line is well formed."""
+def _feature(line_no, tok):
+    """(0-based column, value) of an idx:val token on line `line_no`, or
+    that line's ParseError."""
+    idx_s, sep, val_s = tok.partition(":")
+    if not sep:
+        raise ParseError(line_no, f"expected idx:val, got {tok!r}")
     try:
-        label = float(tokens[0])
+        idx = int(idx_s)
+        val = float(val_s)
     except ValueError:
-        return ParseError(line_no, f"bad label token {tokens[0]!r}")
-    if not any((seen | {label}) <= set(accepted) for accepted in _LABEL_ENCODINGS):
-        return ParseError(line_no, f"label {tokens[0]!r} does not fit any accepted encoding")
-    prev = 0
-    for tok in tokens[1:]:
-        idx_s, sep, val_s = tok.partition(":")
-        if not sep:
-            return ParseError(line_no, f"expected idx:val, got {tok!r}")
-        try:
-            idx = int(idx_s)
-            float(val_s)
-        except ValueError:
-            return ParseError(line_no, f"bad feature token {tok!r}")
-        if idx < 1:
-            return ParseError(line_no, f"index {idx} must be >= 1")
-        if idx > _MAX_INDEX:
-            return ParseError(line_no, f"index {idx} must be <= {_MAX_INDEX}")
-        if idx <= prev:
-            return ParseError(line_no, f"indices not strictly increasing at {tok!r}")
-        prev = idx
-    return None
+        raise ParseError(line_no, f"bad feature token {tok!r}") from None
+    if idx < 1:
+        raise ParseError(line_no, f"index {idx} must be >= 1")
+    if idx > _MAX_INDEX:
+        raise ParseError(line_no, f"index {idx} must be <= {_MAX_INDEX}")
+    return idx - 1, val
 
 
 def load_libsvm(path, dim=None):

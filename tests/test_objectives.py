@@ -2,12 +2,17 @@
 
 import hashlib
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, strategies as st
 
+import markosparse
 from markosparse.errors import InvalidArgumentError, ParseError
 from markosparse.objectives import (
     Dataset,
@@ -111,6 +116,21 @@ def test_mushrooms_dataset_is_pinned(mushrooms_path):
     expected = "0d00ecb78fbdd01bd54e2a2ee6d56332d280a76a3ee12289d3e3d3ee35c9ecaa"
     assert dataset_digest(load_libsvm(mushrooms_path)) == expected
     assert dataset_digest(load_libsvm(mushrooms_path, dim=112)) == expected
+
+
+def test_generate_data_reproduces_the_shipped_dataset(tmp_path, mushrooms_path):
+    # the script writes ../data/ beside its own directory, so a copy of it
+    # writes under tmp_path and the shipped file is only read
+    shutil.copytree(os.path.join(os.path.dirname(mushrooms_path), "..", "scripts"),
+                    tmp_path / "scripts")
+    (tmp_path / "data").mkdir()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(markosparse.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, str(tmp_path / "scripts" / "generate_data.py")], env=env,
+                   capture_output=True, timeout=120, check=True)
+    with open(mushrooms_path, "rb") as fh:
+        assert (tmp_path / "data" / "mushrooms_synth.libsvm").read_bytes() == fh.read()
 
 
 def _lines(n, bad, good="+1 1:1 5:2"):
@@ -230,6 +250,20 @@ def test_serialize_parse_round_trip_is_bit_exact(ds, encoding):
         lines.append((positive if label == "1" else negative) + sep + rest)
     again = parse_libsvm("\n".join(lines) + "\n", dim=ds.d)
     assert dataset_digest(again) == dataset_digest(ds)
+
+
+def test_round_trip_across_token_table_clears_is_bit_exact(tmp_path):
+    # 600 rows of distinct values span three of the parser's 256-line token
+    # tables; the token "2:0.5" on lines 250 and 260 lies in the first two
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((600, 4))
+    X[[249, 259], 1] = 0.5
+    ds = Dataset(sp.csr_matrix(X), np.where(rng.random(600) < 0.5, 1.0, -1.0), 4)
+    text = serialize_libsvm(ds)
+    lines = text.splitlines()
+    assert lines[249].split()[2] == lines[259].split()[2] == "2:0.5"
+    assert dataset_digest(parse_libsvm(text)) == dataset_digest(ds)
+    assert dataset_digest(load_text(tmp_path, text)) == dataset_digest(ds)
 
 
 def test_partition_covers_rows_once():
