@@ -22,10 +22,8 @@ table at C(d,m) operations per state and column; the dense P is built only
 on request. The law reads only counts, so relabelling coordinates maps the
 chain onto itself: deviation curves and mixing times step one start column
 per orbit of the recurrent class, not one per state. Each step's deviation
-max|x - pi| is reduced block by block over the states, each block copied
-start-major so the max and min over starts run along contiguous rows: numpy
-reduces a short last axis one row at a time, at about ten times the cost
-of the step, while the blocks cost about twice the step.
+max|x - pi| is one contiguous pass over x against pi repeated once per
+start.
 
 Each chain is solved once. Its first read of ``ChainModel.stationary``
 (through ``stationary_distribution``, ``mixing_time`` or ``deviation_curve``)
@@ -63,17 +61,13 @@ _JOINT_LAW_MAX_M = 6
 # without a new minimum it sits on its rounding floor and mixing_time stops
 _STALL_STEPS = 1000
 
-# entries of x (states by starts) that a deviation reduction copies
-# start-major at a time; 2^15 was the fastest power of two on kawasaki
-# chains of 1296, 32768 and 10^5 states
-_DEVIATION_BLOCK = 1 << 15
-
 # power iteration stops once its residual ||pi P - pi||_1 is at most
 # STATIONARY_TOL, and raises NumericalError after STATIONARY_MAX_ITER steps
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10**6
 
-# the most steps mixing_time takes before it raises NumericalError
+# the most steps mixing_time takes before it raises NumericalError, and the
+# largest t_max of a deviation curve
 MIXING_STEPS_CAP = 10**6
 
 # the most history sizes optimal_history_size searches when no K_max bounds
@@ -375,44 +369,40 @@ def orbit_starts(chain, recurrent):
     return recurrent[np.sort(order[first])]
 
 
-def _max_deviation(x, pi):
-    """max|x - pi[:, None]| for x of states by starts, bit for bit: max
-    and min are exact and rounding is monotone. Each block of rows is
-    copied start-major, so the per-state max and min over starts are
-    axis-0 reductions that run along contiguous rows."""
-    n, c = x.shape
-    rows = max(1, _DEVIATION_BLOCK // c)
-    dev = -math.inf
-    for i in range(0, n, rows):
-        block = x[i:i + rows].T.copy()
-        p = pi[i:i + rows]
-        dev = max(dev, (block.max(axis=0) - p).max(), (p - block.min(axis=0)).max())
-    return dev
-
-
 def _deviations(chain):
     """max over recurrent starts s and states j of |P^t(s, j) - pi_j|, for
     t = 0, 1, ...; x holds one column per start orbit and one row per
     state. Relabelling coordinates maps P^t(s, .) and pi onto P^t(g s, .)
-    and pi, so every start of an orbit has the same deviation."""
+    and pi, so every start of an orbit has the same deviation.
+
+    pi is stored repeated once per start, so each deviation is one
+    subtraction, abs and max over contiguous arrays, written into the
+    buffer the next step overwrites. Each entry of x - pi is rounded once
+    and abs and max are exact, so the value does not depend on the order
+    of the reduction."""
     step = _shift_step(chain)
-    pi, starts = chain.stationary.pi, chain.starts
-    x = np.zeros((chain.n_states, len(starts)))
-    x[starts, np.arange(len(starts))] = 1.0
+    starts = chain.starts
+    c = len(starts)
+    rep = np.repeat(chain.stationary.pi, c).reshape(-1, c)
+    x = np.zeros_like(rep)
+    x[starts, np.arange(c)] = 1.0
     out = np.empty_like(x)
     while True:
-        yield _max_deviation(x, pi)
+        yield np.abs(np.subtract(x, rep, out=out), out=out).max()
         x, out = step(x, out), x
 
 
 def _check_t_max(t_max):
     if t_max < 0:
         raise InvalidArgumentError(f"t_max must be >= 0, got {t_max}")
+    if t_max > MIXING_STEPS_CAP:
+        raise TooLargeError(t_max, MIXING_STEPS_CAP, f"a deviation curve to t_max={t_max}")
 
 
 def deviation_curve(chain, t_max):
     """max over start states and entries of |P^t - pi| on the recurrent
-    class, for t = 0..t_max."""
+    class, for t = 0..t_max. A t_max above MIXING_STEPS_CAP raises
+    TooLargeError before the first step."""
     _check_t_max(t_max)
     return np.fromiter(_deviations(chain), dtype=np.float64, count=t_max + 1)
 

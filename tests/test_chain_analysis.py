@@ -265,11 +265,13 @@ def test_curve_and_mixing_time_check_their_arguments_and_cap(monkeypatch):
     with pytest.raises(InvalidArgumentError, match="eps must be positive"):
         curve_and_mixing_time(chain, 10, float("nan"))
     # tau = 191 (CHAIN_PINS), past a 190-step cap whether or not the curve
-    # reaches the cap
+    # reaches the cap; a curve past the cap is refused
     monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 190)
-    for t_max in (50, 200):
+    for t_max in (50, 190):
         with pytest.raises(NumericalError, match=r"not mixed to eps\*pi_min after 190 steps"):
             curve_and_mixing_time(chain, t_max, 0.05)
+    with pytest.raises(TooLargeError, match="t_max=191, exceeds cap 190"):
+        curve_and_mixing_time(chain, 191, 0.05)
 
 
 def _count_calls(monkeypatch, names):
@@ -567,20 +569,49 @@ def test_orbit_starts_match_every_start(kind, kwargs, n_orbits):
 
 
 @pytest.mark.parametrize("kind, kwargs", ERGODIC_PINS + [("kawasaki", dict(d=7, m=1, K=4))])
-def test_blockwise_deviation_matches_the_one_pass_formula(kind, kwargs, monkeypatch):
+def test_blockwise_deviation_matches_the_one_pass_formula(kind, kwargs):
+    # the program subtracts a block of pi repeated once per start; the
+    # reference reduces each state's row to its max and min first
     chain = build_transition_matrix(kind, **kwargs)
     result = stationary_distribution(chain)
     starts = orbit_starts(chain, result.recurrent)
-    # a few rows per block, and a row count that leaves the last block ragged
-    rows = next(r for r in itertools.count(3) if chain.n_states % r)
-    monkeypatch.setattr(chain_analysis, "_DEVIATION_BLOCK", rows * len(starts))
-    reference = np.fromiter(_one_pass_deviations(chain, result, starts), np.float64, 61)
-    assert deviation_curve(chain, 60).tobytes() == reference.tobytes()
-    for eps in (0.5, 0.2, 0.05, 0.01):
-        threshold = eps * result.pi[result.recurrent].min()
-        tau = next(t for t, dev in enumerate(_one_pass_deviations(chain, result, starts))
-                   if t >= 1 and dev <= threshold)
+    thresholds = {eps: eps * result.pi[result.recurrent].min()
+                  for eps in (0.5, 0.2, 0.05, 0.01)}
+    # t <= 60, and on to the first t >= 1 under every threshold
+    reference = []
+    for dev in _one_pass_deviations(chain, result, starts):
+        reference.append(dev)
+        if len(reference) > 61 and min(reference[1:]) <= min(thresholds.values()):
+            break
+    assert deviation_curve(chain, 60).tobytes() == np.array(reference[:61]).tobytes()
+    for eps, threshold in thresholds.items():
+        tau = next(t for t in range(1, len(reference)) if reference[t] <= threshold)
         assert mixing_time(chain, eps) == tau, eps
+
+
+# SHA-256 of deviation_curve(chain, 200) bytes, recorded while each
+# deviation was reduced block by block: the benchmark's chains, then the
+# 2401-state kawasaki chain. banlast(10,1,3) holds rows off its recurrent
+# class (720 of its 1000 states).
+CURVE_PINS = [
+    ("kawasaki", dict(d=6, m=1, K=4),
+     "bb8fe837095f891fe65ca2169b6883afc2e33668ea3637196ad94c4e9b1bc3f3"),
+    ("banlast", dict(d=10, m=1, K=3),
+     "20353e55144f3c6084c82f34851191de7edb8e4b411b3243f4f7a76908faaeeb"),
+    ("kawasaki", dict(d=6, m=2, K=2, joint_law=True),
+     "0a201d977dab533cd79a55a953034b89cbc07791230a31baa3aa32dcff946a9e"),
+    ("kawasaki", dict(d=6, m=1, K=3, activation="project", b=2.0),
+     "4494abe9db8564662279c7fc49df103f782688bc1205be044882b27dd3ace4c5"),
+    ("rand", dict(d=5, m=2, K=2),
+     "1037b24884eac5b9b0f60d5f5dcba75d254533ac5a7bb9128bea3fa5e3e8dfa3"),
+    ("kawasaki", dict(d=7, m=1, K=4),
+     "f808358db3ea3cb9bac75941ad72868abddb78a6fc0b3ea13008d9a03c1c651c"),
+]
+
+
+@pytest.mark.parametrize("kind, kwargs, digest", CURVE_PINS)
+def test_deviation_curve_is_pinned(kind, kwargs, digest):
+    assert _digest(deviation_curve(build_transition_matrix(kind, **kwargs), 200)) == digest
 
 
 @pytest.mark.parametrize("t_max", [-1, -2])
@@ -594,6 +625,26 @@ def test_deviation_curve_rejects_a_negative_t_max_before_stepping(t_max, monkeyp
     monkeypatch.setattr(chain_analysis, "_shift_step", no_step)
     with pytest.raises(InvalidArgumentError, match="t_max"):
         deviation_curve(chain, t_max)
+
+
+def test_deviation_curves_refuse_a_t_max_above_the_step_cap(monkeypatch):
+    chain = build_transition_matrix("banlast", d=4, m=1, K=1)
+    stationary_distribution(chain)
+    cap = chain_analysis.MIXING_STEPS_CAP
+    monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 50)
+    assert len(deviation_curve(chain, 50)) == 51
+    monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", cap)
+
+    def no_step(chain):
+        raise AssertionError("stepped the chain")
+
+    monkeypatch.setattr(chain_analysis, "_shift_step", no_step)
+    for t_max in (cap + 1, 10**9):
+        message = f"a deviation curve to t_max={t_max}, exceeds cap {cap}"
+        with pytest.raises(TooLargeError, match=message):
+            deviation_curve(chain, t_max)
+        with pytest.raises(TooLargeError, match=message):
+            curve_and_mixing_time(chain, t_max, 0.05)
 
 
 def test_a_memoryless_chain_over_the_cap_names_its_masks():

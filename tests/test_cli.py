@@ -1,5 +1,6 @@
 """Exit codes and wiring of the command-line front end."""
 
+import hashlib
 import json
 import os
 import re
@@ -340,10 +341,20 @@ def test_analyze_chain_writes_deviation_curve(tmp_path, capsys):
     assert len(lines) == 22
 
 
-@pytest.mark.parametrize("t_max", ["-1", "-2"])
-def test_analyze_chain_rejects_a_negative_t_max(t_max, tmp_path, monkeypatch, capsys):
-    # every deviation stream is cut at 10^4 steps, so an unchecked t_max
-    # fails here instead of stepping forever
+def test_analyze_chain_curve_csv_is_pinned(tmp_path, capsys):
+    # SHA-256 of the CSV bytes, recorded while each deviation was reduced
+    # block by block
+    out = tmp_path / "curve.csv"
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "6", "--m", "1", "--K", "4",
+                 "--t-max", "200", "--output", str(out)]) == 0
+    assert "mixing time (eps=0.05): 191" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "450e0655db7d13462fe95eb2106ceeed45b646e8a91f4a79ab8a43df691f0ee6")
+
+
+def _bound_deviations(monkeypatch):
+    """Cuts every deviation stream at 10^4 steps, so an unchecked t_max
+    fails fast instead of stepping for hours."""
     deviations = chains._deviations
 
     def bounded(*args):
@@ -352,12 +363,29 @@ def test_analyze_chain_rejects_a_negative_t_max(t_max, tmp_path, monkeypatch, ca
         raise AssertionError("more than 10^4 deviation steps")
 
     monkeypatch.setattr(chains, "_deviations", bounded)
+
+
+@pytest.mark.parametrize("t_max", ["-1", "-2"])
+def test_analyze_chain_rejects_a_negative_t_max(t_max, tmp_path, monkeypatch, capsys):
+    _bound_deviations(monkeypatch)
     out = tmp_path / "curve.csv"
     assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1",
                  "--t-max", t_max, "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert "t_max must be >= 0" in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+def test_analyze_chain_refuses_a_t_max_above_the_step_cap(tmp_path, monkeypatch, capsys):
+    _bound_deviations(monkeypatch)
+    cap = chains.MIXING_STEPS_CAP
+    out = tmp_path / "curve.csv"
+    assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1",
+                 "--t-max", str(cap + 1), "--output", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"failure: a deviation curve to t_max={cap + 1}, exceeds cap {cap}\n"
     assert not out.exists()
 
 
