@@ -195,13 +195,13 @@ def _next_mask_law(chain, histories):
 
 
 def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
-                            cap=DEFAULT_STATE_CAP, joint_law=False):
+                            joint_law=False):
     """Exact chain over K-tuples of masks for rand/banlast/kawasaki.
 
     For m > 1 the next-mask law is the sequential-draw joint law; for
     KAWASAKI that law is a modeling choice, so it must be requested
     explicitly via joint_law=True. Raises TooLargeError, before any
-    enumeration, when C(d,m)^max(K,1) exceeds `cap`, and
+    enumeration, when C(d,m)^max(K,1) exceeds DEFAULT_STATE_CAP, and
     InvalidArgumentError when m > 6 (the law sums m! orderings).
     """
     if kind not in SPARSIFYING_KINDS:
@@ -212,8 +212,8 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
             "kawasaki with m > 1: pass joint_law=True to adopt the sequential-draw joint law"
         )
     size = math.comb(d, m) ** max(K, 1)
-    if size > cap:
-        raise TooLargeError(size, cap, None if K else
+    if size > DEFAULT_STATE_CAP:
+        raise TooLargeError(size, DEFAULT_STATE_CAP, None if K else
                             f"the one-step law of the K=0 chain has {size} masks")
     _check_mask_size(m)
     # K=0 is the one empty history, which moves to itself

@@ -2,8 +2,9 @@
 
 Subcommands: train, sweep-k, analyze-chain, hitting-time, optimal-k,
 reproduce-appendix-b. Exit codes: 0 success, 2 configuration or argument
-error, 3 divergence during training, 4 numerical or structural failure
-(non-convergence, non-ergodic chain, state space too large).
+error or a file the command cannot read or write, 3 divergence during
+training, 4 numerical or structural failure (non-convergence, non-ergodic
+chain, state space too large).
 """
 
 import argparse
@@ -116,10 +117,7 @@ def _cmd_analyze_chain(args):
         args.kind, args.d, args.m, args.K, b=args.b, activation=args.activation)
     result = chains.stationary_distribution(chain)
     # before any output, so a bad --t-max or --eps prints nothing
-    if args.output:
-        devs, tau = chains.curve_and_mixing_time(chain, args.t_max, args.eps)
-    else:
-        tau = chains.mixing_time(chain, args.eps)
+    devs, tau = chains.curve_and_mixing_time(chain, args.t_max, args.eps)
     pi_class = result.pi[result.recurrent]
     marginal = chains.newest_mask_marginal(chain, result.pi)
     print(f"states: {chain.n_states}")
@@ -151,8 +149,7 @@ def _cmd_analyze_chain(args):
             if bound:
                 row += f",{bound.C * bound.rho ** t!r}"
             lines.append(row)
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        harness.write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -222,6 +219,10 @@ def main(argv=None):
     except (NumericalError, NonErgodicError, TooLargeError) as err:
         print(f"failure: {err}", file=sys.stderr)
         return 4
+    except OSError as err:
+        # a file the command itself cannot read or write
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -163,11 +163,13 @@ class Compressor:
     uniforms (kernels.uniforms_per_row: 1 for m = 1, d for m > 1) from its
     own stream and sparsifies all rows in one write.
     `compress` mutates the state (advances the streams, pushes masks).
+    The parameters are checked by validate_parameters with the ergodicity
+    check on, so a banlast compressor needs d > (K+1)m.
     """
 
     def __init__(self, kind, d, m=None, K=0, b=50.0, activation="normalize",
-                 seed=0, worker=0, n_workers=1, allow_nonergodic=False):
-        m = validate_parameters(kind, d, m, K, b, activation, allow_nonergodic)
+                 seed=0, worker=0, n_workers=1):
+        m = validate_parameters(kind, d, m, K, b, activation)
 
         self.kind = kind
         self.d = int(d)

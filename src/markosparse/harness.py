@@ -248,12 +248,14 @@ def trace_to_csv(trace):
     return "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
 
 
-def _write_csv(path, trace):
+def write_text(path, text):
+    """Writes text as UTF-8 with \\n line ends, creating missing parent
+    directories; every command's CSV is written here."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace_to_csv(trace))
+        fh.write(text)
 
 
 def coords_to_threshold(trace, threshold):
@@ -333,10 +335,10 @@ def _run_on(cfg, problem, key, csv_path=None, quiet=False):
     except DivergenceError as err:
         # the rows up to the divergence are still written
         if out and err.trace is not None:
-            _write_csv(out, err.trace)
+            write_text(out, trace_to_csv(err.trace))
         raise
     if out:
-        _write_csv(out, trace)
+        write_text(out, trace_to_csv(trace))
     summary = summarize(trace)
     if not quiet:
         print_summary(summary)
@@ -356,7 +358,7 @@ def feasible_history_sizes(cfg, d, k_values):
     return feasible, skipped
 
 
-def sweep_k(cfg, k_values, quiet=False):
+def sweep_k(cfg, k_values):
     """One training run per feasible K with the shared base seed; returns
     rows of coords-to-threshold with the argmin marked. Every feasible K's
     compressor parameters are checked before the first run, so a bad K
@@ -383,11 +385,10 @@ def sweep_k(cfg, k_values, quiet=False):
             best = i
     for i, row in enumerate(rows):
         row["best"] = i == best
-    if not quiet:
-        for row in rows:
-            mark = " *" if row["best"] else ""
-            print(f"K={row['K']}: coords to 1e-3 = "
-                  f"{_fmt(row[target]) if row[target] is not None else 'not reached'}{mark}")
+    for row in rows:
+        mark = " *" if row["best"] else ""
+        print(f"K={row['K']}: coords to 1e-3 = "
+              f"{_fmt(row[target]) if row[target] is not None else 'not reached'}{mark}")
     return rows
 
 
@@ -397,7 +398,7 @@ def alpha_to_dm(alpha):
     return frac.numerator, frac.denominator
 
 
-def reproduce_hitting_table(trials=10**5, seed=2024, output=None, quiet=False):
+def reproduce_hitting_table(trials=10**5, seed=2024, output=None):
     """The ALPHA_GRID table: optimal K, hitting-time formulas, Monte-Carlo
     cross-check, and the zero-intercept linear fit of K* on alpha."""
     rows = []
@@ -425,12 +426,10 @@ def reproduce_hitting_table(trials=10**5, seed=2024, output=None, quiet=False):
         lines = [",".join(cols)]
         lines += [",".join(_fmt(r[c]) for c in cols) for r in rows]
         lines.append(f"# zero-intercept slope,{_fmt(slope)}")
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    if not quiet:
-        for r in rows:
-            print(f"alpha={r['alpha']:>5}: K*={r['K_star']:>2} rand={r['rand']:>5.1f} "
-                  f"formula={r['banlast_formula']:.4f} exact={r['banlast_exact']:.4f} "
-                  f"mc={r['mc_mean']:.4f}+/-{r['mc_stderr']:.4f}")
-        print(f"zero-intercept slope: {slope:.4f}")
+        write_text(output, "\n".join(lines) + "\n")
+    for r in rows:
+        print(f"alpha={r['alpha']:>5}: K*={r['K_star']:>2} rand={r['rand']:>5.1f} "
+              f"formula={r['banlast_formula']:.4f} exact={r['banlast_exact']:.4f} "
+              f"mc={r['mc_mean']:.4f}+/-{r['mc_stderr']:.4f}")
+    print(f"zero-intercept slope: {slope:.4f}")
     return report

@@ -5,8 +5,9 @@ The distributed objective is f(x) = (1/n) sum_i f_i(x) with per-shard
     f_i(w) = (1/|S_i|) sum_{s in S_i} log(1 + exp(-y_s <w, x_s>)) + lambda ||w||^2
 
 (no 1/2 on the regularizer, so the strong-convexity constant is 2*lambda).
-Also provides an empirical estimator of the smoothness constants and small
-synthetic problem generators used by tests and the experiment harness.
+Also provides an empirical estimator of the smoothness constants, and
+separable_binary_dataset, the generator with which scripts/generate_data.py
+rebuilds the shipped dataset.
 
 `parse_libsvm` reads LIBSVM text with one grammar, line by line: each line
 is split once, its label checked against the label encodings that still
@@ -26,12 +27,11 @@ along its rows: numpy's pairwise sum of each shard's slice, as one shard
 alone sums it.
 
 scipy is imported inside the functions that use it (parsing, the stacked
-shards, the loss functions and the generators), not at module level:
+shards, the loss functions and the generator), not at module level:
 importing this module, and the harness and CLI that import it, then loads
 no scipy, and the chain commands start without it.
 """
 
-import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -51,8 +51,6 @@ _BLOCK_LINES = 256
 # eigenvalue estimate, and raises NumericalError after SMOOTHNESS_MAX_ITER steps
 SMOOTHNESS_TOL = 1e-8
 SMOOTHNESS_MAX_ITER = 10_000
-# standard deviation of the Gaussian noise on synthetic_binary_dataset's margins
-LABEL_NOISE = 0.5
 
 
 @dataclass(frozen=True)
@@ -339,55 +337,6 @@ def estimate_constants(problem):
     return replace(problem, L_i=L_i, L_global=L_global, mu=mu)
 
 
-class QuadraticProblem:
-    """f_i(x) = 0.5 ||x - a_i||^2; the shard-gradient shifts relative to the
-    mean objective sum to zero by construction. Used for exactness tests."""
-
-    def __init__(self, centers):
-        self.centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-        self.lam = 0.0
-
-    @property
-    def n(self):
-        return self.centers.shape[0]
-
-    @property
-    def d(self):
-        return self.centers.shape[1]
-
-    def shard_loss_grad(self, w, i):
-        diff = w - self.centers[i]
-        return 0.5 * float((diff * diff).sum()), diff
-
-    def shard_loss_grads(self, w):
-        diffs = w - self.centers
-        return 0.5 * (diffs * diffs).sum(axis=1), diffs
-
-    def full_loss_grad(self, w):
-        return mean_loss_grad(*self.shard_loss_grads(w))
-
-
-def synthetic_binary_dataset(n_rows, d, nnz_per_row, seed):
-    """Sparse 0/1-feature dataset with labels from a planted linear rule plus
-    Gaussian noise of standard deviation LABEL_NOISE. Deterministic in seed."""
-    import scipy.sparse as sp
-
-    if not 1 <= nnz_per_row <= d:
-        raise InvalidArgumentError("need 1 <= nnz_per_row <= d")
-    rng = np.random.default_rng(seed)
-    w_true = rng.standard_normal(d)
-    indices = np.empty(n_rows * nnz_per_row, dtype=np.int32)
-    for r in range(n_rows):
-        cols = np.sort(rng.choice(d, size=nnz_per_row, replace=False))
-        indices[r * nnz_per_row:(r + 1) * nnz_per_row] = cols
-    data = np.ones(n_rows * nnz_per_row)
-    indptr = np.arange(0, (n_rows + 1) * nnz_per_row, nnz_per_row, dtype=np.int32)
-    X = sp.csr_matrix((data, indices, indptr), shape=(n_rows, d))
-    margin = X @ w_true / math.sqrt(nnz_per_row) + LABEL_NOISE * rng.standard_normal(n_rows)
-    y = np.where(margin >= 0, 1.0, -1.0)
-    return Dataset(X, y, d)
-
-
 def separable_binary_dataset(n_rows, d, nnz_per_row, seed):
     """Sparse 0/1-feature dataset where each class draws its active columns
     from its own half of the feature space, mimicking categorical datasets
@@ -411,20 +360,3 @@ def separable_binary_dataset(n_rows, d, nnz_per_row, seed):
     indptr = np.arange(0, (n_rows + 1) * nnz_per_row, nnz_per_row, dtype=np.int32)
     X = sp.csr_matrix((data, indices, indptr), shape=(n_rows, d))
     return Dataset(X, y, d)
-
-
-def heterogeneous_problem(n, d, rows_per_shard, shift, lam, seed):
-    """n shards of dense Gaussian rows whose feature means are shifted per
-    shard, so worker gradients disagree at the optimum."""
-    import scipy.sparse as sp
-
-    rng = np.random.default_rng(seed)
-    w_true = rng.standard_normal(d) / math.sqrt(d)
-    shards = []
-    for i in range(n):
-        center = shift * rng.standard_normal(d)
-        rows = center + rng.standard_normal((rows_per_shard, d))
-        margin = rows @ w_true + 0.5 * rng.standard_normal(rows_per_shard)
-        y = np.where(margin >= 0, 1.0, -1.0)
-        shards.append(Dataset(sp.csr_matrix(rows), y, d))
-    return ShardedProblem(tuple(shards), lam)

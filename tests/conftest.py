@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from markosparse.objectives import (
-    estimate_constants,
-    parse_libsvm,
-    partition,
-    synthetic_binary_dataset,
-)
+from markosparse.objectives import estimate_constants, parse_libsvm, partition
+from problems import synthetic_binary_dataset
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")

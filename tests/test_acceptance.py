@@ -28,12 +28,7 @@ from markosparse.chain_analysis import (
 from markosparse.compressors import Compressor
 from markosparse.errors import InvalidArgumentError
 from markosparse.harness import ALPHA_GRID, ExperimentConfig, run_experiment
-from markosparse.objectives import (
-    estimate_constants,
-    heterogeneous_problem,
-    loss_and_gradient,
-    synthetic_binary_dataset,
-)
+from markosparse.objectives import estimate_constants, loss_and_gradient
 from markosparse.optimizers import (
     ServerState,
     amqsgd_params,
@@ -42,6 +37,7 @@ from markosparse.optimizers import (
     run_training,
     training_round,
 )
+from problems import heterogeneous_problem, synthetic_binary_dataset
 
 BANLAST_CHAINS = [(3, 1, 1), (4, 1, 1), (5, 1, 2), (5, 2, 1)]
 KAWASAKI_CHAINS = [(3, 1, 1, 2), (4, 1, 1, 5), (4, 1, 2, 2)]

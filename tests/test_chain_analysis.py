@@ -134,11 +134,13 @@ def test_nonergodic_chains_are_reported():
         recurrent_class(build_transition_matrix("banlast", d=4, m=2, K=1))
 
 
-def test_state_and_matrix_caps():
+def test_state_and_matrix_caps(monkeypatch):
     with pytest.raises(TooLargeError):
         build_transition_matrix("banlast", d=40, m=4, K=3)
-    with pytest.raises(TooLargeError):
-        build_transition_matrix("banlast", d=30, m=1, K=3, cap=1000)
+    with monkeypatch.context() as patched:
+        patched.setattr(chain_analysis, "DEFAULT_STATE_CAP", 1000)
+        with pytest.raises(TooLargeError):
+            build_transition_matrix("banlast", d=30, m=1, K=3)
     # K=0 has one state but C(d,m) masks in its one-step law
     with pytest.raises(TooLargeError):
         build_transition_matrix("rand", d=30, m=5, K=0)

@@ -15,7 +15,8 @@ from markosparse import chain_analysis as chains, harness, optimizers
 from markosparse.cli import _parse_k_list, main
 from markosparse.errors import InvalidArgumentError
 from markosparse.harness import CSV_HEADER
-from markosparse.objectives import serialize_libsvm, synthetic_binary_dataset
+from markosparse.objectives import serialize_libsvm
+from problems import synthetic_binary_dataset
 
 
 @pytest.fixture()
@@ -96,6 +97,31 @@ def test_huge_trial_counts_exit_4(argv, capsys):
     assert main([*argv, "--trials", "10000000000000"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("failure: 10000000000000 hitting-time trials, exceeds cap")
+
+
+@pytest.mark.parametrize("case", [
+    "analyze-chain-output", "reproduce-appendix-b-output", "train-output", "train-dataset-dir",
+])
+def test_a_file_the_command_cannot_use_exits_2(case, tmp_path, small_file, capsys):
+    # an --output under a regular file cannot be created, and a directory
+    # cannot be read as a dataset
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    output = ["--output", str(blocker / "x.csv")]
+    culprit = blocker
+    if case == "analyze-chain-output":
+        argv = ["analyze-chain", "--kind", "banlast", "--d", "4", "--K", "1", *output]
+    elif case == "reproduce-appendix-b-output":
+        argv = ["reproduce-appendix-b", "--trials", "50", *output]
+    elif case == "train-output":
+        argv = ["train", "--config", write_cfg(tmp_path, small_file), *output]
+    else:
+        argv, culprit = ["train", "--config", write_cfg(tmp_path, str(tmp_path))], tmp_path
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(culprit) in err
 
 
 def test_chain_commands_load_no_scipy_sparse_special_or_yaml():
@@ -369,11 +395,13 @@ def _bound_deviations(monkeypatch):
 def test_analyze_chain_rejects_a_negative_t_max(t_max, tmp_path, monkeypatch, capsys):
     _bound_deviations(monkeypatch)
     out = tmp_path / "curve.csv"
-    assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1",
-                 "--t-max", t_max, "--output", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "t_max must be >= 0" in captured.err
-    assert captured.out == ""
+    # with and without --output
+    for tail in (["--output", str(out)], []):
+        assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1",
+                     "--t-max", t_max, *tail]) == 2
+        captured = capsys.readouterr()
+        assert "t_max must be >= 0" in captured.err
+        assert captured.out == ""
     assert not out.exists()
 
 
@@ -381,11 +409,14 @@ def test_analyze_chain_refuses_a_t_max_above_the_step_cap(tmp_path, monkeypatch,
     _bound_deviations(monkeypatch)
     cap = chains.MIXING_STEPS_CAP
     out = tmp_path / "curve.csv"
-    assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1",
-                 "--t-max", str(cap + 1), "--output", str(out)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"failure: a deviation curve to t_max={cap + 1}, exceeds cap {cap}\n"
+    # with and without --output
+    for tail in (["--output", str(out)], []):
+        assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1",
+                     "--t-max", str(cap + 1), *tail]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"failure: a deviation curve to t_max={cap + 1}, exceeds cap {cap}\n")
     assert not out.exists()
 
 

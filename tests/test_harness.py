@@ -25,8 +25,9 @@ from markosparse.harness import (
     validate_config,
     _fmt,
 )
-from markosparse.objectives import serialize_libsvm, synthetic_binary_dataset
+from markosparse.objectives import serialize_libsvm
 from markosparse.optimizers import TrainTrace
+from problems import synthetic_binary_dataset
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -371,7 +372,7 @@ def test_feasible_history_sizes(small_file):
 
 def test_sweep_k_baseline_row_equals_rand(small_file, capsys):
     cfg = small_cfg(small_file, compressor="banlast", T=60)
-    rows = sweep_k(cfg, [0, 1, 99], quiet=True)
+    rows = sweep_k(cfg, [0, 1, 99])
     assert [r["K"] for r in rows] == [0, 1]
     assert sum(r["best"] for r in rows) <= 1
     rand_run = run_experiment(small_cfg(small_file, compressor="rand", T=60), quiet=True)
@@ -386,7 +387,7 @@ def test_sweep_k_shards_the_dataset_once(small_file, monkeypatch):
     real_build = harness.build_problem
     monkeypatch.setattr(harness, "build_problem",
                         lambda cfg: calls.append(cfg.K) or real_build(cfg))
-    rows = sweep_k(small_cfg(small_file, compressor="banlast", T=5), [0, 1], quiet=True)
+    rows = sweep_k(small_cfg(small_file, compressor="banlast", T=5), [0, 1])
     assert [r["K"] for r in rows] == [0, 1]
     assert len(calls) == 1
 
@@ -400,7 +401,7 @@ def test_each_run_hashes_the_dataset_once(small_file, monkeypatch):
                         lambda cfg, data: calls.append(cfg.K) or real_key(cfg, data))
     run_experiment(small_cfg(small_file, T=5), quiet=True)
     assert len(calls) == 1
-    rows = sweep_k(small_cfg(small_file, compressor="kawasaki", T=5), [0, 1, 2], quiet=True)
+    rows = sweep_k(small_cfg(small_file, compressor="kawasaki", T=5), [0, 1, 2])
     assert [r["K"] for r in rows] == [0, 1, 2]
     assert len(calls) == 2
 
@@ -414,7 +415,7 @@ def test_alpha_grid_maps_to_integer_ratios():
 
 def test_reproduce_hitting_table_report(tmp_path):
     out = tmp_path / "table.csv"
-    report = reproduce_hitting_table(trials=4000, seed=11, output=str(out), quiet=True)
+    report = reproduce_hitting_table(trials=4000, seed=11, output=str(out))
     rows = report["rows"]
     assert [r["K_star"] for r in rows] == [4, 5, 6, 7, 8, 9, 10, 12, 15]
     assert 0.6 <= report["slope"] <= 0.85

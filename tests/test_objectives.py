@@ -16,11 +16,9 @@ import markosparse
 from markosparse.errors import InvalidArgumentError, ParseError
 from markosparse.objectives import (
     Dataset,
-    QuadraticProblem,
     ShardedProblem,
     estimate_constants,
     estimate_smoothness,
-    heterogeneous_problem,
     load_libsvm,
     loss_and_gradient,
     parse_libsvm,
@@ -28,8 +26,8 @@ from markosparse.objectives import (
     separable_binary_dataset,
     serialize_libsvm,
     strong_convexity_constant,
-    synthetic_binary_dataset,
 )
+from problems import QuadraticProblem, heterogeneous_problem, synthetic_binary_dataset
 
 
 def test_parse_basic_shape(tiny_dataset):

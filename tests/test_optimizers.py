@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from markosparse.errors import ConfigError, DivergenceError, InvalidArgumentError
 from markosparse.harness import ExperimentConfig
-from markosparse.objectives import QuadraticProblem, heterogeneous_problem
 from markosparse.optimizers import (
     ServerState,
     amqsgd_params,
@@ -19,6 +18,7 @@ from markosparse.optimizers import (
     training_round,
 )
 from markosparse import IDENTITY, RAND
+from problems import QuadraticProblem, heterogeneous_problem
 
 
 def test_mqsgd_with_identity_is_gradient_descent_bitwise(small_problem):
