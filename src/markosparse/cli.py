@@ -120,6 +120,27 @@ def _cmd_analyze_chain(args):
     devs, tau = chains.curve_and_mixing_time(chain, args.t_max, args.eps)
     pi_class = result.pi[result.recurrent]
     marginal = chains.newest_mask_marginal(chain, result.pi)
+    bound, bound_line = None, None
+    try:
+        if args.kind == BANLAST:
+            bound = chains.rho_bound_banlast(args.d, args.m, args.K)
+        elif args.kind == KAWASAKI and args.activation == "normalize":
+            bound = chains.rho_bound_kawasaki_normalize(args.d, args.m, args.K, args.b)
+    except InvalidArgumentError as err:
+        bound_line = f"ergodicity bound: not applicable ({err})"
+    if bound is not None:
+        bound_line = (f"ergodicity bound: rho={bound.rho:.10f} C={bound.C:.10f} "
+                      f"gap={bound.gap:.10e}")
+    # the CSV before the report, so an output that cannot be written
+    # prints nothing
+    if args.output:
+        lines = ["t,deviation" + (",bound" if bound else "")]
+        for t in range(args.t_max + 1):
+            row = f"{t},{devs[t]!r}"
+            if bound:
+                row += f",{bound.C * bound.rho ** t!r}"
+            lines.append(row)
+        harness.write_text(args.output, "\n".join(lines) + "\n")
     print(f"states: {chain.n_states}")
     print(f"recurrent class: {len(result.recurrent)} states "
           f"({result.n_unreachable} unreachable)")
@@ -131,25 +152,8 @@ def _cmd_analyze_chain(args):
     print(f"newest-mask marginal range: [{marginal.min():.10f}, {marginal.max():.10f}] "
           f"(m/d = {args.m / args.d:.10f})")
     print(f"mixing time (eps={args.eps:g}): {tau}")
-    bound = None
-    try:
-        if args.kind == BANLAST:
-            bound = chains.rho_bound_banlast(args.d, args.m, args.K)
-        elif args.kind == KAWASAKI and args.activation == "normalize":
-            bound = chains.rho_bound_kawasaki_normalize(args.d, args.m, args.K, args.b)
-    except InvalidArgumentError as err:
-        print(f"ergodicity bound: not applicable ({err})")
-    if bound is not None:
-        print(f"ergodicity bound: rho={bound.rho:.10f} C={bound.C:.10f} "
-              f"gap={bound.gap:.10e}")
-    if args.output:
-        lines = ["t,deviation" + (",bound" if bound else "")]
-        for t in range(args.t_max + 1):
-            row = f"{t},{devs[t]!r}"
-            if bound:
-                row += f",{bound.C * bound.rho ** t!r}"
-            lines.append(row)
-        harness.write_text(args.output, "\n".join(lines) + "\n")
+    if bound_line:
+        print(bound_line)
     return 0
 
 

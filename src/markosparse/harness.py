@@ -10,19 +10,16 @@ fixed schema
 
 and prints a summary of the coordinates needed to reach fixed suboptimality
 thresholds. Paired runs on one dataset share its parse and its solve: the
-last sharded problem is kept in memory, and reference minimizers are cached
-in memory and optionally on disk, both keyed by the dataset's content hash,
-dim, sharding and lambda. The file is read and hashed on every run, so an
-edited file is noticed. A disk-cache blob that cannot be loaded counts as a
-miss and is solved and written again; a cache write that fails prints a
-warning and the run goes on without the disk cache.
+last dataset's sharded problem and, once solved, its reference minimizer
+are kept in memory, keyed by the file's content hash, dim, sharding and
+lambda. Only the last dataset is kept, and nothing but the CSV is written
+to disk. The file is read and hashed on every run, so an edited file is
+noticed.
 """
 
 import hashlib
 import os
 import sys
-import tempfile
-import zipfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -34,7 +31,6 @@ from .errors import ConfigError, DivergenceError
 from .objectives import load_libsvm, partition
 from .optimizers import OPTIMIZERS, reference_minimizer, run_training
 
-CACHE_ENV = "MARKOSPARSE_CACHE_DIR"
 CSV_HEADER = "t,coords_sent_cum,f_value,fdist_ratio,grad_norm_sq,dist_sq_to_opt"
 SUMMARY_THRESHOLDS = (1e-2, 1e-3, 1e-4)
 # data shuffling must not share a stream with any worker id
@@ -176,12 +172,9 @@ def validate_config(cfg):
         raise ConfigError("run.budget", "must be > 0")
 
 
-_REFERENCE_MEMORY = {}
-# one entry: the last sharded problem, by _reference_key
-_LAST_PROBLEM = {}
-# what loading a truncated or foreign blob, or one without our keys, raises
-# (np.load gives a bare array, without the context manager, for a .npy file)
-_BAD_BLOB = (OSError, ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile)
+# the last dataset only, {key: entry}: the entry holds its sharded
+# "problem" and, once solved, its "reference"
+_MEMO = {}
 
 
 def _reference_key(cfg, data_bytes):
@@ -191,43 +184,13 @@ def _reference_key(cfg, data_bytes):
     return h.hexdigest()
 
 
-def _save_reference(cache_dir, path, ref):
-    # write a temp file and rename it, so no reader sees a half-written blob
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".npz", dir=cache_dir)
-    os.close(fd)
-    try:
-        np.savez(tmp, x_star=ref[0], f_star=ref[1])
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _cached_reference(problem, key):
-    if key in _REFERENCE_MEMORY:
-        return _REFERENCE_MEMORY[key]
-    cache_dir = os.environ.get(CACHE_ENV)
-    path = os.path.join(cache_dir, f"ref_{key}.npz") if cache_dir else None
-    ref = _load_reference(path) if path else None
-    if ref is None:
-        ref = reference_minimizer(problem)
-        if path:
-            try:
-                _save_reference(cache_dir, path, ref)
-            except OSError as err:
-                print(f"warning: reference cache not written: {err}", file=sys.stderr)
-    _REFERENCE_MEMORY[key] = ref
-    return ref
-
-
-def _load_reference(path):
-    # a missing, unreadable or truncated blob is a miss
-    try:
-        with np.load(path) as blob:
-            return blob["x_star"], float(blob["f_star"])
-    except _BAD_BLOB:
-        return None
+    # solved on first use and kept in the key's entry; a solve that raises
+    # keeps nothing
+    entry = _MEMO.get(key, {})
+    if "reference" not in entry:
+        entry["reference"] = reference_minimizer(problem)
+    return entry["reference"]
 
 
 def _fmt(v):
@@ -248,12 +211,18 @@ def trace_to_csv(trace):
     return "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
 
 
-def write_text(path, text):
-    """Writes text as UTF-8 with \\n line ends, creating missing parent
-    directories; every command's CSV is written here."""
+def _make_parent(path):
+    # creates path's missing parent directories; called before the work
+    # that fills path, so an output that cannot be made fails first
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+
+
+def write_text(path, text):
+    """Writes text as UTF-8 with \\n line ends, creating missing parent
+    directories; every command's CSV is written here."""
+    _make_parent(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -291,22 +260,22 @@ def build_problem(cfg):
     The key (_reference_key) hashes the file's content and (dim, clients,
     lam, seed); it names both this problem and its reference solution. The
     last problem built is kept under it, so a run on the same data and
-    sharding skips the parse and the partition. The returned problem is
-    therefore shared: treat it and its shards as read-only."""
+    sharding skips the parse and the partition; a build that fails keeps
+    the previous one. The returned problem is therefore shared: treat it
+    and its shards as read-only."""
     if cfg.path is None:
         raise ConfigError("dataset.path", "required")
     with open(cfg.path, "rb") as fh:
         data_bytes = fh.read()
     key = _reference_key(cfg, data_bytes)
-    problem = _LAST_PROBLEM.get(key)
-    if problem is None:
+    if key not in _MEMO:
         dataset = load_libsvm(cfg.path, dim=cfg.dim)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([cfg.seed, _DATA_STREAM])))
         problem = partition(dataset, cfg.clients, rng, lam=cfg.lam)
-        _LAST_PROBLEM.clear()
-        _LAST_PROBLEM[key] = problem
-    return problem, key
+        _MEMO.clear()
+        _MEMO[key] = {"problem": problem}
+    return _MEMO[key]["problem"], key
 
 
 def run_experiment(cfg, csv_path=None, quiet=False):
@@ -328,8 +297,10 @@ def _run_on(cfg, problem, key, csv_path=None, quiet=False):
     # run_experiment on a problem already parsed and sharded for cfg, whose
     # build_problem key also names its reference
     _check_compressor(cfg, problem.d, cfg.K)
-    reference = _cached_reference(problem, key)
     out = csv_path or cfg.output
+    if out:
+        _make_parent(out)
+    reference = _cached_reference(problem, key)
     try:
         trace = run_training(problem, cfg, reference=reference)
     except DivergenceError as err:
@@ -401,6 +372,8 @@ def alpha_to_dm(alpha):
 def reproduce_hitting_table(trials=10**5, seed=2024, output=None):
     """The ALPHA_GRID table: optimal K, hitting-time formulas, Monte-Carlo
     cross-check, and the zero-intercept linear fit of K* on alpha."""
+    if output:
+        _make_parent(output)
     rows = []
     for alpha in ALPHA_GRID:
         d, m = alpha_to_dm(alpha)

@@ -102,9 +102,15 @@ def test_huge_trial_counts_exit_4(argv, capsys):
 @pytest.mark.parametrize("case", [
     "analyze-chain-output", "reproduce-appendix-b-output", "train-output", "train-dataset-dir",
 ])
-def test_a_file_the_command_cannot_use_exits_2(case, tmp_path, small_file, capsys):
+def test_a_file_the_command_cannot_use_exits_2(case, tmp_path, small_file, monkeypatch,
+                                              capsys):
     # an --output under a regular file cannot be created, and a directory
-    # cannot be read as a dataset
+    # cannot be read as a dataset; either fails before any training or
+    # Monte Carlo, and before any report line
+    monkeypatch.setattr(harness, "run_training",
+                        lambda *a, **k: pytest.fail("trained before the output was checked"))
+    monkeypatch.setattr(chains, "monte_carlo_hitting_time",
+                        lambda *a, **k: pytest.fail("sampled before the output was checked"))
     blocker = tmp_path / "blocker"
     blocker.write_text("", encoding="utf-8")
     output = ["--output", str(blocker / "x.csv")]
@@ -118,7 +124,9 @@ def test_a_file_the_command_cannot_use_exits_2(case, tmp_path, small_file, capsy
     else:
         argv, culprit = ["train", "--config", write_cfg(tmp_path, str(tmp_path))], tmp_path
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: [Errno ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert str(culprit) in err
@@ -150,38 +158,26 @@ def test_train_writes_csv_and_summary(tmp_path, small_file, capsys):
     assert "iterations: 25" in stdout
 
 
-def test_train_warns_when_the_cache_directory_is_unusable(tmp_path, small_file, monkeypatch,
-                                                        capsys):
-    cfg = write_cfg(tmp_path, small_file)
-    blocker = tmp_path / "plain-file"
-    blocker.write_text("", encoding="utf-8")
-    monkeypatch.setenv(harness.CACHE_ENV, str(blocker / "cache"))
-    harness._REFERENCE_MEMORY.clear()
-    assert main(["train", "--config", cfg, "--output", str(tmp_path / "a.csv")]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("warning: ")
-
-    monkeypatch.delenv(harness.CACHE_ENV)
-    harness._REFERENCE_MEMORY.clear()
-    assert main(["train", "--config", cfg, "--output", str(tmp_path / "b.csv")]) == 0
-    assert capsys.readouterr().err == ""
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-
 def test_train_exits_4_at_the_reference_cap_and_caches_nothing(tmp_path, small_file,
                                                               monkeypatch, capsys):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv(harness.CACHE_ENV, str(cache))
-    monkeypatch.setattr(harness, "_REFERENCE_MEMORY", {})
+    monkeypatch.setattr(harness, "_MEMO", {})
+    cap = optimizers.REFERENCE_MAX_ITER
     monkeypatch.setattr(optimizers, "REFERENCE_MAX_ITER", 1)
+    cfg = write_cfg(tmp_path, small_file)
     out = tmp_path / "metrics.csv"
-    assert main(["train", "--config", write_cfg(tmp_path, small_file),
-                 "--output", str(out)]) == 4
+    assert main(["train", "--config", cfg, "--output", str(out)]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("failure: reference minimizer stalled at ")
     assert err[0].endswith(" > 1e-10")
-    assert list(cache.glob("*")) == []
     assert not out.exists()
+    # the failed solve left no reference behind: the next run solves once
+    monkeypatch.setattr(optimizers, "REFERENCE_MAX_ITER", cap)
+    solves = []
+    solve = harness.reference_minimizer
+    monkeypatch.setattr(harness, "reference_minimizer",
+                        lambda problem: solves.append(1) or solve(problem))
+    assert main(["train", "--config", cfg]) == 0
+    assert solves == [1]
 
 
 def test_train_reports_config_errors(tmp_path, small_file, capsys):
@@ -255,9 +251,9 @@ compressor:
 run:
   T: 5
 """, encoding="utf-8")
-    cache = tmp_path / "cache"
-    monkeypatch.setenv(harness.CACHE_ENV, str(cache))
-    monkeypatch.setattr(harness, "_REFERENCE_MEMORY", {})
+    monkeypatch.setattr(harness, "_MEMO", {})
+    solves = []
+    monkeypatch.setattr(harness, "reference_minimizer", lambda problem: solves.append(1))
     trained = []
     run_training = harness.run_training
 
@@ -269,7 +265,7 @@ run:
     assert main([*argv, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert trained == []
-    assert list(cache.glob("*")) == []
+    assert solves == []
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

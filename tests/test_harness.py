@@ -158,105 +158,21 @@ def test_run_experiment_rejects_oversized_mask(small_file):
         run_experiment(small_cfg(small_file, m=50), quiet=True)
 
 
-def test_reference_cache_round_trip(tmp_path, small_file, monkeypatch):
-    monkeypatch.setenv(harness.CACHE_ENV, str(tmp_path / "cache"))
-    harness._REFERENCE_MEMORY.clear()
-    cfg = small_cfg(small_file)
-    run_experiment(cfg, quiet=True)
-    files = list((tmp_path / "cache").glob("ref_*.npz"))
-    assert len(files) == 1
-    # a fresh process would miss the in-memory map but hit the disk blob
-    harness._REFERENCE_MEMORY.clear()
-    monkeypatch.setattr(harness, "reference_minimizer",
-                        lambda *a, **k: pytest.fail("cache miss"))
-    run_experiment(cfg, quiet=True)
-
-
-def test_reference_cache_write_is_atomic(tmp_path, small_file, monkeypatch, capsys):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv(harness.CACHE_ENV, str(cache))
-    harness._REFERENCE_MEMORY.clear()
-    real_savez = np.savez
-
-    def torn_savez(file, **arrays):
-        # a write that dies half way leaves a truncated file behind
-        with open(file, "wb") as fh:
-            fh.write(b"PK\x03\x04 truncated")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(np, "savez", torn_savez)
-    cfg = small_cfg(small_file)
-    # the failed write is a warning; the run itself finishes
-    run_experiment(cfg, quiet=True)
-    warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 1
-    assert warnings[0].startswith("warning: ") and "disk full" in warnings[0]
-    assert list(cache.glob("ref_*.npz")) == []
-    assert list(cache.iterdir()) == []
-
-    monkeypatch.setattr(np, "savez", real_savez)
-    harness._REFERENCE_MEMORY.clear()
-    solves = []
-    real_solve = harness.reference_minimizer
-    monkeypatch.setattr(harness, "reference_minimizer",
-                        lambda *a, **k: solves.append(1) or real_solve(*a, **k))
-    run_experiment(cfg, quiet=True)
-    assert solves == [1]
-    assert len(list(cache.glob("ref_*.npz"))) == 1
-
-
-@pytest.mark.parametrize("damage", ["truncated", "empty", "no-f_star", "npy"])
-def test_a_damaged_cache_blob_is_solved_and_rewritten(tmp_path, small_file, monkeypatch,
-                                                      damage):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv(harness.CACHE_ENV, str(cache))
-    harness._REFERENCE_MEMORY.clear()
-    cfg = small_cfg(small_file)
-    run_experiment(cfg, csv_path=str(tmp_path / "a.csv"), quiet=True)
-    (blob,) = cache.glob("ref_*.npz")
-    whole = blob.read_bytes()
-    with np.load(blob) as saved:
-        x_star, f_star = saved["x_star"], float(saved["f_star"])
-    if damage == "truncated":
-        blob.write_bytes(whole[:100])
-    elif damage == "empty":
-        blob.write_bytes(b"")
-    elif damage == "no-f_star":
-        np.savez(blob, x_star=x_star)
-    else:
-        with open(blob, "wb") as fh:
-            np.save(fh, x_star)
-
-    harness._REFERENCE_MEMORY.clear()
-    solves = []
-    real_solve = harness.reference_minimizer
-    monkeypatch.setattr(harness, "reference_minimizer",
-                        lambda *a, **k: solves.append(1) or real_solve(*a, **k))
-    run_experiment(cfg, csv_path=str(tmp_path / "b.csv"), quiet=True)
-    assert solves == [1]
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert list(cache.glob("ref_*.npz")) == [blob]
-    assert blob.stat().st_size == len(whole)
-    with np.load(blob) as saved:
-        np.testing.assert_array_equal(saved["x_star"], x_star)
-        assert float(saved["f_star"]) == f_star
-
-
 def _refuse(*args, **kwargs):
-    pytest.fail("the dataset was parsed or sharded again")
+    pytest.fail("the dataset was parsed, sharded or solved again")
 
 
 def test_a_second_run_reuses_the_sharded_problem(tmp_path, small_file, monkeypatch):
-    harness._LAST_PROBLEM.clear()
+    harness._MEMO.clear()
     run_experiment(small_cfg(small_file), quiet=True)
     other = small_cfg(small_file, optimizer="diana", compressor="banlast", K=1, T=45)
     monkeypatch.setattr(harness, "load_libsvm", _refuse)
     monkeypatch.setattr(harness, "partition", _refuse)
+    monkeypatch.setattr(harness, "reference_minimizer", _refuse)
     run_experiment(other, csv_path=str(tmp_path / "hit.csv"), quiet=True)
 
     monkeypatch.undo()
-    harness._LAST_PROBLEM.clear()
-    harness._REFERENCE_MEMORY.clear()
+    harness._MEMO.clear()
     run_experiment(other, csv_path=str(tmp_path / "cold.csv"), quiet=True)
     assert (tmp_path / "hit.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
@@ -269,10 +185,40 @@ def _count_parses(monkeypatch):
     return parses
 
 
+def _count_solves(monkeypatch):
+    solves = []
+    real_solve = harness.reference_minimizer
+    monkeypatch.setattr(harness, "reference_minimizer",
+                        lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+    return solves
+
+
+def test_only_the_last_dataset_is_kept_in_memory(tmp_path, small_file, monkeypatch):
+    # A, B, A in one process: B replaces A's entry, so A is parsed and
+    # solved again; the old cache variable is ignored and nothing but the
+    # CSVs is written
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("MARKOSPARSE_CACHE_DIR", str(cache))
+    other = tmp_path / "other.libsvm"
+    other.write_text(serialize_libsvm(synthetic_binary_dataset(30, 6, 2, seed=22)),
+                     encoding="utf-8")
+    harness._MEMO.clear()
+    parses, solves = _count_parses(monkeypatch), _count_solves(monkeypatch)
+    run_experiment(small_cfg(small_file), csv_path=str(tmp_path / "a1.csv"), quiet=True)
+    run_experiment(small_cfg(str(other)), quiet=True)
+    run_experiment(small_cfg(small_file), csv_path=str(tmp_path / "a2.csv"), quiet=True)
+    assert (tmp_path / "a1.csv").read_bytes() == (tmp_path / "a2.csv").read_bytes()
+    assert parses == [1, 1, 1]
+    assert solves == [1, 1, 1]
+    assert len(harness._MEMO) == 1
+    assert list(cache.iterdir()) == []
+
+
 @pytest.mark.parametrize("change", ["content", "seed", "clients", "lam", "dim"])
 def test_the_sharded_problem_is_keyed_by_content_and_sharding(small_file, monkeypatch,
                                                                change):
-    harness._LAST_PROBLEM.clear()
+    harness._MEMO.clear()
     cfg = small_cfg(small_file)
     first, _ = harness.build_problem(cfg)
     parses = _count_parses(monkeypatch)
@@ -295,10 +241,10 @@ def test_the_sharded_problem_is_keyed_by_content_and_sharding(small_file, monkey
 
 @pytest.mark.parametrize("bad", ["parse", "partition"])
 def test_a_failed_build_leaves_the_sharded_problem(tmp_path, small_file, monkeypatch, bad):
-    harness._LAST_PROBLEM.clear()
+    harness._MEMO.clear()
     cfg = small_cfg(small_file)
     kept, _ = harness.build_problem(cfg)
-    memo = dict(harness._LAST_PROBLEM)
+    memo = {key: dict(entry) for key, entry in harness._MEMO.items()}
     if bad == "parse":
         broken = tmp_path / "broken.libsvm"
         broken.write_text("+1 1:0.5\n-1 2:x\n", encoding="utf-8")
@@ -307,7 +253,7 @@ def test_a_failed_build_leaves_the_sharded_problem(tmp_path, small_file, monkeyp
         failing, error = small_cfg(small_file, clients=31), InvalidArgumentError
     with pytest.raises(error):
         harness.build_problem(failing)
-    assert harness._LAST_PROBLEM == memo
+    assert harness._MEMO == memo
     parses = _count_parses(monkeypatch)
     assert harness.build_problem(cfg)[0] is kept
     assert parses == []
