@@ -113,6 +113,8 @@ def _cmd_sweep_k(args):
 
 
 def _cmd_analyze_chain(args):
+    if args.output:
+        harness._make_parent(args.output)
     chain = chains.build_transition_matrix(
         args.kind, args.d, args.m, args.K, b=args.b, activation=args.activation)
     result = chains.stationary_distribution(chain)
@@ -136,9 +138,9 @@ def _cmd_analyze_chain(args):
     if args.output:
         lines = ["t,deviation" + (",bound" if bound else "")]
         for t in range(args.t_max + 1):
-            row = f"{t},{devs[t]!r}"
+            row = f"{t},{harness._fmt(devs[t])}"
             if bound:
-                row += f",{bound.C * bound.rho ** t!r}"
+                row += f",{harness._fmt(bound.C * bound.rho ** t)}"
             lines.append(row)
         harness.write_text(args.output, "\n".join(lines) + "\n")
     print(f"states: {chain.n_states}")

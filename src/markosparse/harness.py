@@ -212,8 +212,14 @@ def trace_to_csv(trace):
 
 
 def _make_parent(path):
-    # creates path's missing parent directories; called before the work
-    # that fills path, so an output that cannot be made fails first
+    # creates path's missing parent directories and refuses a path that is
+    # a directory; called before the work that fills path, so an output
+    # that cannot be made fails first
+    if os.path.isdir(path):
+        # the error the write would raise at the end: a directory cannot be
+        # opened for writing, so nothing is created
+        with open(path, "w", encoding="utf-8"):
+            pass
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

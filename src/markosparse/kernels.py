@@ -16,13 +16,15 @@ its run, holds a negative position (-1) and leaves the counts alone.
 ``sample_masks`` draws a mask of m = 1 by inverse CDF, from one uniform
 per row, and a mask of m > 1 by one-pass keys (Efraimidis & Spirakis,
 "Weighted random sampling with a reservoir", 2006), from d uniforms per
-row: the m coordinates with the largest log(u) / p. Both give the law of
-sequential weighted draws without replacement that ``mask_law`` computes
-exactly. Every total and running total of the inverse-CDF draw and of the
-law is a left-to-right sum per row, never numpy's pairwise ``sum``, and
-the keys are elementwise, so each row's law and draws are the same bit for
-bit however many rows are computed together. The axis of a sum follows the
-array's shape:
+row: the m coordinates with the largest log(u) / p, found by a value
+partition (each row's m-th largest key, then the columns at or above it,
+in order, by ``flatnonzero``), with ``argpartition`` and a sort only when a
+row ties at its m-th key. Both give the law of sequential weighted draws
+without replacement that ``mask_law`` computes exactly. Every total and
+running total of the inverse-CDF draw and of the law is a left-to-right
+sum per row, never numpy's pairwise ``sum``, and the keys are elementwise,
+so each row's law and draws are the same bit for bit however many rows are
+computed together. The axis of a sum follows the array's shape:
 
 - a *long* array (fewer than ``TALL`` rows per coordinate: one compressor,
   a team of workers, 300 Monte Carlo trials at d = 53) is summed along
@@ -32,7 +34,8 @@ array's shape:
   axis of its transpose, a C-ordered (d, n) copy, one coordinate at a time.
   numpy reduces a non-contiguous axis element by element, in order, so
   each column's total is the row's left-to-right sum, and the fixed cost
-  numpy pays per row of a reduction along a short axis is not paid.
+  numpy pays per row of a reduction along a short axis is not paid. A
+  tall law is divided by its totals in place, in that private copy.
 
 ``sample_masks`` takes its uniforms, ``uniforms_per_row(d, m)`` per row,
 instead of a generator: the caller decides which stream feeds which row. A
@@ -83,10 +86,14 @@ def _tall(a):
 
 def _normalize(w):
     # w over each row's left-to-right total (np.sum adds a contiguous axis
-    # pairwise and rounds differently); a tall result is Fortran-ordered
+    # pairwise and rounds differently); a tall result is Fortran-ordered,
+    # divided in place in its private copy. A 0/1 law is cast to float64
+    # after the transposing copy: on a (2048, 10) pool, bool / int64 took
+    # 45 us and float / float 23 us, plus 6.6 us for the contiguous cast
     if _tall(w):
-        q = np.ascontiguousarray(w.T)
-        return (q / np.add.reduce(q, axis=0)).T
+        q = w.T.copy().astype(np.float64, copy=False)
+        q /= np.add.reduce(q, axis=0)
+        return q.T
     return w / w.cumsum(-1)[..., -1:]
 
 
@@ -123,7 +130,7 @@ def _weight_table(d, b, c_max):
 
 
 def _kawasaki_weights(b, counts):
-    return _weight_table(counts.shape[-1], b, int(counts.max()))[counts]
+    return _weight_table(counts.shape[-1], b, int(counts.max())).take(counts)
 
 
 def coordinate_law(kind, act, b, counts):
@@ -164,9 +171,13 @@ def sample_masks(p, u, m):
     m > 1: one-pass keys (Efraimidis & Spirakis, 2006). Row i takes d
     uniforms and keeps the m coordinates with the largest key
     log(u[i, j]) / p[i, j], whose law is that of the m sequential draws.
-    The keys are computed in place: u is overwritten. A positive
-    coordinate's key is at least -DBL_MAX, also where u is 0.0 or p is so
-    small that the quotient overflows, so -inf marks only p = 0 and a
+    The keys are computed in place: u is overwritten. Every key is floored
+    at -DBL_MAX; a value partition gives each row's m-th largest key, and
+    the columns whose key is at least that value, listed in order by
+    ``flatnonzero``, are the mask. If some row ties at its m-th key (equal
+    keys, or keys at the floor: u is 0.0, p is so small that the quotient
+    overflows, or p = 0), the zero-probability coordinates' keys go back to
+    -inf and ``argpartition`` plus a sort pick the masks instead, so a
     zero-probability coordinate is never kept while m positive ones remain.
     """
     if m > 1:
@@ -201,8 +212,25 @@ def _top_keys(p, u, m):
     with np.errstate(divide="ignore", over="ignore"):
         np.log(u, out=u)
         np.divide(u, p, out=u)
-    np.maximum(u, _KEY_FLOOR, out=u, where=p > 0.0)
-    d = u.shape[1]
+    # an unmasked floor: on a (300, 167) banlast pool the maximum took 17 us,
+    # and 455 us with where=p > 0, whose masked loop runs once per stretch
+    # of positive p
+    np.maximum(u, _KEY_FLOOR, out=u)
+    n, d = u.shape
+    # each row has at least m keys at or above its m-th largest, and exactly
+    # m unless a key ties with it; then they are the top m, found in row
+    # order. At (300, 167, 10) the partition took 174 us and argpartition
+    # 555 us before its sort, and flatnonzero 48 us against 176 us for the
+    # row and column indices of a 2-d nonzero
+    kth = np.partition(u, d - m, axis=1)[:, d - m:d - m + 1]
+    masks = np.flatnonzero(u >= kth)
+    if masks.size == n * m:
+        masks = masks.reshape(n, m)
+        masks -= np.arange(0, n * d, d)[:, None]
+        return masks
+    # a tie, at the floor or between equal keys: rank as argpartition over
+    # the keys with -inf at p = 0, so no zero-probability coordinate is kept
+    u[~(p > 0.0)] = -np.inf
     masks = np.argpartition(u, d - m, axis=1)[:, d - m:]
     masks.sort(1)
     return masks

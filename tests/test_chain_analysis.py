@@ -718,6 +718,16 @@ def test_monte_carlo_of_at_most_one_block_is_pinned(kind, d, m, K, trials, seed,
     assert monte_carlo_hitting_time(kind, d=d, m=m, K=K, trials=trials, seed=seed) == expected
 
 
+@pytest.mark.parametrize("kind,d,m,K,trials,expected", [
+    ("kawasaki", 10, 1, 3, 20_000, (7.72165, 0.04742711281984727)),
+    ("banlast", 167, 10, 12, 300, (9.666666666666666, 0.3388725925256699)),
+])
+def test_the_hitting_workloads_largest_calls_are_pinned(kind, d, m, K, trials, expected):
+    # exact values, seed 1, of the two call shapes that take most of the
+    # benchmark's hitting workload: a tall m = 1 pool and a top-m draw
+    assert monte_carlo_hitting_time(kind, d=d, m=m, K=K, trials=trials, seed=1) == expected
+
+
 def test_monte_carlo_refuses_trials_past_its_cap():
     # 10^13 int64 times would be 80 TB: without the cap numpy refuses that
     # allocation at once, so this fails fast either way

@@ -101,20 +101,29 @@ def test_huge_trial_counts_exit_4(argv, capsys):
 
 @pytest.mark.parametrize("case", [
     "analyze-chain-output", "reproduce-appendix-b-output", "train-output", "train-dataset-dir",
+    "analyze-chain-output-dir", "reproduce-appendix-b-output-dir", "train-output-dir",
 ])
 def test_a_file_the_command_cannot_use_exits_2(case, tmp_path, small_file, monkeypatch,
                                               capsys):
-    # an --output under a regular file cannot be created, and a directory
-    # cannot be read as a dataset; either fails before any training or
-    # Monte Carlo, and before any report line
+    # an --output under a regular file cannot be created, an --output that
+    # is a directory cannot be written, and a directory cannot be read as a
+    # dataset; each fails before any training, Monte Carlo or chain, and
+    # before any report line
     monkeypatch.setattr(harness, "run_training",
                         lambda *a, **k: pytest.fail("trained before the output was checked"))
     monkeypatch.setattr(chains, "monte_carlo_hitting_time",
                         lambda *a, **k: pytest.fail("sampled before the output was checked"))
+    monkeypatch.setattr(chains, "build_transition_matrix",
+                        lambda *a, **k: pytest.fail("built a chain before the output was checked"))
     blocker = tmp_path / "blocker"
     blocker.write_text("", encoding="utf-8")
     output = ["--output", str(blocker / "x.csv")]
     culprit = blocker
+    if case.endswith("-dir"):
+        culprit = tmp_path / "taken"
+        culprit.mkdir()
+        output = ["--output", str(culprit)]
+        case = case[:-len("-dir")]
     if case == "analyze-chain-output":
         argv = ["analyze-chain", "--kind", "banlast", "--d", "4", "--K", "1", *output]
     elif case == "reproduce-appendix-b-output":
@@ -363,15 +372,46 @@ def test_analyze_chain_writes_deviation_curve(tmp_path, capsys):
     assert len(lines) == 22
 
 
+def _number(cell):
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
+@pytest.mark.parametrize("command", ["train", "reproduce-appendix-b", "analyze-chain",
+                                     "analyze-chain-bound"])
+def test_every_csv_cell_is_a_number(command, tmp_path, small_file, capsys):
+    # every command's CSV through one number format: each cell below the
+    # header reads back with int() or float(), never a numpy repr
+    out = tmp_path / "out.csv"
+    argv = {
+        "train": ["train", "--config", write_cfg(tmp_path, small_file)],
+        "reproduce-appendix-b": ["reproduce-appendix-b", "--trials", "50"],
+        "analyze-chain": ["analyze-chain", "--kind", "kawasaki", "--d", "4", "--K", "1",
+                          "--activation", "softmax", "--t-max", "20"],
+        "analyze-chain-bound": ["analyze-chain", "--kind", "banlast", "--d", "4", "--K", "1",
+                                "--t-max", "20"],
+    }[command]
+    assert main([*argv, "--output", str(out)]) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    # the appendix table ends on a commented slope row
+    table = [row for row in rows if not row.startswith("# zero-intercept slope,")]
+    assert table and all(row.count(",") == header.count(",") for row in table)
+    for row in rows:
+        for cell in row.removeprefix("# zero-intercept slope,").split(","):
+            assert isinstance(_number(cell), (int, float)), (row, cell)
+
+
 def test_analyze_chain_curve_csv_is_pinned(tmp_path, capsys):
-    # SHA-256 of the CSV bytes, recorded while each deviation was reduced
-    # block by block
+    # SHA-256 of the CSV bytes, recorded when every cell went through the
+    # one number format of the other commands' CSVs
     out = tmp_path / "curve.csv"
     assert main(["analyze-chain", "--kind", "kawasaki", "--d", "6", "--m", "1", "--K", "4",
                  "--t-max", "200", "--output", str(out)]) == 0
     assert "mixing time (eps=0.05): 191" in capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "450e0655db7d13462fe95eb2106ceeed45b646e8a91f4a79ab8a43df691f0ee6")
+        "9e99f6b6f9e21fe07296fccfd39e64ddc380945168f3c8cf091809b19cd33402")
 
 
 def _bound_deviations(monkeypatch):

@@ -290,6 +290,90 @@ def test_keys_never_draw_a_zero_probability_coordinate(m):
     assert np.all(np.diff(masks, axis=1) > 0)
 
 
+def _reference_top_keys(p, u, m):
+    """The keys of m > 1 as the sampler first selected them: a positive
+    coordinate's key floored at -DBL_MAX, a zero-probability one's left at
+    -inf, the m largest found by argpartition and sorted."""
+    with np.errstate(divide="ignore", over="ignore"):
+        np.log(u, out=u)
+        np.divide(u, p, out=u)
+    np.maximum(u, -sys.float_info.max, out=u, where=p > 0.0)
+    d = u.shape[1]
+    masks = np.argpartition(u, d - m, axis=1)[:, d - m:]
+    masks.sort(1)
+    return masks
+
+
+def _has_tie_at_the_mth_key(p, u, m):
+    # per row: another key equals the m-th largest floored key, so the set
+    # of keys at or above it is not the top m alone
+    with np.errstate(divide="ignore", over="ignore"):
+        keys = np.maximum(np.log(u) / p, -sys.float_info.max)
+    kth = np.sort(keys, axis=1)[:, keys.shape[1] - m, None]
+    return np.count_nonzero(keys >= kth, axis=1) > m
+
+
+def _top_key_laws(n, d, m, rng):
+    # a banlast law (some coordinates banned, at least m left) and a
+    # kawasaki law (counts of a K = 3 history, b = 50) over n rows
+    banned = np.zeros((n, d), np.int64)
+    for row in banned:
+        row[rng.permutation(d)[:rng.integers(0, d - m + 1)]] = 1
+    kawasaki = rng.integers(0, 4, size=(n, d))
+    return (kernels.coordinate_law("banlast", "normalize", 50.0, banned),
+            kernels.coordinate_law("kawasaki", "normalize", 50.0, kawasaki))
+
+
+@pytest.mark.parametrize("n,d,m", [(300, 167, 10), (300, 53, 10), (10, 112, 11),
+                                   (2048, 10, 2), (50, 25, 2)])
+def test_top_keys_equal_the_argpartition_reference(n, d, m):
+    rng = fresh_rng(60 + d)
+    for p in _top_key_laws(n, d, m, rng):
+        u = rng.random((n, d))
+        got = kernels.sample_masks(p, u.copy(), m)
+        expect = _reference_top_keys(p, u.copy(), m)
+        assert got.dtype == expect.dtype and got.shape == (n, m)
+        np.testing.assert_array_equal(got, expect)
+
+
+@pytest.mark.parametrize("case", ["zero-uniforms", "subnormal", "m-positive",
+                                  "m-positive-zero-uniform", "equal-keys", "m-equals-d"])
+@pytest.mark.parametrize("n,d,m", [(300, 53, 10), (50, 25, 2), (2048, 10, 2)])
+def test_top_keys_equal_the_reference_on_ties(case, n, d, m):
+    # rows built so that a key equals the m-th largest (the argpartition
+    # path) or so that exactly m keys are kept (the value path), among
+    # ordinary rows of a banlast law
+    rng = fresh_rng(70 + d)
+    p = _top_key_laws(n, d, m, rng)[0]
+    u = rng.random((n, d))
+    rows = slice(0, 5)
+    tiny = np.nextafter(0.0, 1.0)
+    if case == "zero-uniforms":
+        u[rows] = 0.0
+    elif case == "subnormal":
+        p[rows] = tiny * rng.integers(1, 100, size=(5, d))
+    elif case in ("m-positive", "m-positive-zero-uniform"):
+        p[rows] = 0.0
+        p[rows, d - m:] = 1.0 / m
+        if case == "m-positive-zero-uniform":
+            u[rows, d - 1] = 0.0
+    elif case == "equal-keys":
+        # two coordinates of the same weight and uniform, ranked m-th and
+        # (m+1)-th
+        p[rows] = np.arange(d, 0, -1) / (d * (d + 1) / 2)
+        u[rows] = 0.5
+        p[rows, m] = p[rows, m - 1]
+    else:
+        m = d
+        p[:] = rng.random((n, d)) + 0.1
+    tie = _has_tie_at_the_mth_key(p, u, m)
+    assert (tie[rows] == (case not in ("m-positive", "m-equals-d"))).all()
+    got = kernels.sample_masks(p, u.copy(), m)
+    np.testing.assert_array_equal(got, _reference_top_keys(p, u.copy(), m))
+    if case.startswith("m-positive"):
+        np.testing.assert_array_equal(got[rows], np.tile(np.arange(d - m, d), (5, 1)))
+
+
 def test_sampler_draws_distinct_positive_coordinates():
     p = np.array([0.1, 0.0, 0.3, 0.2, 0.4])
     for seed in range(5):
