@@ -470,7 +470,7 @@ def rho_bound_banlast(d, m, K):
 def rho_bound_kawasaki_normalize(d, m, K, b):
     """Geometric ergodicity bound (rho, C=rho^-1) for kawasaki with the
     normalize activation."""
-    if b <= 1:
+    if not b > 1:
         raise InvalidArgumentError("forgetting rate b must exceed 1")
     if d < m or m < 1:
         raise InvalidArgumentError(f"need 1 <= m <= d, got m={m}, d={d}")

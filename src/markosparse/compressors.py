@@ -75,7 +75,7 @@ def validate_parameters(kind, d, m=None, K=0, b=50.0, activation="normalize",
         raise InfeasibleSampleError(
             f"banlast with d={d} < (K+1)*m = {(K + 1) * m} cannot fill a mask"
         )
-    if kind == KAWASAKI and b <= 1:
+    if kind == KAWASAKI and not b > 1:
         raise InvalidArgumentError("forgetting rate b must exceed 1")
     if activation not in ACTIVATIONS:
         raise InvalidArgumentError(f"unknown activation '{activation}'")

@@ -18,6 +18,7 @@ noticed.
 """
 
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import chain_analysis as chains
 from .compressors import ACTIVATIONS, ALL_KINDS, BANLAST, IDENTITY, validate_parameters
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, InvalidArgumentError
 from .objectives import load_libsvm, partition
 from .optimizers import OPTIMIZERS, reference_minimizer, run_training
 
@@ -140,11 +141,11 @@ def validate_config(cfg):
         raise ConfigError("dataset.path", f"file not found: {cfg.path}")
     if cfg.clients < 1:
         raise ConfigError("dataset.clients", "must be >= 1")
-    if cfg.lam < 0:
+    if not cfg.lam >= 0:
         raise ConfigError("dataset.lambda", "must be >= 0")
     if cfg.optimizer not in OPTIMIZERS:
         raise ConfigError("optimizer.kind", f"unknown optimizer {cfg.optimizer!r}")
-    if cfg.gamma <= 0:
+    if not cfg.gamma > 0:
         raise ConfigError("optimizer.gamma", "must be > 0")
     if cfg.p is not None and not 0 < cfg.p <= 1:
         raise ConfigError("optimizer.p", "must lie in (0, 1]")
@@ -160,7 +161,7 @@ def validate_config(cfg):
         raise ConfigError("compressor.pct", "must lie in (0, 100]")
     if cfg.K < 0:
         raise ConfigError("compressor.K", "must be >= 0")
-    if cfg.b <= 1:
+    if not cfg.b > 1:
         raise ConfigError("compressor.b", "must be > 1")
     if cfg.activation not in ACTIVATIONS:
         raise ConfigError("compressor.activation", f"unknown activation {cfg.activation!r}")
@@ -168,8 +169,10 @@ def validate_config(cfg):
         raise ConfigError("run.T", "need T or budget")
     if cfg.T is not None and cfg.T < 0:
         raise ConfigError("run.T", "must be >= 0")
-    if cfg.budget is not None and cfg.budget <= 0:
+    if cfg.budget is not None and not cfg.budget > 0:
         raise ConfigError("run.budget", "must be > 0")
+    if cfg.budget == math.inf:
+        raise ConfigError("run.budget", "must be finite")
 
 
 # the last dataset only, {key: entry}: the entry holds its sharded
@@ -338,13 +341,15 @@ def feasible_history_sizes(cfg, d, k_values):
 def sweep_k(cfg, k_values):
     """One training run per feasible K with the shared base seed; returns
     rows of coords-to-threshold with the argmin marked. Every feasible K's
-    compressor parameters are checked before the first run, so a bad K
-    fails before any training. The dataset is
+    compressor parameters are checked before the first run, so a bad K, or
+    no feasible K at all, fails before any training. The dataset is
     parsed and sharded once; K changes neither the shards nor the reference."""
     problem, key = build_problem(cfg)
     feasible, skipped = feasible_history_sizes(cfg, problem.d, k_values)
     for K in skipped:
         print(f"warning: skipping infeasible K={K}", file=sys.stderr)
+    if not feasible:
+        raise InvalidArgumentError("no feasible K to sweep")
     for K in feasible:
         _check_compressor(cfg, problem.d, K)
     rows = []

@@ -5,9 +5,8 @@ The distributed objective is f(x) = (1/n) sum_i f_i(x) with per-shard
     f_i(w) = (1/|S_i|) sum_{s in S_i} log(1 + exp(-y_s <w, x_s>)) + lambda ||w||^2
 
 (no 1/2 on the regularizer, so the strong-convexity constant is 2*lambda).
-Also provides an empirical estimator of the smoothness constants, and
-separable_binary_dataset, the generator with which scripts/generate_data.py
-rebuilds the shipped dataset.
+Also provides separable_binary_dataset, the generator with which
+scripts/generate_data.py rebuilds the shipped dataset.
 
 `parse_libsvm` reads LIBSVM text with one grammar, line by line: each line
 is split once, its label checked against the label encodings that still
@@ -33,13 +32,13 @@ no scipy, and the chain commands start without it.
 """
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalError, ParseError
+from .errors import InvalidArgumentError, ParseError
 
 # accepted raw label encodings as (negative, positive), in precedence order
 _LABEL_ENCODINGS = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
@@ -47,10 +46,6 @@ _LABEL_ENCODINGS = ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0))
 _MAX_INDEX = 2**31
 # lines between clears of the parser's token table; bounds its memory
 _BLOCK_LINES = 256
-# estimate_smoothness's power iteration stops at this relative change of its
-# eigenvalue estimate, and raises NumericalError after SMOOTHNESS_MAX_ITER steps
-SMOOTHNESS_TOL = 1e-8
-SMOOTHNESS_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -184,13 +179,9 @@ def mean_loss_grad(losses, grads):
 
 @dataclass(frozen=True)
 class ShardedProblem:
-    """n per-worker shards plus the shared L2 coefficient; the smoothness
-    constants and mu are None until estimate_constants fills them in."""
+    """n per-worker shards plus the shared L2 coefficient."""
     shards: tuple
     lam: float
-    L_i: tuple = None
-    L_global: float = None
-    mu: float = None
 
     @property
     def n(self):
@@ -231,13 +222,10 @@ class ShardedProblem:
             shard, row = shard + k, row + k * size
         return A, B.T, runs, sizes, np.repeat(sizes.astype(np.float64), sizes)
 
-    def shard_loss_grad(self, w, i):
-        return loss_and_gradient(w, self.shards[i], self.lam)
-
     def shard_loss_grads(self, w):
         """Every shard's (loss, grad) at w in one stacked evaluation: losses
-        (n,) and gradients (n, d), row i equal bit for bit to
-        shard_loss_grad(w, i)."""
+        (n,) and gradients (n, d), row i equal bit for bit to shard i
+        evaluated alone."""
         from scipy.special import expit
 
         A, BT, runs, sizes, rows = self._stacked
@@ -245,7 +233,7 @@ class ShardedProblem:
         t = A @ w
         terms = np.logaddexp(0.0, t)
         # np.sum adds each row of a reshaped run pairwise, as one shard's
-        # slice sums in loss_and_gradient
+        # own slice sums alone
         losses = np.empty(self.n)
         for i, j, a, b, size in runs:
             terms[a:b].reshape(j - i, size).sum(axis=1, out=losses[i:j])
@@ -281,60 +269,6 @@ def partition(dataset, n, rng, lam=0.0):
         shards.append(Dataset(dataset.X[take], dataset.y[take], dataset.d))
         start += size
     return ShardedProblem(tuple(shards), lam)
-
-
-def loss_and_gradient(w, dataset, lam):
-    """Value and exact gradient of one shard objective at w."""
-    from scipy.special import expit
-
-    w = np.asarray(w, dtype=np.float64)
-    z = dataset.X @ w
-    t = -dataset.y * z
-    rows = dataset.n_rows
-    loss = float(np.logaddexp(0.0, t).sum() / rows + lam * (w @ w))
-    coeff = -dataset.y * expit(t) / rows
-    grad = dataset.X.T @ coeff + 2.0 * lam * w
-    return loss, np.asarray(grad)
-
-
-def estimate_smoothness(dataset, lam):
-    """L_i = lambda_max(X^T X)/(4 |shard|) + 2 lambda, largest eigenvalue by
-    power iteration to relative tolerance SMOOTHNESS_TOL."""
-    if dataset.n_rows == 0:
-        raise InvalidArgumentError("empty shard")
-    d = dataset.d
-    # deterministic non-uniform start so no single eigenvector is missed
-    v = 1.0 + np.arange(d) / max(d, 1)
-    v /= np.linalg.norm(v)
-    eig = 0.0
-    for _ in range(SMOOTHNESS_MAX_ITER):
-        u = dataset.X @ v
-        new = dataset.X.T @ u
-        norm = np.linalg.norm(new)
-        if norm == 0.0:
-            return 2.0 * lam
-        new_eig = float(v @ new)
-        v = np.asarray(new) / norm
-        if abs(new_eig - eig) <= SMOOTHNESS_TOL * max(abs(new_eig), 1e-30):
-            return new_eig / (4.0 * dataset.n_rows) + 2.0 * lam
-        eig = new_eig
-    raise NumericalError(
-        f"power iteration did not converge within {SMOOTHNESS_MAX_ITER} iterations")
-
-
-def strong_convexity_constant(lam):
-    """mu = 2*lambda from the ||w||^2 regularizer; logistic part is convex."""
-    if lam <= 0:
-        raise InvalidArgumentError("objective is strongly convex only for lambda > 0")
-    return 2.0 * lam
-
-
-def estimate_constants(problem):
-    """Returns a copy of the problem with L_i, L_global and mu filled in."""
-    L_i = tuple(estimate_smoothness(s, problem.lam) for s in problem.shards)
-    L_global = float(np.mean(L_i))
-    mu = strong_convexity_constant(problem.lam) if problem.lam > 0 else None
-    return replace(problem, L_i=L_i, L_global=L_global, mu=mu)
 
 
 def separable_binary_dataset(n_rows, d, nnz_per_row, seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from markosparse.objectives import estimate_constants, parse_libsvm, partition
+from markosparse.objectives import parse_libsvm, partition
 from problems import synthetic_binary_dataset
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -31,7 +31,6 @@ def mushrooms_path():
 
 @pytest.fixture(scope="session")
 def small_problem():
-    """40 rows, d=8, 4 shards, with L_i, L_global and mu filled in."""
+    """40 rows, d=8, 4 shards, lambda 0.1."""
     ds = synthetic_binary_dataset(n_rows=40, d=8, nnz_per_row=3, seed=11)
-    prob = partition(ds, 4, np.random.default_rng(3), lam=0.1)
-    return estimate_constants(prob)
+    return partition(ds, 4, np.random.default_rng(3), lam=0.1)

@@ -1,4 +1,5 @@
-"""Test problems: a quadratic objective and two synthetic logistic datasets.
+"""Test problems: a quadratic objective and two synthetic logistic datasets,
+plus the one-shard logistic oracle and a smoothness estimate.
 
 Deterministic in their seeds. The package's own generator of the shipped
 dataset, objectives.separable_binary_dataset, stays in src/ because
@@ -10,11 +11,15 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from markosparse.errors import InvalidArgumentError
+from markosparse.errors import InvalidArgumentError, NumericalError
 from markosparse.objectives import Dataset, ShardedProblem, mean_loss_grad
 
 # standard deviation of the Gaussian noise on synthetic_binary_dataset's margins
 LABEL_NOISE = 0.5
+# global_smoothness's power iteration stops at this relative change of its
+# eigenvalue estimate, and raises NumericalError after SMOOTHNESS_MAX_ITER steps
+SMOOTHNESS_TOL = 1e-8
+SMOOTHNESS_MAX_ITER = 10_000
 
 
 class QuadraticProblem:
@@ -77,3 +82,51 @@ def heterogeneous_problem(n, d, rows_per_shard, shift, lam, seed):
         y = np.where(margin >= 0, 1.0, -1.0)
         shards.append(Dataset(sp.csr_matrix(rows), y, d))
     return ShardedProblem(tuple(shards), lam)
+
+
+def loss_and_gradient(w, dataset, lam):
+    """Value and exact gradient of one shard objective at w; the oracle that
+    ShardedProblem.shard_loss_grads matches bit for bit, row by row."""
+    from scipy.special import expit
+
+    w = np.asarray(w, dtype=np.float64)
+    z = dataset.X @ w
+    t = -dataset.y * z
+    rows = dataset.n_rows
+    loss = float(np.logaddexp(0.0, t).sum() / rows + lam * (w @ w))
+    coeff = -dataset.y * expit(t) / rows
+    grad = dataset.X.T @ coeff + 2.0 * lam * w
+    return loss, np.asarray(grad)
+
+
+def global_smoothness(problem):
+    """L_global, the mean over shards of L_i = lambda_max(X^T X)/(4 |shard|)
+    + 2 lambda, each largest eigenvalue by power iteration to relative
+    tolerance SMOOTHNESS_TOL."""
+    lam = problem.lam
+    L_i = []
+    for dataset in problem.shards:
+        if dataset.n_rows == 0:
+            raise InvalidArgumentError("empty shard")
+        d = dataset.d
+        # deterministic non-uniform start so no single eigenvector is missed
+        v = 1.0 + np.arange(d) / max(d, 1)
+        v /= np.linalg.norm(v)
+        eig = 0.0
+        for _ in range(SMOOTHNESS_MAX_ITER):
+            u = dataset.X @ v
+            new = dataset.X.T @ u
+            norm = np.linalg.norm(new)
+            if norm == 0.0:
+                L_i.append(2.0 * lam)
+                break
+            new_eig = float(v @ new)
+            v = np.asarray(new) / norm
+            if abs(new_eig - eig) <= SMOOTHNESS_TOL * max(abs(new_eig), 1e-30):
+                L_i.append(new_eig / (4.0 * dataset.n_rows) + 2.0 * lam)
+                break
+            eig = new_eig
+        else:
+            raise NumericalError(
+                f"power iteration did not converge within {SMOOTHNESS_MAX_ITER} iterations")
+    return float(np.mean(L_i))

@@ -28,7 +28,6 @@ from markosparse.chain_analysis import (
 from markosparse.compressors import Compressor
 from markosparse.errors import InvalidArgumentError
 from markosparse.harness import ALPHA_GRID, ExperimentConfig, run_experiment
-from markosparse.objectives import estimate_constants, loss_and_gradient
 from markosparse.optimizers import (
     ServerState,
     amqsgd_params,
@@ -37,7 +36,12 @@ from markosparse.optimizers import (
     run_training,
     training_round,
 )
-from problems import heterogeneous_problem, synthetic_binary_dataset
+from problems import (
+    global_smoothness,
+    heterogeneous_problem,
+    loss_and_gradient,
+    synthetic_binary_dataset,
+)
 
 BANLAST_CHAINS = [(3, 1, 1), (4, 1, 1), (5, 1, 2), (5, 2, 1)]
 KAWASAKI_CHAINS = [(3, 1, 1, 2), (4, 1, 1, 5), (4, 1, 2, 2)]
@@ -172,7 +176,7 @@ def test_criterion_5_optimizer_correctness(small_problem):
         f_vals.append(prob.full_loss_grad(x)[0])
         agg = np.zeros(prob.d)
         for i in range(len(prob.shards)):
-            agg += prob.shard_loss_grad(x, i)[1]
+            agg += loss_and_gradient(x, prob.shards[i], prob.lam)[1]
         agg /= len(prob.shards)
         x = x - gamma * agg
     if not np.array_equal(trace.f_value, np.array(f_vals)):
@@ -196,7 +200,7 @@ def test_criterion_5_optimizer_correctness(small_problem):
     if worst_rel > 1e-6:
         failures.append(f"finite-difference gradient check: worst rel err {worst_rel:.3e}")
 
-    params = amqsgd_params(mu=prob.mu, gamma=0.2, p=0.6)
+    params = amqsgd_params(mu=2 * prob.lam, gamma=0.2, p=0.6)
     workers = make_workers(prob, ExperimentConfig(compressor="rand", m=2, seed=1))
     server = ServerState(np.zeros(prob.d), np.zeros(prob.d))
     worst_id = 0.0
@@ -254,8 +258,7 @@ def test_criterion_7_neighborhood_vs_variance_reduction():
     failures = []
     prob = heterogeneous_problem(n=10, d=20, rows_per_shard=50, shift=1.0,
                                  lam=0.1, seed=7)
-    prob = estimate_constants(prob)
-    gamma = 1.0 / prob.L_global
+    gamma = 1.0 / global_smoothness(prob)
     ref = reference_minimizer(prob)
     mq = run_training(prob, ExperimentConfig(optimizer="mqsgd", gamma=gamma,
                                              compressor="rand", m=2, T=1000, seed=0),

@@ -141,6 +141,14 @@ def test_a_file_the_command_cannot_use_exits_2(case, tmp_path, small_file, monke
     assert str(culprit) in err
 
 
+def fresh_env():
+    # the environment of a fresh interpreter that imports this package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(markosparse.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_chain_commands_load_no_scipy_sparse_special_or_yaml():
     # a fresh interpreter, so that nothing this suite imported counts
     program = (
@@ -149,10 +157,7 @@ def test_chain_commands_load_no_scipy_sparse_special_or_yaml():
         "code = cli.main(['optimal-k', '--alpha', '10'])\n"
         "print(json.dumps([code, [name for name in ('scipy.sparse', 'scipy.special', 'yaml')"
         " if name in sys.modules]]))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(markosparse.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", program], env=fresh_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
@@ -234,11 +239,45 @@ def test_hitting_time_rejects_bad_parameters(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hitting-time", "--kind", "kawasaki", "--d", "10", "--K", "3", "--trials", "100"],
+    ["analyze-chain", "--kind", "kawasaki", "--d", "4"],
+], ids=["hitting-time", "analyze-chain"])
+def test_a_nan_forgetting_rate_exits_2_at_once(argv):
+    # a NaN b made an all-NaN law: the Monte Carlo never drew its target and
+    # ran on, and the chain came out reducible (exit 4); a fresh process, so
+    # that a hang fails at the timeout instead of stalling the suite
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "markosparse.cli", *argv, "--b", "nan"],
+                          env=fresh_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "error: forgetting rate b must exceed 1\n"
+    assert time.perf_counter() - start < 30.0
+
+
 def test_sweep_k_prints_rows(tmp_path, small_file, capsys):
     cfg = write_cfg(tmp_path, small_file)
     assert main(["sweep-k", "--config", cfg, "--k", "0,1"]) == 0
     out = capsys.readouterr().out
     assert "K=0:" in out and "K=1:" in out
+
+
+def test_sweep_k_with_no_feasible_k_exits_2_before_any_solve(tmp_path, small_file,
+                                                             monkeypatch, capsys):
+    # banlast with d=6, m=2 needs d > (K+1)m, so K=2 and K=5 are both skipped
+    cfg = tmp_path / "banlast.yaml"
+    with open(write_cfg(tmp_path, small_file), encoding="utf-8") as fh:
+        cfg.write_text(fh.read().replace("kind: rand", "kind: banlast"), encoding="utf-8")
+    monkeypatch.setattr(harness, "reference_minimizer",
+                        lambda problem: pytest.fail("solved with no K to sweep"))
+    monkeypatch.setattr(harness, "run_training",
+                        lambda *a, **k: pytest.fail("trained with no K to sweep"))
+    assert main(["sweep-k", "--config", str(cfg), "--k", "2,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["warning: skipping infeasible K=2",
+                                         "warning: skipping infeasible K=5",
+                                         "error: no feasible K to sweep"]
 
 
 @pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k", "0,1,2,20"]],

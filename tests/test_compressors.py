@@ -12,6 +12,7 @@ from markosparse.compressors import (
     sparsify,
     validate_parameters,
 )
+from markosparse.chain_analysis import rho_bound_kawasaki_normalize
 from markosparse.errors import InfeasibleSampleError, InvalidArgumentError
 from markosparse.kernels import activate, coordinate_law, simulate_masks
 from markosparse import BANLAST, IDENTITY, KAWASAKI, NATURAL, PERMK, RAND
@@ -260,6 +261,15 @@ def test_constructor_rejects_bad_parameters():
     # 0.5/b^2 underflows to 0: five masks can zero both coordinates' weights
     with pytest.raises(InvalidArgumentError, match="underflows"):
         Compressor(KAWASAKI, d=2, m=1, K=5, b=1e300)
+
+
+def test_a_nan_forgetting_rate_is_refused():
+    # NaN fails every comparison, so a check written `b <= 1` let it through
+    # to an all-NaN law that always sent the last coordinates
+    with pytest.raises(InvalidArgumentError, match="forgetting rate b must exceed 1"):
+        Compressor(KAWASAKI, d=6, m=1, K=2, b=float("nan"))
+    with pytest.raises(InvalidArgumentError, match="forgetting rate b must exceed 1"):
+        rho_bound_kawasaki_normalize(6, 1, 2, float("nan"))
     Compressor(KAWASAKI, d=2, m=1, K=2, b=1e300)  # two masks zero at most one
 
 

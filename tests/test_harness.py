@@ -84,6 +84,12 @@ run:
     ("compressor: {b: 0.5}", "compressor.b"),
     ("compressor: {activation: relu}", "compressor.activation"),
     ("run: {T: -3}", "run.T"),
+    # NaN fails every comparison, and a budget without T that is NaN or
+    # infinite is never reached, so training would never stop
+    ("run: {budget: .nan}", "run.budget"),
+    ("run: {budget: .inf}", "run.budget"),
+    ("optimizer: {gamma: .nan}", "optimizer.gamma"),
+    ("dataset: {lambda: .nan}", "dataset.lambda"),
     ("nonsense: {a: 1}", "nonsense"),
 ])
 def test_load_config_rejects_bad_trees(tmp_path, small_file, snippet, field):

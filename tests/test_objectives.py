@@ -17,17 +17,19 @@ from markosparse.errors import InvalidArgumentError, ParseError
 from markosparse.objectives import (
     Dataset,
     ShardedProblem,
-    estimate_constants,
-    estimate_smoothness,
     load_libsvm,
-    loss_and_gradient,
     parse_libsvm,
     partition,
     separable_binary_dataset,
     serialize_libsvm,
-    strong_convexity_constant,
 )
-from problems import QuadraticProblem, heterogeneous_problem, synthetic_binary_dataset
+from problems import (
+    QuadraticProblem,
+    global_smoothness,
+    heterogeneous_problem,
+    loss_and_gradient,
+    synthetic_binary_dataset,
+)
 
 
 def test_parse_basic_shape(tiny_dataset):
@@ -316,7 +318,7 @@ def test_loss_is_stable_at_huge_margins():
 def test_estimate_smoothness_matches_dense_eigenvalue():
     ds = synthetic_binary_dataset(25, 6, 3, seed=5)
     lam = 0.07
-    L = estimate_smoothness(ds, lam)
+    L = global_smoothness(ShardedProblem((ds,), lam))
     dense = ds.X.toarray()
     expect = np.linalg.eigvalsh(dense.T @ dense).max() / (4 * ds.n_rows) + 2 * lam
     assert L == pytest.approx(expect, rel=1e-6)
@@ -324,24 +326,15 @@ def test_estimate_smoothness_matches_dense_eigenvalue():
 
 def test_estimate_smoothness_zero_matrix():
     ds = parse_libsvm("+1 1:0\n", dim=3)
-    assert estimate_smoothness(ds, 0.5) == pytest.approx(1.0)
-
-
-def test_strong_convexity_constant():
-    assert strong_convexity_constant(0.05) == pytest.approx(0.1)
-    with pytest.raises(InvalidArgumentError):
-        strong_convexity_constant(0.0)
-
-
-def test_estimate_constants_fills_the_problem(small_problem):
-    assert small_problem.L_global > 0
-    assert small_problem.mu == pytest.approx(0.2)
-    assert len(small_problem.L_i) == 4
+    assert global_smoothness(ShardedProblem((ds,), 0.5)) == pytest.approx(1.0)
 
 
 def assert_stacked_matches_shards(prob, w):
     losses, grads = prob.shard_loss_grads(w)
-    per = [prob.shard_loss_grad(w, i) for i in range(prob.n)]
+    if isinstance(prob, QuadraticProblem):
+        per = [prob.shard_loss_grad(w, i) for i in range(prob.n)]
+    else:
+        per = [loss_and_gradient(w, s, prob.lam) for s in prob.shards]
     assert losses.shape == (prob.n,) and grads.shape == (prob.n, prob.d)
     for i, (loss, grad) in enumerate(per):
         assert losses[i].tobytes() == np.float64(loss).tobytes()
@@ -375,7 +368,7 @@ def test_stacked_evaluation_matches_each_shard_bit_for_bit(mushrooms_path):
         w[[1, 5]] = math.inf, -math.inf
         with np.errstate(over="ignore", invalid="ignore"):
             losses, grads = prob.shard_loss_grads(w)
-            per = [prob.shard_loss_grad(w, i) for i in range(prob.n)]
+            per = [loss_and_gradient(w, s, prob.lam) for s in prob.shards]
         assert not np.isfinite(grads).all() and np.isfinite(grads).any()
         np.testing.assert_array_equal(np.isfinite(losses), [math.isfinite(l) for l, _ in per])
         np.testing.assert_array_equal(np.isfinite(grads), np.isfinite([g for _, g in per]))
@@ -384,7 +377,7 @@ def test_stacked_evaluation_matches_each_shard_bit_for_bit(mushrooms_path):
 def test_full_loss_is_mean_of_shards(small_problem):
     w = np.linspace(-1, 1, small_problem.d)
     f, g = small_problem.full_loss_grad(w)
-    per = [small_problem.shard_loss_grad(w, i) for i in range(len(small_problem.shards))]
+    per = [loss_and_gradient(w, s, small_problem.lam) for s in small_problem.shards]
     assert f == pytest.approx(np.mean([p[0] for p in per]))
     np.testing.assert_allclose(g, np.mean([p[1] for p in per], axis=0), atol=1e-12)
     # exactly: the shards summed one after another in shard order
@@ -436,7 +429,7 @@ def test_heterogeneous_problem_shards_disagree_at_optimum():
     prob = heterogeneous_problem(n=4, d=6, rows_per_shard=30, shift=1.5, lam=0.1, seed=2)
     assert len(prob.shards) == 4
     w = np.zeros(6)
-    grads = [prob.shard_loss_grad(w, i)[1] for i in range(4)]
+    grads = [loss_and_gradient(w, s, prob.lam)[1] for s in prob.shards]
     spread = max(float(np.linalg.norm(g - grads[0])) for g in grads)
     assert spread > 0.1
 

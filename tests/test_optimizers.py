@@ -18,7 +18,7 @@ from markosparse.optimizers import (
     training_round,
 )
 from markosparse import IDENTITY, RAND
-from problems import QuadraticProblem, heterogeneous_problem
+from problems import QuadraticProblem, heterogeneous_problem, loss_and_gradient
 
 
 def test_mqsgd_with_identity_is_gradient_descent_bitwise(small_problem):
@@ -33,7 +33,7 @@ def test_mqsgd_with_identity_is_gradient_descent_bitwise(small_problem):
         f_vals.append(prob.full_loss_grad(x)[0])
         agg = np.zeros(prob.d)
         for i in range(len(prob.shards)):
-            agg += prob.shard_loss_grad(x, i)[1]
+            agg += loss_and_gradient(x, prob.shards[i], prob.lam)[1]
         agg /= len(prob.shards)
         x = x - gamma * agg
     # bit-for-bit: same accumulation order, same float ops
@@ -69,7 +69,7 @@ def test_amqsgd_momentum_coupling_identity(small_problem):
     # eta x_g + (p-eta) x_f + (1-p)(1-beta) x + (1-p) beta x_g
     # must equal beta x_g + (1-beta) x at every iterate
     prob = small_problem
-    params = amqsgd_params(mu=prob.mu, gamma=0.2, p=0.6)
+    params = amqsgd_params(mu=2 * prob.lam, gamma=0.2, p=0.6)
     workers = make_workers(prob, ExperimentConfig(compressor=RAND, m=2, seed=1))
     server = ServerState(np.zeros(prob.d), np.zeros(prob.d))
     for _ in range(60):
