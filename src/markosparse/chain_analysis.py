@@ -21,9 +21,12 @@ entries. The stationary law, deviation curves and mixing times read the
 table at C(d,m) operations per state and column; the dense P is built only
 on request. The law reads only counts, so relabelling coordinates maps the
 chain onto itself: deviation curves and mixing times step one start column
-per orbit of the recurrent class, not one per state. Each step's deviation
+per orbit of the recurrent class, not one per state. A deviation
 max|x - pi| is one contiguous pass over x against pi repeated once per
-start.
+start. Deviation curves compute it after every step; mixing times compute
+it once per block of 8 steps, since the exact deviation never increases,
+and replay step by step only the block that first ends at or below the
+threshold.
 
 Each chain is solved once. Its first read of ``ChainModel.stationary``
 (through ``stationary_distribution``, ``mixing_time`` or ``deviation_curve``)
@@ -58,8 +61,16 @@ DEFAULT_STATE_CAP = 8_192
 _JOINT_LAW_MAX_M = 6
 
 # the exact deviation never increases, so when it has gone this many steps
-# without a new minimum it sits on its rounding floor and mixing_time stops
+# without a new minimum it sits on its rounding floor and the mixing time
+# stops; mixing_time looks for that minimum only among the deviations it
+# checks, one per block of _CHECK_STEPS steps
 _STALL_STEPS = 1000
+
+# mixing_time checks the deviation at the end of each block of this many
+# steps; on the five chains of the benchmark's chain workload (one BLAS
+# thread), blocks of 4, 16 and 32 took about 2%, 1% and 9% more CPU time
+# than blocks of 8
+_CHECK_STEPS = 8
 
 # power iteration stops once its residual ||pi P - pi||_1 is at most
 # STATIONARY_TOL, and raises NumericalError after STATIONARY_MAX_ITER steps
@@ -369,27 +380,70 @@ def orbit_starts(chain, recurrent):
     return recurrent[np.sort(order[first])]
 
 
-def _deviations(chain):
-    """max over recurrent starts s and states j of |P^t(s, j) - pi_j|, for
-    t = 0, 1, ...; x holds one column per start orbit and one row per
-    state. Relabelling coordinates maps P^t(s, .) and pi onto P^t(g s, .)
-    and pi, so every start of an orbit has the same deviation.
-
-    pi is stored repeated once per start, so each deviation is one
-    subtraction, abs and max over contiguous arrays, written into the
-    buffer the next step overwrites. Each entry of x - pi is rounded once
-    and abs and max are exact, so the value does not depend on the order
-    of the reduction."""
-    step = _shift_step(chain)
+def _start_columns(chain):
+    """(x, rep) for the deviation loops: x holds one column per start orbit
+    and one row per state, each column a start's point mass, and rep is pi
+    repeated once per start, in x's shape."""
     starts = chain.starts
     c = len(starts)
     rep = np.repeat(chain.stationary.pi, c).reshape(-1, c)
     x = np.zeros_like(rep)
     x[starts, np.arange(c)] = 1.0
+    return x, rep
+
+
+def _deviation(x, rep, scratch):
+    """max |x - rep|, through scratch, a buffer of x's shape whose contents
+    are not needed.
+
+    pi is stored repeated once per start, so each deviation is one
+    subtraction, abs and max over contiguous arrays. Each entry of x - pi is
+    rounded once and abs and max are exact, so the value does not depend on
+    the order of the reduction."""
+    return np.abs(np.subtract(x, rep, out=scratch), out=scratch).max()
+
+
+def _deviations(chain):
+    """max over recurrent starts s and states j of |P^t(s, j) - pi_j|, for
+    t = 0, 1, ...; x holds one column per start orbit and one row per
+    state. Relabelling coordinates maps P^t(s, .) and pi onto P^t(g s, .)
+    and pi, so every start of an orbit has the same deviation. Each
+    deviation goes through the buffer the next step overwrites."""
+    step = _shift_step(chain)
+    x, rep = _start_columns(chain)
     out = np.empty_like(x)
     while True:
-        yield np.abs(np.subtract(x, rep, out=out), out=out).max()
+        yield _deviation(x, rep, out)
         x, out = step(x, out), x
+
+
+def _checked_deviations(chain, threshold):
+    """(t, deviation) pairs for mixing_time, t <= MIXING_STEPS_CAP: the
+    deviation at the end of each block of _CHECK_STEPS steps while it is
+    above threshold; then every step of the first block that ends at or
+    below it, replayed from the block's first state, through its end.
+
+    The exact deviation never increases, so the first step at or below
+    threshold lies in that block. x keeps the block's first state while y
+    and z take its later steps in turn; the three rotate at each block end,
+    so no state is copied."""
+    step = _shift_step(chain)
+    x, rep = _start_columns(chain)
+    y, z = np.empty_like(x), np.empty_like(x)
+    for t in range(0, MIXING_STEPS_CAP, _CHECK_STEPS):
+        n = min(_CHECK_STEPS, MIXING_STEPS_CAP - t)
+        end, spare = step(x, y), z
+        for _ in range(n - 1):
+            end, spare = step(end, spare), end
+        dev = _deviation(end, rep, spare)
+        if dev <= threshold:
+            for s in range(t + 1, t + n):
+                x, y = step(x, y), x
+                yield s, _deviation(x, rep, y)
+            yield t + n, dev
+            return
+        yield t + n, dev
+        x, y, z = end, x, spare
 
 
 def _check_t_max(t_max):
@@ -414,10 +468,11 @@ def _mixing_threshold(chain, eps):
     return eps * result.pi[result.recurrent].min()
 
 
-def _first_below(devs, threshold):
-    # the first t >= 1 whose deviation, the t-th of devs, is at most threshold
+def _first_below(pairs, threshold):
+    # the first t of the (t, deviation) pairs, t ascending, whose deviation
+    # is at most threshold; the stall window counts the t that were checked
     lowest, lowest_t = math.inf, 0
-    for t, dev in zip(range(1, MIXING_STEPS_CAP + 1), devs):
+    for t, dev in pairs:
         if dev <= threshold:
             return t
         if dev < lowest:
@@ -432,24 +487,26 @@ def _first_below(devs, threshold):
 def mixing_time(chain, eps):
     """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min.
 
-    Raises NumericalError after MIXING_STEPS_CAP steps, or sooner once the
-    deviation has stalled on its rounding floor above the threshold."""
+    The deviation is checked once per _CHECK_STEPS steps, and the block
+    that first ends at or below the threshold is replayed step by step, so
+    the result is the first such t. Raises NumericalError after
+    MIXING_STEPS_CAP steps, or sooner once the checked deviation has
+    stalled on its rounding floor above the threshold."""
     threshold = _mixing_threshold(chain, eps)
-    devs = _deviations(chain)
-    next(devs)  # t = 0: the starts themselves
-    return _first_below(devs, threshold)
+    return _first_below(_checked_deviations(chain, threshold), threshold)
 
 
 def curve_and_mixing_time(chain, t_max, eps):
     """(deviation_curve(chain, t_max), mixing_time(chain, eps)) from one
     pass over the chain's steps: the mixing time is read off the curve when
-    it is at most t_max, and otherwise the same steps go on from t_max. Both
-    arguments are checked before the first step."""
+    it is at most t_max, and otherwise the same steps go on from t_max,
+    each one checked. Both arguments are checked before the first step."""
     _check_t_max(t_max)
     threshold = _mixing_threshold(chain, eps)
     devs = _deviations(chain)
     curve = np.fromiter(devs, dtype=np.float64, count=t_max + 1)
-    return curve, _first_below(chained(curve[1:].tolist(), devs), threshold)
+    pairs = zip(range(1, MIXING_STEPS_CAP + 1), chained(curve[1:].tolist(), devs))
+    return curve, _first_below(pairs, threshold)
 
 
 def rho_bound_banlast(d, m, K):
@@ -476,7 +533,13 @@ def rho_bound_kawasaki_normalize(d, m, K, b):
         raise InvalidArgumentError(f"need 1 <= m <= d, got m={m}, d={d}")
     if K < 1:
         raise InvalidArgumentError("bound needs K >= 1")
-    base = d * b ** K - m * (b ** K - 1.0)
+    try:
+        bK = b ** K
+    except OverflowError:  # a finite b whose power leaves the float range
+        bK = math.inf
+    if bK == math.inf:
+        raise InvalidArgumentError(f"bound needs a finite b**K, got b={b:g}, K={K}")
+    base = d * bK - m * (bK - 1.0)
     gap = base ** (-m * K)
     rho = 1.0 - gap
     return ErgodicityBound(rho, 1.0 / rho, gap)

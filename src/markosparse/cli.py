@@ -161,6 +161,11 @@ def _cmd_analyze_chain(args):
 
 def _cmd_hitting_time(args):
     alpha = _ratio(args.d, args.m)
+    # the Monte Carlo checks every argument, so a refused one prints nothing
+    mean, stderr = chains.monte_carlo_hitting_time(
+        args.kind, args.d, m=args.m, K=args.K, b=args.b,
+        activation=args.activation, target=args.target,
+        trials=args.trials, seed=args.seed)
     print(f"alpha = d/m = {alpha:g}")
     print(f"rand expected hitting time: {chains.expected_hitting_time_randm(alpha)!r}")
     if args.kind == BANLAST:
@@ -171,10 +176,6 @@ def _cmd_hitting_time(args):
                   f"{chains.banlast_hitting_time_exact(alpha, args.K)!r}")
         except InvalidArgumentError as err:
             print(f"banlast formulas: not applicable ({err})")
-    mean, stderr = chains.monte_carlo_hitting_time(
-        args.kind, args.d, m=args.m, K=args.K, b=args.b,
-        activation=args.activation, target=args.target,
-        trials=args.trials, seed=args.seed)
     print(f"monte carlo ({args.trials} trials): {mean!r} +/- {stderr:.6f}")
     return 0
 

@@ -168,6 +168,13 @@ def test_rho_bound_kawasaki_worked_value():
     assert bound.C == pytest.approx(1.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("b", [math.inf, 1e200])
+def test_rho_bound_kawasaki_refuses_a_b_power_out_of_float_range(b):
+    # inf - inf made a NaN bound, and 1e200**2 raised OverflowError
+    with pytest.raises(InvalidArgumentError, match=r"needs a finite b\*\*K"):
+        rho_bound_kawasaki_normalize(4, 1, 2, b)
+
+
 @pytest.mark.parametrize("d, m, K, b", [(3, 1, 1, 2), (4, 1, 1, 5), (4, 1, 2, 2), (2, 1, 1, 2),
                                         (6, 1, 4, 50)])
 def test_kawasaki_bound_gap_is_exact(d, m, K, b):
@@ -482,6 +489,32 @@ def test_chain_analysis_is_pinned(kind, kwargs, table, initial, recurrent, itera
 
 
 ERGODIC_PINS = [pin[:2] for pin in CHAIN_PINS if pin[5] is not None]
+
+
+@pytest.mark.parametrize("kind, kwargs", ERGODIC_PINS)
+def test_mixing_time_is_the_first_crossing_of_the_curve(kind, kwargs):
+    # mixing_time checks the deviation once per block of steps and replays
+    # the block that crosses; the curve has every step. Each eps either
+    # crosses inside the curve or stalls on the rounding floor
+    # (kawasaki(6,1,4) from 1e-4 down)
+    chain = build_transition_matrix(kind, **kwargs)
+    curve = deviation_curve(chain, 2000)
+    result = stationary_distribution(chain)
+    pi_min = result.pi[result.recurrent].min()
+    for eps in (0.5, 0.2, 0.05, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
+        below = np.flatnonzero(curve[1:] <= eps * pi_min)
+        if below.size:
+            assert mixing_time(chain, eps) == 1 + below[0], eps
+            continue
+        with pytest.raises(NumericalError, match="stalled"):
+            mixing_time(chain, eps)
+        with pytest.raises(NumericalError, match="stalled"):
+            curve_and_mixing_time(chain, 0, eps)
+    if np.all(np.diff(curve[:18]) < 0):
+        # a threshold between curve[t - 1] and curve[t] puts tau at t, on
+        # each side of the block ends 8 and 16
+        for t in (7, 8, 9, 16, 17):
+            assert mixing_time(chain, (curve[t - 1] + curve[t]) / 2 / pi_min) == t
 
 
 def _transpositions(chain):

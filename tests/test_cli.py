@@ -95,8 +95,9 @@ def test_optimal_k_refuses_a_huge_search(monkeypatch, capsys):
 def test_huge_trial_counts_exit_4(argv, capsys):
     # without the cap numpy refuses the 80 TB times array at once
     assert main([*argv, "--trials", "10000000000000"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("failure: 10000000000000 hitting-time trials, exceeds cap")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("failure: 10000000000000 hitting-time trials, exceeds cap")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("case", [
@@ -236,7 +237,9 @@ def test_train_reports_divergence(tmp_path, small_file, capsys):
         "kawasaki-support-underflow"])
 def test_hitting_time_rejects_bad_parameters(args, capsys):
     assert main(["hitting-time", *args, "--trials", "50"]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,6 +356,16 @@ newest-mask marginal range: [0.2500000000, 0.2500000000] (m/d = 0.2500000000)
 mixing time (eps=0.05): 7
 ergodicity bound: rho=0.9940828402 C=1.0059523810 gap=5.9171597633e-03
 """
+
+
+def test_analyze_chain_with_an_infinite_b_has_no_bound(capsys):
+    # the b -> inf limit law is uniform and analysed as such; its bound,
+    # inf - inf, printed rho=nan C=nan gap=nan
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "4", "--b", "inf"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "mixing time (eps=0.05): 4",
+        "ergodicity bound: not applicable (bound needs a finite b**K, got b=inf, K=1)"]
 
 
 def test_analyze_chain_stops_when_rounding_cannot_reach_the_threshold(capsys):
