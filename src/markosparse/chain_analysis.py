@@ -23,9 +23,10 @@ on request. The law reads only counts, so relabelling coordinates maps the
 chain onto itself: deviation curves and mixing times step one start column
 per orbit of the recurrent class, not one per state. A deviation
 max|x - pi| is one contiguous pass over x against pi repeated once per
-start. Deviation curves compute it after every step; mixing times compute
-it once per block of 8 steps, since the exact deviation never increases,
-and replay step by step only the block that first ends at or below the
+start. Deviation curves compute it after every step. mixing_time, the one
+producer of a mixing time and of its stall and cap errors, computes it once
+per block of 8 steps, since the exact deviation never increases, and
+replays step by step only the block that first ends at or below the
 threshold.
 
 Each chain is solved once. Its first read of ``ChainModel.stationary``
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain as chained, combinations, count, islice
+from itertools import combinations, count, islice
 
 import numpy as np
 
@@ -461,18 +462,22 @@ def deviation_curve(chain, t_max):
     return np.fromiter(_deviations(chain), dtype=np.float64, count=t_max + 1)
 
 
-def _mixing_threshold(chain, eps):
+def mixing_time(chain, eps):
+    """Smallest t >= 1 with max-start deviation ||P^t(s0,.) - pi||_inf <=
+    eps*pi_min; t = 0 is not checked, so a chain that starts at pi gives 1.
+
+    The deviation is checked once per _CHECK_STEPS steps, and the block
+    that first ends at or below the threshold is replayed step by step, so
+    the result is the first such t. Raises NumericalError after
+    MIXING_STEPS_CAP steps, or sooner once the checked deviation has
+    stalled on its rounding floor above the threshold."""
     if not eps > 0:  # NaN too
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
     result = chain.stationary
-    return eps * result.pi[result.recurrent].min()
-
-
-def _first_below(pairs, threshold):
-    # the first t of the (t, deviation) pairs, t ascending, whose deviation
-    # is at most threshold; the stall window counts the t that were checked
+    threshold = eps * result.pi[result.recurrent].min()
+    # the stall window counts the t that were checked
     lowest, lowest_t = math.inf, 0
-    for t, dev in pairs:
+    for t, dev in _checked_deviations(chain, threshold):
         if dev <= threshold:
             return t
         if dev < lowest:
@@ -482,31 +487,6 @@ def _first_below(pairs, threshold):
                 f"deviation stalled at {lowest:.3e} above eps*pi_min = {threshold:.3e}: "
                 f"no new minimum in {_STALL_STEPS} steps, rounding sets its floor")
     raise NumericalError(f"chain not mixed to eps*pi_min after {MIXING_STEPS_CAP} steps")
-
-
-def mixing_time(chain, eps):
-    """Smallest t with max-start deviation ||P^t(s0,.) - pi||_inf <= eps*pi_min.
-
-    The deviation is checked once per _CHECK_STEPS steps, and the block
-    that first ends at or below the threshold is replayed step by step, so
-    the result is the first such t. Raises NumericalError after
-    MIXING_STEPS_CAP steps, or sooner once the checked deviation has
-    stalled on its rounding floor above the threshold."""
-    threshold = _mixing_threshold(chain, eps)
-    return _first_below(_checked_deviations(chain, threshold), threshold)
-
-
-def curve_and_mixing_time(chain, t_max, eps):
-    """(deviation_curve(chain, t_max), mixing_time(chain, eps)) from one
-    pass over the chain's steps: the mixing time is read off the curve when
-    it is at most t_max, and otherwise the same steps go on from t_max,
-    each one checked. Both arguments are checked before the first step."""
-    _check_t_max(t_max)
-    threshold = _mixing_threshold(chain, eps)
-    devs = _deviations(chain)
-    curve = np.fromiter(devs, dtype=np.float64, count=t_max + 1)
-    pairs = zip(range(1, MIXING_STEPS_CAP + 1), chained(curve[1:].tolist(), devs))
-    return curve, _first_below(pairs, threshold)
 
 
 def rho_bound_banlast(d, m, K):

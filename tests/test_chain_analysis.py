@@ -17,7 +17,6 @@ from markosparse.chain_analysis import (
     _shift_step,
     banlast_hitting_time_exact,
     build_transition_matrix,
-    curve_and_mixing_time,
     deviation_curve,
     enumerate_masks,
     expected_hitting_time_banlast,
@@ -244,43 +243,11 @@ def test_mixing_time_raises_at_its_step_cap(monkeypatch):
     assert mixing_time(chain, 0.05) == 191
 
 
-@pytest.mark.parametrize("t_max", [0, 3, 7, 20])
-def test_curve_and_mixing_time_step_the_chain_once(t_max, monkeypatch):
-    # kawasaki(4,1,2) at b=2: tau = 7 (CHAIN_PINS); tau is read off a curve
-    # that reaches it, and a shorter curve is stepped on to it
-    chain = build_transition_matrix("kawasaki", d=4, m=1, K=2, b=2.0)
-    curve = deviation_curve(chain, t_max)
-    steps = []
-    deviations = chain_analysis._deviations
-
-    def counted(chain):
-        for t, dev in enumerate(deviations(chain)):
-            steps.append(t)
-            yield dev
-
-    monkeypatch.setattr(chain_analysis, "_deviations", counted)
-    both, tau = curve_and_mixing_time(chain, t_max, 0.05)
-    assert both.tobytes() == curve.tobytes()
-    assert tau == mixing_time(chain, 0.05) == 7
-    steps.clear()
-    curve_and_mixing_time(chain, t_max, 0.05)
-    assert steps == list(range(max(t_max, 7) + 1))
-
-
-def test_curve_and_mixing_time_check_their_arguments_and_cap(monkeypatch):
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.05])
+def test_mixing_time_refuses_an_eps_that_is_not_positive(eps):
     chain = build_transition_matrix("kawasaki", d=6, m=1, K=4)
-    with pytest.raises(InvalidArgumentError, match="t_max must be >= 0"):
-        curve_and_mixing_time(chain, -1, 0.05)
     with pytest.raises(InvalidArgumentError, match="eps must be positive"):
-        curve_and_mixing_time(chain, 10, float("nan"))
-    # tau = 191 (CHAIN_PINS), past a 190-step cap whether or not the curve
-    # reaches the cap; a curve past the cap is refused
-    monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 190)
-    for t_max in (50, 190):
-        with pytest.raises(NumericalError, match=r"not mixed to eps\*pi_min after 190 steps"):
-            curve_and_mixing_time(chain, t_max, 0.05)
-    with pytest.raises(TooLargeError, match="t_max=191, exceeds cap 190"):
-        curve_and_mixing_time(chain, 191, 0.05)
+        mixing_time(chain, eps)
 
 
 def _count_calls(monkeypatch, names):
@@ -508,8 +475,6 @@ def test_mixing_time_is_the_first_crossing_of_the_curve(kind, kwargs):
             continue
         with pytest.raises(NumericalError, match="stalled"):
             mixing_time(chain, eps)
-        with pytest.raises(NumericalError, match="stalled"):
-            curve_and_mixing_time(chain, 0, eps)
     if np.all(np.diff(curve[:18]) < 0):
         # a threshold between curve[t - 1] and curve[t] puts tau at t, on
         # each side of the block ends 8 and 16
@@ -668,6 +633,8 @@ def test_deviation_curves_refuse_a_t_max_above_the_step_cap(monkeypatch):
     cap = chain_analysis.MIXING_STEPS_CAP
     monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", 50)
     assert len(deviation_curve(chain, 50)) == 51
+    with pytest.raises(TooLargeError, match="t_max=51, exceeds cap 50"):
+        deviation_curve(chain, 51)
     monkeypatch.setattr(chain_analysis, "MIXING_STEPS_CAP", cap)
 
     def no_step(chain):
@@ -678,8 +645,6 @@ def test_deviation_curves_refuse_a_t_max_above_the_step_cap(monkeypatch):
         message = f"a deviation curve to t_max={t_max}, exceeds cap {cap}"
         with pytest.raises(TooLargeError, match=message):
             deviation_curve(chain, t_max)
-        with pytest.raises(TooLargeError, match=message):
-            curve_and_mixing_time(chain, t_max, 0.05)
 
 
 def test_a_memoryless_chain_over_the_cap_names_its_masks():

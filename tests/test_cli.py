@@ -13,7 +13,7 @@ import pytest
 import markosparse
 from markosparse import chain_analysis as chains, harness, optimizers
 from markosparse.cli import _parse_k_list, main
-from markosparse.errors import InvalidArgumentError
+from markosparse.errors import InvalidArgumentError, NumericalError
 from markosparse.harness import CSV_HEADER
 from markosparse.objectives import serialize_libsvm
 from problems import synthetic_binary_dataset
@@ -380,6 +380,33 @@ def test_analyze_chain_stops_when_rounding_cannot_reach_the_threshold(capsys):
         r"stalled at (\S+) above eps\*pi_min = (\S+):", err).groups())
     assert threshold == pytest.approx(1.428e-16, rel=1e-3)
     assert lowest > threshold
+
+
+def test_analyze_chain_stalls_with_the_mixing_time_error(capsys):
+    # the command takes tau, and so its stall error, from mixing_time
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "7", "--m", "1",
+                 "--K", "4", "--eps", "1e-3"]) == 4
+    err = capsys.readouterr().err
+    chain = chains.build_transition_matrix("kawasaki", 7, 1, 4)
+    with pytest.raises(NumericalError) as stalled:
+        chains.mixing_time(chain, 1e-3)
+    assert err == f"failure: {stalled.value}\n"
+
+
+def test_analyze_chain_without_output_steps_no_curve(monkeypatch, capsys):
+    def no_curve(chain):
+        raise AssertionError("stepped a deviation curve")
+
+    monkeypatch.setattr(chains, "_deviations", no_curve)
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "6", "--m", "1",
+                 "--K", "4"]) == 0
+    assert "mixing time (eps=0.05): 191" in capsys.readouterr().out
+
+
+def test_analyze_chain_counts_the_mixing_time_from_one(capsys):
+    # the K=0 chain has one state, at pi from t = 0, and tau is checked from t = 1
+    assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--K", "0"]) == 0
+    assert "mixing time (eps=0.05): 1\n" in capsys.readouterr().out
 
 
 def test_analyze_chain_exits_4_at_the_power_iteration_cap(monkeypatch, capsys):
