@@ -135,15 +135,6 @@ class ChainModel:
         return len(self.table)
 
     @cached_property
-    def members(self):
-        """(M, d) membership rows: members[k, j] is True when mask k holds
-        coordinate j."""
-        members = np.zeros((len(self.masks), self.d), bool)
-        members[np.arange(len(self.masks))[:, None], self.masks] = True
-        members.flags.writeable = False  # built once, shared by every reader
-        return members
-
-    @cached_property
     def stationary(self):
         """The StationaryResult of stationary_distribution, solved on the
         first read."""
@@ -349,7 +340,10 @@ def newest_mask_marginal(chain, pi):
     else:
         # the newest mask is a state's last digit
         newest = pi.reshape(-1, len(chain.masks)).sum(axis=0)
-    return newest @ chain.members
+    # members[k, j] is True when mask k holds coordinate j
+    members = np.zeros((len(chain.masks), chain.d), bool)
+    members[np.arange(len(chain.masks))[:, None], chain.masks] = True
+    return newest @ members
 
 
 def orbit_starts(chain, recurrent):

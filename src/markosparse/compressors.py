@@ -96,11 +96,14 @@ def _check_kawasaki_support(d, m, K, b):
 
 
 def sparsify(x, mask, d, m):
-    """(d/m) * x at the positions `mask` of the flattened x, zero elsewhere:
-    a vector's kept coordinates, or for (rows, d) rows r*d + j for row r's
-    coordinate j. x must be a float array: the caller converts and checks
-    it once."""
+    """(d/m) * x at the coordinates `mask`, zero elsewhere: for a vector x an
+    array of its kept coordinates (of any shape: one worker's compressor
+    passes its one row, (1, m)), for (rows, d) x one row of kept
+    coordinates per row of x, (rows, m). x must be a float array: the
+    caller converts and checks it once."""
     out = np.zeros(x.shape)
+    if x.ndim > 1:  # row r's coordinate j is entry r*d + j of the flattened x
+        mask = mask + np.arange(0, x.size, d)[:, None]
     out.ravel()[mask] = x.ravel()[mask] * (d / m)
     return out
 
@@ -242,4 +245,4 @@ class Compressor:
 
     def last_mask(self):
         """The coordinates each row sent in the last step."""
-        return self._rowwise(self._at % self.d)
+        return self._rowwise(self._at)

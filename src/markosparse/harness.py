@@ -141,12 +141,12 @@ def validate_config(cfg):
         raise ConfigError("dataset.path", f"file not found: {cfg.path}")
     if cfg.clients < 1:
         raise ConfigError("dataset.clients", "must be >= 1")
-    if not cfg.lam >= 0:
-        raise ConfigError("dataset.lambda", "must be >= 0")
+    if not 0 <= cfg.lam < math.inf:
+        raise ConfigError("dataset.lambda", "must be finite and >= 0")
     if cfg.optimizer not in OPTIMIZERS:
         raise ConfigError("optimizer.kind", f"unknown optimizer {cfg.optimizer!r}")
-    if not cfg.gamma > 0:
-        raise ConfigError("optimizer.gamma", "must be > 0")
+    if not 0 < cfg.gamma < math.inf:
+        raise ConfigError("optimizer.gamma", "must be finite and > 0")
     if cfg.p is not None and not 0 < cfg.p <= 1:
         raise ConfigError("optimizer.p", "must lie in (0, 1]")
     if cfg.alpha_shift is not None and not 0 <= cfg.alpha_shift <= 1:

@@ -10,8 +10,10 @@ row per worker), the exact chain analysis (every state's row at once: one
 m) and the hitting-time Monte Carlo (a pool of trials at once, each row
 taking the next trial when its own ends) all call them, so the analysed
 chain is the simulated one. A history is a ring buffer of the last K masks
-per row; a slot that holds no mask yet, in a row fewer than K steps into
-its run, holds a negative position (-1) and leaves the counts alone.
+per row, each mask its m coordinates; a slot that holds no mask yet, in a
+row fewer than K steps into its run, holds -1 and leaves the counts alone.
+Masks pass between functions as coordinates; only ``step_mask``'s update
+of the counts turns row r's coordinate j into the flat position r*d + j.
 
 ``sample_masks`` draws a mask of m = 1 by inverse CDF, from one uniform
 per row, and a mask of m > 1 by one-pass keys (Efraimidis & Spirakis,
@@ -271,21 +273,21 @@ def step_mask(kind, act, K, b, u, hist, counts, t):
     masks pushed into the ring buffer hist (K, n, m) of the last K masks,
     at slot t % K in place of the oldest mask, which leaves the counts.
 
-    Masks are returned, and kept in hist, as positions in the flat counts:
-    row r's coordinate j is r*d + j, so row 0's positions are its
-    coordinates. An empty slot, of a row fewer than K steps into its run,
-    holds a negative position and removes nothing. Returns the masks."""
+    Masks are returned, and kept in hist, as coordinates (n, m). An empty
+    slot, of a row fewer than K steps into its run, holds -1 and removes
+    nothing. Returns the masks."""
     n, d = counts.shape
     at = sample_masks(coordinate_law(kind, act, b, counts), u, hist.shape[2])
-    if n > 1:  # a single row's positions are its coordinates already
-        at += np.arange(0, n * d, d)[:, None]
     if K:
+        slot = hist[t % K]
+        old, new = slot, at
+        if n > 1:  # row r's coordinate j is position r*d + j of the flat counts
+            rows = np.arange(0, n * d, d)[:, None]
+            old, new = slot + rows, at + rows
         flat = counts.reshape(-1)
-        pos = t % K
-        old = hist[pos]
-        np.subtract.at(flat, old[old >= 0], 1)
-        hist[pos] = at
-        np.add.at(flat, at, 1)
+        np.subtract.at(flat, old[slot >= 0], 1)
+        slot[...] = at
+        np.add.at(flat, new, 1)
     return at
 
 
@@ -318,13 +320,12 @@ def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
     start = np.zeros(len(live), np.int64)          # the step each row's trial started after
     counts = np.zeros((len(live), d), np.int64)
     hist = np.full((K, len(live), m), -1, np.int64)
-    goal = np.arange(target, counts.size, d)[:, None]   # row r's target position
     steps = 0
     while live.size:
         u = rng.random((len(live), uniforms_per_row(d, m)))
         at = step_mask(kind, act, K, b, u, hist, counts, steps)
         steps += 1
-        finished = (at == goal).any(axis=1)
+        finished = (at == target).any(axis=1)
         if steps >= cap:
             capped = ~finished & (steps - start >= cap)
             n_capped += int(np.count_nonzero(capped))
@@ -345,9 +346,5 @@ def simulate_hitting_times(rng, kind, act, d, m, K, b, target, trials, cap):
             finished[fresh] = False
         keep = np.flatnonzero(~finished)
         live, start, counts = live.take(keep), start.take(keep), counts.take(keep, axis=0)
-        # the survivors move up to rows 0..len(live)-1, and the positions
-        # their history holds move as their goals do; an empty slot stays
-        # negative
-        hist = hist.take(keep, axis=1) - (goal.take(keep, axis=0) - goal[:len(live)])
-        goal = goal[:len(live)]
+        hist = hist.take(keep, axis=1)
     return times, n_capped

@@ -206,6 +206,23 @@ def test_train_reports_config_errors(tmp_path, small_file, capsys):
     assert "optimizer.alpha_shift" in capsys.readouterr().err
 
 
+def test_train_refuses_an_infinite_lambda_before_any_arithmetic(tmp_path, small_file):
+    # .inf passed the ">= 0" check and ran into numpy overflow warnings and
+    # a collapsed line search (exit 4); a fresh process, so that any
+    # RuntimeWarning reaches stderr
+    cfg = write_cfg(tmp_path, small_file)
+    with open(cfg, encoding="utf-8") as f:
+        text = f.read().replace("lambda: 0.1", "lambda: .inf")
+    with open(cfg, "w", encoding="utf-8") as f:
+        f.write(text)
+    done = subprocess.run([sys.executable, "-m", "markosparse.cli", "train", "--config", cfg],
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "dataset.lambda" in err[0]
+    assert "RuntimeWarning" not in done.stderr
+
+
 def test_train_reports_bytes_that_are_not_utf8(tmp_path, capsys):
     data = tmp_path / "latin1.libsvm"
     data.write_bytes(b"+1 1:1\n-1 2:1\r\n+1 1:1 3:\xff\n-1 1:1\n")

@@ -24,6 +24,14 @@ def test_sparsify_scales_kept_coordinates():
     np.testing.assert_array_equal(out, [0.0, -4.0, 0.0, 8.0])
 
 
+def test_sparsify_takes_one_row_of_coordinates_per_row():
+    # row r's coordinates address row r, not the first row of the flattened x
+    x = np.arange(1.0, 16.0).reshape(3, 5)
+    mask = np.array([[0, 2], [1, 2], [3, 4]])
+    out = sparsify(x, mask, d=5, m=2)
+    np.testing.assert_array_equal(out, [sparsify(r, j, d=5, m=2) for r, j in zip(x, mask)])
+
+
 def history_counts(history, d):
     return np.bincount(np.concatenate(history), minlength=d)
 
@@ -292,3 +300,28 @@ def test_time_average_matches_vector(kind, kwargs):
     for _ in range(steps):
         acc += c.compress(team)[0]
     np.testing.assert_allclose(acc.sum(axis=0) / (rows * steps), x, rtol=0.03)
+
+
+@pytest.mark.parametrize("kind,ratio", [
+    (RAND, 1.0),
+    # banlast's long-run variance of "j is in the newest mask" over p(1-p):
+    # (alpha-K)(alpha-K-1)/(alpha(alpha-1)) at alpha = d/m = 10, K = 3
+    (BANLAST, 7 * 6 / (10 * 9)),
+])
+def test_time_average_is_unbiased_within_five_sigma(kind, ratio):
+    # criterion 4's check on one row sits about 1.5 standard errors out;
+    # here 500 independent rows for 2000 steps give 10^6 draws, and each
+    # coordinate's tolerance is 5 of its exact long-run standard errors,
+    # (d/m) x_j sqrt(ratio p(1-p) / draws) with p = m/d. kawasaki has no
+    # closed-form long-run variance
+    d, m, K, rows, steps = 10, 1, 3, 500, 2_000
+    x = np.linspace(1.0, 2.0, d)
+    c = Compressor(kind, d, m=m, K=K, seed=1, worker=range(rows), n_workers=rows)
+    team = np.tile(x, (rows, 1))
+    acc = np.zeros((rows, d))
+    for _ in range(steps):
+        acc += c.compress(team)[0]
+    p, draws = m / d, rows * steps
+    stderr = (d / m) * x * np.sqrt(ratio * p * (1.0 - p) / draws)
+    error = np.abs(acc.sum(axis=0) / draws - x)
+    assert (error <= 5.0 * stderr).all(), error / stderr

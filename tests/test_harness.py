@@ -90,6 +90,9 @@ run:
     ("run: {budget: .inf}", "run.budget"),
     ("optimizer: {gamma: .nan}", "optimizer.gamma"),
     ("dataset: {lambda: .nan}", "dataset.lambda"),
+    # an infinite step or penalty makes every iterate non-finite
+    ("optimizer: {gamma: .inf}", "optimizer.gamma"),
+    ("dataset: {lambda: .inf}", "dataset.lambda"),
     ("nonsense: {a: 1}", "nonsense"),
 ])
 def test_load_config_rejects_bad_trees(tmp_path, small_file, snippet, field):

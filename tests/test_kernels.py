@@ -464,6 +464,24 @@ def test_banlast_masks_never_repeat_within_window():
         assert banned.isdisjoint(masks[t].tolist())
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_team_steps_return_and_store_coordinates(m):
+    # every row's mask is its own coordinates, whatever the row's index, and
+    # the counts are each row's tally of the coordinates its history holds
+    n, d, K = 4, 7, 2
+    hist = np.full((K, n, m), -1, np.int64)
+    counts = np.zeros((n, d), np.int64)
+    rng = fresh_rng(5)
+    for t in range(6):
+        u = rng.random((n, kernels.uniforms_per_row(d, m)))
+        at = kernels.step_mask("banlast", "normalize", K, 50.0, u, hist, counts, t)
+        assert at.shape == (n, m) and at.min() >= 0 and at.max() < d
+        np.testing.assert_array_equal(hist[t % K], at)
+        stored = hist.transpose(1, 0, 2).reshape(n, -1)
+        np.testing.assert_array_equal(
+            counts, [np.bincount(row[row >= 0], minlength=d) for row in stored])
+
+
 def test_kawasaki_with_huge_forgetting_rate_avoids_recent_coords():
     # with b = 1e12 the penalized mass on the last mask is ~1e-12, so a
     # 2000-step run on this seed never repeats the previous coordinate
