@@ -47,7 +47,7 @@ from itertools import combinations, count, islice
 import numpy as np
 
 from . import kernels
-from .compressors import IDENTITY, KAWASAKI, SPARSIFYING_KINDS, validate_parameters
+from .compressors import IDENTITY, SPARSIFYING_KINDS, validate_parameters
 from .errors import (
     InvalidArgumentError,
     NonErgodicError,
@@ -201,19 +201,17 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
                             joint_law=False):
     """Exact chain over K-tuples of masks for rand/banlast/kawasaki.
 
-    For m > 1 the next-mask law is the sequential-draw joint law; for
-    KAWASAKI that law is a modeling choice, so it must be requested
-    explicitly via joint_law=True. Raises TooLargeError, before any
-    enumeration, when C(d,m)^max(K,1) exceeds DEFAULT_STATE_CAP, and
-    InvalidArgumentError when m > 6 (the law sums m! orderings).
+    Every kind, at every m, appends its next mask by the law the sampler
+    draws from: kernels.coordinate_law, then the sequential-draw law
+    kernels.mask_law. joint_law changes nothing; it is kept only so the
+    benchmark's call still binds, and ROADMAP item A removes it. Raises
+    TooLargeError, before any enumeration, when C(d,m)^max(K,1) exceeds
+    DEFAULT_STATE_CAP, and InvalidArgumentError when m > 6 (the law sums m!
+    orderings).
     """
     if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no Markov chain for compressor kind '{kind}'")
     validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)
-    if kind == KAWASAKI and m > 1 and not joint_law:
-        raise InvalidArgumentError(
-            "kawasaki with m > 1: pass joint_law=True to adopt the sequential-draw joint law"
-        )
     size = math.comb(d, m) ** max(K, 1)
     if size > DEFAULT_STATE_CAP:
         raise TooLargeError(size, DEFAULT_STATE_CAP, None if K else
@@ -606,6 +604,8 @@ def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
     NumericalError."""
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if trials > HITTING_TRIALS_CAP:
         raise TooLargeError(trials, HITTING_TRIALS_CAP, f"{trials} hitting-time trials")
     if not 0 <= target < d:

@@ -141,16 +141,7 @@ def perm_k_masks(d, n, rng):
     """
     if n < 1 or d < n:
         raise InvalidArgumentError(f"need 1 <= n <= d, got n={n}, d={d}")
-    perm = rng.permutation(d)
-    base = d // n
-    extra = d % n
-    masks = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        masks.append(np.sort(perm[start:start + size]).astype(np.int64))
-        start += size
-    return masks
+    return [np.sort(block) for block in np.array_split(rng.permutation(d), n)]
 
 
 class Compressor:

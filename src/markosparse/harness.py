@@ -173,6 +173,8 @@ def validate_config(cfg):
         raise ConfigError("run.budget", "must be > 0")
     if cfg.budget == math.inf:
         raise ConfigError("run.budget", "must be finite")
+    if cfg.seed < 0:
+        raise ConfigError("run.seed", "must be >= 0")
 
 
 # the last dataset only, {key: entry}: the entry holds its sharded

@@ -3,22 +3,58 @@
 perfbench/ calls the package through names that no other caller uses, and
 the tier-1 command does not run perfbench/tests, so a change to one of them
 would first show as a failed benchmark run. This module checks them without
-running the benchmark. ROADMAP item A, which brings the benchmark up to date
-with the package, retires it.
+running the benchmark; the chain workload's inputs are read from
+perfbench/workloads.py itself, which is loaded but never changed. ROADMAP
+item A, which brings the benchmark up to date with the package, retires it.
+
+The chain workload still passes joint_law=True for kawasaki at m > 1.
+build_transition_matrix ignores that keyword, since every kind now builds
+its table from the law the sampler draws from, and keeps it only so that
+call still binds until item A drops it from the workload.
 """
 
 import dataclasses
+import importlib.util
 import inspect
+import os
+
+import pytest
 
 from markosparse import chain_analysis, harness, kernels
 from markosparse.compressors import Compressor
 from markosparse.optimizers import TrainTrace
+from test_chain_analysis import CHAIN_PINS
+
+WORKLOADS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "perfbench", "workloads.py")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_chains_bind_and_its_smoke_chains_build():
+    workloads = _workloads()
+    signature = inspect.signature(chain_analysis.build_transition_matrix)
+    for kind, kwargs in workloads.FULL.chains:
+        signature.bind(kind, **kwargs)
+    for kind, kwargs in workloads.SMOKE.chains:
+        chain_analysis.build_transition_matrix(kind, **kwargs)
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    pin[:2] for pin in CHAIN_PINS if pin[0] == "kawasaki" and pin[1]["m"] > 1])
+def test_joint_law_changes_no_table(kind, kwargs):
+    table = chain_analysis.build_transition_matrix(kind, **kwargs).table
+    joint = chain_analysis.build_transition_matrix(kind, **kwargs, joint_law=True).table
+    assert joint.tobytes() == table.tobytes()
 
 
 def test_the_benchmark_calls_into_the_package_still_bind():
-    # perfbench/workloads.py: the chain and train workloads
-    inspect.signature(chain_analysis.build_transition_matrix).bind(
-        "kawasaki", d=6, m=2, K=2, joint_law=True)
+    # perfbench/workloads.py: the train workload
     inspect.signature(harness.run_experiment).bind(
         harness.ExperimentConfig(), csv_path="run.csv", quiet=True)
     # perfbench/layers.py reads P; workloads.py reads the trace's wallclock

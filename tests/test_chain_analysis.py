@@ -145,11 +145,41 @@ def test_state_and_matrix_caps(monkeypatch):
         build_transition_matrix("rand", d=30, m=5, K=0)
 
 
-def test_kawasaki_multicoordinate_masks_need_joint_law():
-    with pytest.raises(InvalidArgumentError):
-        build_transition_matrix("kawasaki", d=4, m=2, K=1, b=2.0)
-    chain = build_transition_matrix("kawasaki", d=4, m=2, K=1, b=2.0, joint_law=True)
+def test_kawasaki_multicoordinate_masks_follow_the_sampler_law():
+    # the row of the state holding mask k is the sequential-draw law of the
+    # coordinate law after that one mask: the law the sampler draws from
+    chain = build_transition_matrix("kawasaki", d=4, m=2, K=1, b=2.0)
     np.testing.assert_allclose(chain.P.sum(axis=1), 1.0, atol=1e-12)
+    for k, mask in enumerate(chain.masks):
+        counts = np.zeros((1, 4), np.int64)
+        counts[0, list(mask)] = 1
+        p = kernels.coordinate_law("kawasaki", "normalize", 2.0, counts)[0]
+        law = sequential_mask_law(p, 2)
+        assert chain.table[k].tolist() == [law[other] for other in chain.masks]
+
+
+def test_every_input_the_simulation_accepts_builds_under_the_cap(monkeypatch):
+    # the chain is the simulated one, so it is refused only where the
+    # simulation refuses too, or by its own size limits; the stub keeps the
+    # simulation to its argument checks
+    monkeypatch.setattr(kernels, "simulate_hitting_times",
+                        lambda rng, *args: (np.ones(args[-2], np.int64), 0))
+    grid = itertools.product(("rand", "banlast", "kawasaki"), range(1, 8), range(1, 4),
+                             range(4), (1.0, 2.0, 1e300),
+                             ("normalize", "softmax", "project", "relu"))
+    for kind, d, m, K, b, activation in grid:
+        args = (kind, d, m, K, b, activation)
+        try:
+            monte_carlo_hitting_time(*args, trials=1)
+        except InvalidArgumentError as err:
+            with pytest.raises(InvalidArgumentError) as refused:
+                build_transition_matrix(*args)
+            assert str(refused.value) == str(err), args
+            continue
+        try:
+            build_transition_matrix(*args)
+        except TooLargeError:
+            assert math.comb(d, m) ** max(K, 1) > chain_analysis.DEFAULT_STATE_CAP, args
 
 
 def test_rho_bound_banlast_worked_value():
@@ -342,7 +372,7 @@ def _dense_recurrent_class(chain):
     ("banlast", dict(d=4, m=1, K=0)),
     ("banlast", dict(d=8, m=1, K=3)),  # 336 of 512 states reachable
     ("banlast", dict(d=5, m=2, K=1)),
-    ("kawasaki", dict(d=4, m=2, K=2, b=2.0, joint_law=True)),
+    ("kawasaki", dict(d=4, m=2, K=2, b=2.0)),
     ("kawasaki", dict(d=4, m=1, K=2, b=2.0)),
     ("kawasaki", dict(d=6, m=1, K=3, b=2.0, activation="project")),
     ("kawasaki", dict(d=5, m=1, K=3, b=2.0, activation="softmax")),
@@ -388,7 +418,7 @@ CHAIN_PINS = [
      "4c12e2c990872f5c0c8e0d9e28fedf00012ed1109397f39f33685005087b8e35",
      "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a",
      "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a", 1, 11),
-    ("kawasaki", dict(d=4, m=2, K=2, b=2.0, joint_law=True),
+    ("kawasaki", dict(d=4, m=2, K=2, b=2.0),
      "25ca7e459c244a9a12c81d2f2d24e48c8cd74302459ae85b08e3b686ca79ebe9",
      "0a8debd26c46b3c7b1c0f2cd13e088848852c614fcd2f9fde84622e7b1ba4a00",
      "0a8debd26c46b3c7b1c0f2cd13e088848852c614fcd2f9fde84622e7b1ba4a00", 21, 9),
@@ -416,7 +446,7 @@ CHAIN_PINS = [
      "ca53bdda704102cefccc97350bece5fb13be0f5f6b492ec4aaefb25f1d11f82e",
      "10ca6cbaa3a0c4ba31d1782a2bed81f88c4b388cac1dc2afd9cc8917fffbf0ff",
      "10ca6cbaa3a0c4ba31d1782a2bed81f88c4b388cac1dc2afd9cc8917fffbf0ff", 1, 10),
-    ("kawasaki", dict(d=6, m=2, K=2, joint_law=True),
+    ("kawasaki", dict(d=6, m=2, K=2),
      "da7493f179deda123f183ebf4ea636eb6f517e1ab10a715eccddb4befeccc897",
      "34618413e0eb3a9cb7b8ff17362e7ea6d360264c4cda7dd4859823211f0ebff3",
      "34618413e0eb3a9cb7b8ff17362e7ea6d360264c4cda7dd4859823211f0ebff3", 10, 184),
@@ -542,7 +572,7 @@ def _one_pass_deviations(chain, result, starts):
     # the benchmark's chains, then the 2401-state kawasaki chain
     ("kawasaki", dict(d=6, m=1, K=4), 15),
     ("banlast", dict(d=10, m=1, K=3), 1),
-    ("kawasaki", dict(d=6, m=2, K=2, joint_law=True), 3),
+    ("kawasaki", dict(d=6, m=2, K=2), 3),
     ("kawasaki", dict(d=6, m=1, K=3, activation="project", b=2.0), 5),
     ("rand", dict(d=5, m=2, K=2), 3),
     ("kawasaki", dict(d=7, m=1, K=4), 15),
@@ -598,7 +628,7 @@ CURVE_PINS = [
      "bb8fe837095f891fe65ca2169b6883afc2e33668ea3637196ad94c4e9b1bc3f3"),
     ("banlast", dict(d=10, m=1, K=3),
      "20353e55144f3c6084c82f34851191de7edb8e4b411b3243f4f7a76908faaeeb"),
-    ("kawasaki", dict(d=6, m=2, K=2, joint_law=True),
+    ("kawasaki", dict(d=6, m=2, K=2),
      "0a201d977dab533cd79a55a953034b89cbc07791230a31baa3aa32dcff946a9e"),
     ("kawasaki", dict(d=6, m=1, K=3, activation="project", b=2.0),
      "4494abe9db8564662279c7fc49df103f782688bc1205be044882b27dd3ace4c5"),

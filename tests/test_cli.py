@@ -436,15 +436,27 @@ def test_analyze_chain_exits_4_at_the_power_iteration_cap(monkeypatch, capsys):
     assert captured.err == "failure: power iteration residual > 1e-12 after 11 iterations\n"
 
 
-def test_analyze_chain_refuses_kawasaki_with_multicoordinate_masks(capsys):
-    # the command passes no joint_law, so the sequential-draw law of kawasaki
-    # at m > 1 is built only through the API
+def test_analyze_chain_builds_kawasaki_with_multicoordinate_masks(tmp_path, capsys):
+    # kawasaki at m > 1 is analysed on the sequential-draw law the sampler
+    # runs, the chain the API builds
+    out = tmp_path / "curve.csv"
     assert main(["analyze-chain", "--kind", "kawasaki", "--d", "6", "--m", "2",
-                 "--K", "2"]) == 2
+                 "--K", "2", "--output", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: kawasaki with m > 1: pass joint_law=True to adopt the sequential-draw joint law"]
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:3] == ["states: 225", "recurrent class: 225 states (0 unreachable)",
+                         "start orbits: 3"]
+    assert "column-sum defect on the recurrent class: 1.4225465175" in lines
+    assert ("newest-mask marginal range: [0.3333333333, 0.3333333333] "
+            "(m/d = 0.3333333333)") in lines
+    assert "mixing time (eps=0.05): 184" in lines
+    # the CSV's deviation column is the API chain's curve
+    curve = chains.deviation_curve(chains.build_transition_matrix("kawasaki", 6, 2, 2), 200)
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "t,deviation,bound"
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        [str(t), harness._fmt(dev)] for t, dev in enumerate(curve)]
 
 
 def test_analyze_chain_nonergodic_is_a_structural_failure(capsys):
@@ -581,6 +593,27 @@ def test_analyze_chain_solves_the_stationary_law_once(tmp_path, monkeypatch, cap
     assert calls == [16]
     # the deviation curve, the mixing time and the printed count share one
     assert orbit_calls == [16]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k", "hitting-time",
+                                     "reproduce-appendix-b"])
+def test_a_negative_seed_exits_2_before_any_output(command, tmp_path, small_file, capsys):
+    with open(write_cfg(tmp_path, small_file), encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = tmp_path / "seed.yaml"
+    cfg.write_text(text.replace("seed: 3", "seed: -1"), encoding="utf-8")
+    argv = {
+        "train": ["train", "--config", str(cfg)],
+        "sweep-k": ["sweep-k", "--config", str(cfg), "--k", "0,1"],
+        "hitting-time": ["hitting-time", "--kind", "banlast", "--d", "10", "--K", "3",
+                         "--trials", "100", "--seed", "-1"],
+        "reproduce-appendix-b": ["reproduce-appendix-b", "--trials", "10", "--seed", "-1"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "seed" in captured.err
 
 
 def test_hitting_time_command(capsys):

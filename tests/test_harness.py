@@ -84,6 +84,7 @@ run:
     ("compressor: {b: 0.5}", "compressor.b"),
     ("compressor: {activation: relu}", "compressor.activation"),
     ("run: {T: -3}", "run.T"),
+    ("run: {seed: -1}", "run.seed"),
     # NaN fails every comparison, and a budget without T that is NaN or
     # infinite is never reached, so training would never stop
     ("run: {budget: .nan}", "run.budget"),
