@@ -47,7 +47,7 @@ from itertools import combinations, count, islice
 import numpy as np
 
 from . import kernels
-from .compressors import IDENTITY, SPARSIFYING_KINDS, validate_parameters
+from .compressors import SPARSIFYING_KINDS, validate_parameters
 from .errors import (
     InvalidArgumentError,
     NonErgodicError,
@@ -59,7 +59,7 @@ from .errors import (
 # ChainModel.P builds on request, and for K=0 the masks of the one-step law
 DEFAULT_STATE_CAP = 8_192
 
-_JOINT_LAW_MAX_M = 6
+_MASK_LAW_MAX_M = 6
 
 # the exact deviation never increases, so when it has gone this many steps
 # without a new minimum it sits on its rounding floor and the mixing time
@@ -103,9 +103,9 @@ def enumerate_masks(d, m):
 
 
 def _check_mask_size(m):
-    if m > _JOINT_LAW_MAX_M:
+    if m > _MASK_LAW_MAX_M:
         raise InvalidArgumentError(
-            f"joint-law enumeration sums m! orderings; m={m} exceeds {_JOINT_LAW_MAX_M}")
+            f"the mask law sums m! orderings; m={m} exceeds {_MASK_LAW_MAX_M}")
 
 
 def sequential_mask_law(p, m):
@@ -598,8 +598,9 @@ def optimal_history_size(alpha, K_max=None):
 def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
                              target=0, trials=10**5, seed=0):
     """Simulates fresh compressor runs from an empty history and counts steps
-    until `target` appears in a mask. Returns (mean, stderr). More than
-    HITTING_TRIALS_CAP trials raise TooLargeError before anything is
+    until `target` appears in a mask. Returns (mean, stderr). A kind with no
+    mask chain (identity, natural, permk) is an InvalidArgumentError; more
+    than HITTING_TRIALS_CAP trials raise TooLargeError before anything is
     allocated; a trial still running after HITTING_STEPS_CAP steps raises
     NumericalError."""
     if trials < 1:
@@ -611,8 +612,6 @@ def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
     if not 0 <= target < d:
         raise InvalidArgumentError(f"target {target} outside [0, {d})")
     validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)
-    if kind == IDENTITY:
-        return 1.0, 0.0
     if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no hitting-time simulation for kind '{kind}'")
     times, n_capped = kernels.simulate_hitting_times(

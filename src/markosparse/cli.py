@@ -114,7 +114,7 @@ def _cmd_sweep_k(args):
 
 def _cmd_analyze_chain(args):
     if args.output:
-        harness._make_parent(args.output)
+        harness._check_output(args.output)
     chain = chains.build_transition_matrix(
         args.kind, args.d, args.m, args.K, b=args.b, activation=args.activation)
     result = chains.stationary_distribution(chain)

@@ -108,21 +108,18 @@ def sparsify(x, mask, d, m):
     return out
 
 
-def natural_compress(x, rng):
+def natural_compress(x, rngs):
     """Random rounding of each entry to a signed power of two.
 
     |x_j| in [2^k, 2^(k+1)) goes up with probability (|x_j| - 2^k)/2^k and
     down otherwise, which makes the rounding unbiased; exact powers of two,
     zeros and non-finite entries are fixed points. Each finite non-zero
-    entry takes one uniform, powers of two included, in index order. `rng`
-    is one generator, or a sequence of them, one per row of a (rows, d) x.
+    entry takes one uniform, powers of two included, in index order: x is
+    (rows, d), and row r draws its uniforms from rngs[r].
     """
     x = np.asarray(x, dtype=np.float64)
     draw = np.isfinite(x) & (x != 0.0)
-    if isinstance(rng, np.random.Generator):
-        u = rng.random(np.count_nonzero(draw))
-    else:
-        u = np.concatenate([g.random(k) for g, k in zip(rng, np.count_nonzero(draw, axis=1))])
+    u = np.concatenate([g.random(k) for g, k in zip(rngs, np.count_nonzero(draw, axis=1))])
     v = x[draw]
     a = np.abs(v)
     lo = np.ldexp(0.5, np.frexp(a)[1])  # the largest power of two <= a, exactly
@@ -156,8 +153,10 @@ class Compressor:
     step computes every row's law in one call, draws each worker's
     uniforms (kernels.uniforms_per_row: 1 for m = 1, d for m > 1) from its
     own stream and sparsifies all rows in one write.
-    `compress` mutates the state (advances the streams, pushes masks).
-    The parameters are checked by validate_parameters with the ergodicity
+    `compress` mutates the state (advances the streams, pushes masks) and
+    is its one reader: a step's masks are the support of its output on
+    ones, and the next law is kernels.coordinate_law on the last K masks'
+    counts. validate_parameters checks the parameters with the ergodicity
     check on, so a banlast compressor needs d > (K+1)m.
     """
 
@@ -171,7 +170,6 @@ class Compressor:
         self.K = int(K) if kind in (BANLAST, KAWASAKI) else 0
         self.b = float(b)
         self.activation = activation
-        self.seed = seed
         self.workers = np.atleast_1d(np.asarray(worker, dtype=np.int64))
         self.n_workers = n_workers
         rows = len(self.workers)
@@ -191,22 +189,10 @@ class Compressor:
         self._steps = 0
         self._u = np.empty((rows, kernels.uniforms_per_row(self.d, self.m)))
         self._u_rows = list(self._u)   # each worker's row, filled from its own stream
-        self._at = np.zeros((rows, self.m), dtype=np.int64)
 
         # communication accounting: coordinates sent per step and bits per
         # coordinate (the budget layer multiplies by bits/32)
         self.bits_per_coord = 9 if kind == NATURAL else 32
-
-    def _rowwise(self, a):
-        # a per-row result, as one row's when this is one worker
-        return a.reshape(self._shape[:-1] + a.shape[1:])
-
-    def probabilities(self):
-        """Law of the next mask's sequential draws, given current history."""
-        if self.kind not in SPARSIFYING_KINDS:
-            raise InvalidArgumentError(f"'{self.kind}' has no coordinate law")
-        return self._rowwise(
-            kernels.coordinate_law(self.kind, self.activation, self.b, self._counts))
 
     def compress(self, x):
         """One step of every row: returns (compressed x, coordinates sent
@@ -229,11 +215,7 @@ class Compressor:
             return out.reshape(x.shape), len(cols)
         for rng, u in zip(self._rngs, self._u_rows):
             rng.random(out=u)
-        self._at = kernels.step_mask(self.kind, self.activation, self.K, self.b, self._u,
-                                     self._hist, self._counts, self._steps)
+        at = kernels.step_mask(self.kind, self.activation, self.K, self.b, self._u,
+                               self._hist, self._counts, self._steps)
         self._steps += 1
-        return sparsify(x, self._at, self.d, self.m), self._at.size
-
-    def last_mask(self):
-        """The coordinates each row sent in the last step."""
-        return self._rowwise(self._at)
+        return sparsify(x, at, self.d, self.m), at.size

@@ -216,24 +216,22 @@ def trace_to_csv(trace):
     return "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
 
 
-def _make_parent(path):
-    # creates path's missing parent directories and refuses a path that is
-    # a directory; called before the work that fills path, so an output
-    # that cannot be made fails first
-    if os.path.isdir(path):
-        # the error the write would raise at the end: a directory cannot be
-        # opened for writing, so nothing is created
+def _check_output(path):
+    # raises, before the work that fills path, the error its write would
+    # raise at the end for a directory or a path under a regular file; such
+    # an open creates nothing, and write_text makes the parents at the write
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if os.path.isdir(path) or not os.path.isdir(parent):
         with open(path, "w", encoding="utf-8"):
             pass
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
 
 
 def write_text(path, text):
     """Writes text as UTF-8 with \\n line ends, creating missing parent
     directories; every command's CSV is written here."""
-    _make_parent(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -310,7 +308,7 @@ def _run_on(cfg, problem, key, csv_path=None, quiet=False):
     _check_compressor(cfg, problem.d, cfg.K)
     out = csv_path or cfg.output
     if out:
-        _make_parent(out)
+        _check_output(out)
     reference = _cached_reference(problem, key)
     try:
         trace = run_training(problem, cfg, reference=reference)
@@ -386,7 +384,7 @@ def reproduce_hitting_table(trials=10**5, seed=2024, output=None):
     """The ALPHA_GRID table: optimal K, hitting-time formulas, Monte-Carlo
     cross-check, and the zero-intercept linear fit of K* on alpha."""
     if output:
-        _make_parent(output)
+        _check_output(output)
     rows = []
     for alpha in ALPHA_GRID:
         d, m = alpha_to_dm(alpha)

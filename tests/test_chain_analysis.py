@@ -589,7 +589,7 @@ def test_orbit_starts_match_every_start(kind, kwargs, n_orbits):
         reference.append(dev)
         if len(reference) > 201 and min(reference[1:]) <= min(thresholds.values()):
             break
-    # orbit members differ by rounding only: the joint law sums orderings
+    # orbit members differ by rounding only: the mask law sums orderings
     # in a fixed order, so on kawasaki(6,2,2) they differ by 8.9e-16
     np.testing.assert_allclose(deviation_curve(chain, 200),
                                reference[:201], rtol=0, atol=4e-15)
@@ -764,8 +764,11 @@ def test_monte_carlo_refuses_trials_past_its_cap():
         monte_carlo_hitting_time("banlast", d=10, m=1, K=3, trials=10**13)
 
 
-def test_monte_carlo_identity_is_instant():
-    assert monte_carlo_hitting_time("identity", d=5, trials=10) == (1.0, 0.0)
+@pytest.mark.parametrize("kind", ["identity", "natural", "permk"])
+def test_monte_carlo_refuses_kinds_without_a_mask_chain(kind):
+    with pytest.raises(InvalidArgumentError,
+                       match=f"no hitting-time simulation for kind '{kind}'"):
+        monte_carlo_hitting_time(kind, d=5, trials=10)
 
 
 def test_optimal_history_size_matches_the_grid():

@@ -142,6 +142,27 @@ def test_a_file_the_command_cannot_use_exits_2(case, tmp_path, small_file, monke
     assert str(culprit) in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["analyze-chain", "--kind", "banlast", "--d", "4", "--K", "9",
+      "--output", "nd1/sub/x.csv"], 2),
+    (["analyze-chain", "--kind", "banlast", "--d", "40", "--K", "9",
+      "--output", "nd2/x.csv"], 4),
+    (["analyze-chain", "--kind", "kawasaki", "--d", "4", "--K", "2", "--eps", "nan",
+      "--output", "nd4/x.csv"], 2),
+    (["reproduce-appendix-b", "--seed", "-1", "--trials", "10",
+      "--output", "nd3/sub/t.csv"], 2),
+], ids=["analyze-chain-bad-K", "analyze-chain-state-cap", "analyze-chain-nan-eps",
+        "reproduce-appendix-b-negative-seed"])
+def test_a_refused_command_leaves_no_output_directory(argv, code, tmp_path, monkeypatch,
+                                                     capsys):
+    # an --output's missing directories are made at the write, so a command
+    # refused before it leaves the directory as it found it
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def fresh_env():
     # the environment of a fresh interpreter that imports this package
     src = os.path.dirname(os.path.dirname(os.path.abspath(markosparse.__file__)))

@@ -53,11 +53,17 @@ def test_kawasaki_probabilities_count_multiplicity():
     np.testing.assert_allclose(p, w / w.sum())
 
 
+def sent(q):
+    """The coordinates one step sent: the support of compressing ones,
+    row by row for a team."""
+    return q != 0.0
+
+
 def test_kawasaki_single_ban_closed_form():
     c = Compressor(KAWASAKI, d=4, m=1, K=1, b=2.0, seed=0)
-    c.compress(np.ones(4))
-    j = int(c.last_mask()[0])
-    p = c.probabilities()
+    mask = sent(c.compress(np.ones(4))[0])
+    (j,) = np.flatnonzero(mask)
+    p = coordinate_law(KAWASAKI, "normalize", 2.0, mask.astype(np.int64))
     assert p[j] == pytest.approx(1 / 7)  # (1/8) / (1/8 + 3/4)
     others = [p[i] for i in range(4) if i != j]
     np.testing.assert_allclose(others, 2 / 7)
@@ -83,8 +89,8 @@ def test_banlast_compressor_never_repeats_within_window():
     c = Compressor(BANLAST, d=10, m=2, K=3, seed=5)
     recent = []
     for _ in range(200):
-        c.compress(np.ones(10))
-        mask = set(c.last_mask().tolist())
+        mask = set(np.flatnonzero(sent(c.compress(np.ones(10))[0])).tolist())
+        assert len(mask) == 2
         for old in recent:
             assert mask.isdisjoint(old)
         recent.append(mask)
@@ -112,9 +118,8 @@ def test_same_seed_same_worker_reproduces_masks():
     a = Compressor(BANLAST, d=8, m=2, K=2, seed=3, worker=1)
     b = Compressor(BANLAST, d=8, m=2, K=2, seed=3, worker=1)
     for _ in range(20):
-        a.compress(np.ones(8))
-        b.compress(np.ones(8))
-        np.testing.assert_array_equal(a.last_mask(), b.last_mask())
+        np.testing.assert_array_equal(sent(a.compress(np.ones(8))[0]),
+                                      sent(b.compress(np.ones(8))[0]))
 
 
 def test_workers_get_independent_streams():
@@ -148,7 +153,7 @@ def test_permk_workers_share_the_permutation():
 def test_natural_rounds_to_signed_powers_of_two():
     rng = np.random.default_rng(1)
     x = np.array([0.0, 3.0, -0.7, 2.0, 1e-3])
-    out = natural_compress(x, rng)
+    out = natural_compress(x[None], [rng])[0]
     assert out[0] == 0.0
     assert out[3] == 2.0  # exact power of two is a fixed point
     for v, o in zip(x, out):
@@ -193,7 +198,7 @@ def test_natural_matches_scalar_reference_bit_for_bit():
     ])
     for seed in range(20):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = natural_compress(x, a)
+        got = natural_compress(x[None], [a])[0]
         want = scalar_natural(x, b)
         assert got.tobytes() == want.tobytes()
         assert a.random() == b.random()  # both drew once per finite non-zero entry
@@ -202,7 +207,7 @@ def test_natural_matches_scalar_reference_bit_for_bit():
 def test_natural_rounding_is_unbiased():
     rng = np.random.default_rng(2)
     v = np.full(20_000, 1.3)
-    mean = natural_compress(v, rng).mean()
+    mean = natural_compress(v[None], [rng]).mean()
     assert mean == pytest.approx(1.3, rel=5e-3)
 
 
@@ -229,10 +234,15 @@ def test_team_rows_equal_single_worker_compressors(kind, kwargs):
         outs = [c.compress(row) for c, row in zip(solo, x)]
         assert q.tobytes() == np.array([o for o, _ in outs]).tobytes()
         assert coords == sum(c for _, c in outs)
-        if kind in (RAND, BANLAST, KAWASAKI):
-            np.testing.assert_array_equal(team.last_mask(), [c.last_mask() for c in solo])
-            np.testing.assert_array_equal(team.probabilities(),
-                                          [c.probabilities() for c in solo])
+    if kind in (RAND, BANLAST, KAWASAKI):
+        # the masks, and the laws on the last K of them, match row by row
+        masks = np.array([sent(team.compress(np.ones((n, d)))[0]) for _ in range(5)])
+        for mask in masks:
+            np.testing.assert_array_equal(mask, [sent(c.compress(np.ones(d))[0]) for c in solo])
+        counts = masks[5 - kwargs.get("K", 0):].sum(axis=0, dtype=np.int64)
+        law = [kind, kwargs.get("activation", "normalize"), kwargs.get("b", 50.0)]
+        np.testing.assert_array_equal(coordinate_law(*law, counts),
+                                      [coordinate_law(*law, row) for row in counts])
 
 
 def test_natural_reports_nine_bits():
