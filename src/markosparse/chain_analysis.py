@@ -55,9 +55,9 @@ from .errors import (
     TooLargeError,
 )
 
-# bounds C(d,m)^max(K,1): the table's rows, the |S| x |S| P that
-# ChainModel.P builds on request, and for K=0 the masks of the one-step law
-DEFAULT_STATE_CAP = 8_192
+# the most entries (64 MB of float64) of any array sized from a chain; each
+# is checked by _check_entries before it is allocated
+ARRAY_CAP = 2**23
 
 _MASK_LAW_MAX_M = 6
 
@@ -95,11 +95,10 @@ HITTING_TRIALS_CAP = 10**7
 HITTING_STEPS_CAP = 10**7
 
 
-def enumerate_masks(d, m):
-    """All size-m coordinate masks in lexicographic order."""
-    if not 1 <= m <= d:
-        raise InvalidArgumentError(f"need 1 <= m <= d, got m={m}, d={d}")
-    return list(combinations(range(d), m))
+def _check_entries(size, what):
+    """Raises TooLargeError, naming `what`, for more than ARRAY_CAP entries."""
+    if size > ARRAY_CAP:
+        raise TooLargeError(size, ARRAY_CAP, f"{what}: {size} entries")
 
 
 def _check_mask_size(m):
@@ -127,7 +126,7 @@ class ChainModel:
     K: int
     b: float
     activation: str
-    masks: list
+    masks: np.ndarray   # (C(d,m), m) int64, mask k's coordinates, lexicographic
     table: np.ndarray   # table[i, k] = P(state i appends mask k)
 
     @property
@@ -162,6 +161,7 @@ class ChainModel:
     def P(self):
         """The dense transition matrix, built on request from the table."""
         n, M = self.table.shape
+        _check_entries(n * n, f"a dense P over {n} states")
         rows = np.arange(n)[:, None]
         P = np.zeros((n, n))
         P[rows, self.successor(rows, np.arange(M))] = self.table
@@ -188,13 +188,12 @@ class StationaryResult:
 def _next_mask_law(chain, histories):
     """Next-mask table rows for rows of mask indices (n, k), oldest first:
     row i is the law of the mask appended after histories[i]."""
-    masks = np.asarray(chain.masks)
     n = len(histories)
     # coordinate counts of each history: a bincount of row*d + coordinate
-    flat = (np.arange(n)[:, None] * chain.d + masks[histories].reshape(n, -1)).ravel()
+    flat = (np.arange(n)[:, None] * chain.d + chain.masks[histories].reshape(n, -1)).ravel()
     counts = np.bincount(flat, minlength=n * chain.d).reshape(n, chain.d)
     p = kernels.coordinate_law(chain.kind, chain.activation, chain.b, counts)
-    return kernels.mask_law(p, masks)
+    return kernels.mask_law(p, chain.masks)
 
 
 def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
@@ -205,24 +204,26 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
     draws from: kernels.coordinate_law, then the sequential-draw law
     kernels.mask_law. joint_law changes nothing; it is kept only so the
     benchmark's call still binds, and ROADMAP item A removes it. Raises
-    TooLargeError, before any enumeration, when C(d,m)^max(K,1) exceeds
-    DEFAULT_STATE_CAP, and InvalidArgumentError when m > 6 (the law sums m!
-    orderings).
+    TooLargeError, before any enumeration, when the largest array the chain
+    sizes has more than ARRAY_CAP entries: the table, M^(K+1) with
+    M = C(d,m); the window coordinates and orbit profiles, M^K (K m)^2; the
+    mask membership, M d. Raises InvalidArgumentError when m > 6 (the law
+    sums m! orderings).
     """
     if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no Markov chain for compressor kind '{kind}'")
     validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)
-    size = math.comb(d, m) ** max(K, 1)
-    if size > DEFAULT_STATE_CAP:
-        raise TooLargeError(size, DEFAULT_STATE_CAP, None if K else
-                            f"the one-step law of the K=0 chain has {size} masks")
+    M = math.comb(d, m)
+    n = M ** K
+    _check_entries(max(n * M, n * (K * m) ** 2, M * d),
+                   f"the chain over {n} states of {M} masks" if K else
+                   f"the one-step law of the K=0 chain has {M} masks")
     _check_mask_size(m)
+    masks = np.fromiter(combinations(range(d), m), np.dtype((np.int64, m)), M)
     # K=0 is the one empty history, which moves to itself
-    chain = ChainModel(kind, d, m, K, float(b), activation, enumerate_masks(d, m),
-                       np.ones((1, 1)))
+    chain = ChainModel(kind, d, m, K, float(b), activation, masks, np.ones((1, 1)))
     if K:
-        M = len(chain.masks)
-        digits = np.arange(M ** K)[:, None] // M ** np.arange(K - 1, -1, -1) % M
+        digits = np.arange(n)[:, None] // M ** np.arange(K - 1, -1, -1) % M
         chain.table = _next_mask_law(chain, digits)
     return chain
 
@@ -360,7 +361,7 @@ def orbit_starts(chain, recurrent):
         return recurrent
     M, K = len(chain.masks), chain.K
     digits = recurrent[:, None] // M ** np.arange(K - 1, -1, -1) % M
-    coords = np.asarray(chain.masks)[digits].reshape(len(recurrent), K * chain.m)
+    coords = chain.masks[digits].reshape(len(recurrent), K * chain.m)
     slot_bit = np.repeat(1 << np.arange(K - 1, -1, -1), chain.m)
     profile = ((coords[:, :, None] == coords[:, None, :]) * slot_bit).sum(axis=2)
     keys = np.sort(profile, axis=1)
@@ -378,7 +379,8 @@ def _start_columns(chain):
     and one row per state, each column a start's point mass, and rep is pi
     repeated once per start, in x's shape."""
     starts = chain.starts
-    c = len(starts)
+    n, c = chain.n_states, len(starts)
+    _check_entries(n * c, f"deviation columns of {n} states x {c} start orbits")
     rep = np.repeat(chain.stationary.pi, c).reshape(-1, c)
     x = np.zeros_like(rep)
     x[starts, np.arange(c)] = 1.0
@@ -402,8 +404,8 @@ def _deviations(chain):
     state. Relabelling coordinates maps P^t(s, .) and pi onto P^t(g s, .)
     and pi, so every start of an orbit has the same deviation. Each
     deviation goes through the buffer the next step overwrites."""
-    step = _shift_step(chain)
     x, rep = _start_columns(chain)
+    step = _shift_step(chain)
     out = np.empty_like(x)
     while True:
         yield _deviation(x, rep, out)
@@ -420,8 +422,8 @@ def _checked_deviations(chain, threshold):
     threshold lies in that block. x keeps the block's first state while y
     and z take its later steps in turn; the three rotate at each block end,
     so no state is copied."""
-    step = _shift_step(chain)
     x, rep = _start_columns(chain)
+    step = _shift_step(chain)
     y, z = np.empty_like(x), np.empty_like(x)
     for t in range(0, MIXING_STEPS_CAP, _CHECK_STEPS):
         n = min(_CHECK_STEPS, MIXING_STEPS_CAP - t)

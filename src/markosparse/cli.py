@@ -4,7 +4,7 @@ Subcommands: train, sweep-k, analyze-chain, hitting-time, optimal-k,
 reproduce-appendix-b. Exit codes: 0 success, 2 configuration or argument
 error or a file the command cannot read or write, 3 divergence during
 training, 4 numerical or structural failure (non-convergence, non-ergodic
-chain, state space too large).
+chain, an input over its cap, or an allocation that runs out of memory).
 """
 
 import argparse
@@ -227,6 +227,9 @@ def main(argv=None):
         return 3
     except (NumericalError, NonErgodicError, TooLargeError) as err:
         print(f"failure: {err}", file=sys.stderr)
+        return 4
+    except MemoryError as err:  # numpy's names the allocation, a bare one nothing
+        print(f"failure: out of memory{f' ({err})' if str(err) else ''}", file=sys.stderr)
         return 4
     except OSError as err:
         # a file the command itself cannot read or write

@@ -39,13 +39,13 @@ class NonErgodicError(MarkosparseError):
 
 
 class TooLargeError(MarkosparseError):
-    """A chain exceeds the configured cap. Carries the computed size; `what`
-    names what was counted, the states unless given."""
+    """A computation exceeds its cap. Carries the computed size; `what`
+    names what was counted."""
 
-    def __init__(self, size, cap, what=None):
+    def __init__(self, size, cap, what):
         self.size = size
         self.cap = cap
-        super().__init__(f"{what or f'state space has {size} states'}, exceeds cap {cap}")
+        super().__init__(f"{what}, exceeds cap {cap}")
 
 
 class NumericalError(MarkosparseError):

@@ -360,17 +360,16 @@ def sweep_k(cfg, k_values):
             row[f"coords_to_{thr:g}"] = result["summary"]["coords_to"][thr]
         rows.append(row)
     target = f"coords_to_{1e-3:g}"
-    best = None
-    for i, row in enumerate(rows):
-        c = row[target]
-        if c is not None and (best is None or c < rows[best][target]):
-            best = i
-    for i, row in enumerate(rows):
-        row["best"] = i == best
+    low = min((row[target] for row in rows if row[target] is not None), default=None)
+    # the first row at the minimum is marked; a tie is named on its own line
+    tied = [row for row in rows if low is not None and row[target] == low]
     for row in rows:
+        row["best"] = bool(tied) and row is tied[0]
         mark = " *" if row["best"] else ""
         print(f"K={row['K']}: coords to 1e-3 = "
               f"{_fmt(row[target]) if row[target] is not None else 'not reached'}{mark}")
+    if len(tied) > 1:
+        print(f"tied minimum: K={', '.join(str(row['K']) for row in tied)} at {_fmt(low)} coords")
     return rows
 
 

@@ -63,10 +63,6 @@ import numpy as np
 # took longer in total
 HITTING_BLOCK = 2048
 
-# entries of each (rows, masks) array mask_law works on; bounds its
-# temporaries to a few times this, however large the table
-LAW_BLOCK = 1 << 20
-
 # rows per coordinate from which an array is summed down its leading axis
 # instead of along each row. Timed on coordinate_law plus sample_masks, the
 # two ways broke even at 16-24 rows per coordinate for d = 6 and 10 with
@@ -243,26 +239,22 @@ def mask_law(p, masks):
     row p[i] (n, d) draws the sorted mask masks[k] (M, m). Each mask sums
     its m! drawing orders (itertools.permutations order), each order the
     product of its draws p[j] / (1 - earlier draws); a mask holding a
-    zero-probability coordinate is exactly 0. Rows go in blocks of about
-    LAW_BLOCK entries."""
-    M = len(masks)
-    law = np.zeros((len(p), M))
-    rows = max(1, LAW_BLOCK // max(M, 1))
+    zero-probability coordinate is exactly 0. Its temporaries are a few
+    arrays of out's shape."""
+    law = np.zeros((len(p), len(masks)))
     # only a mask outside the support can meet 0/0; it is zeroed below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for first in range(0, len(p), rows):
-            q, out = p[first:first + rows], law[first:first + rows]
-            for order in permutations(range(masks.shape[1])):
-                first_draw, *draws = masks[:, list(order)].T
-                pr = q[:, first_draw]  # 1 * (p / 1); 1 - p is left
-                rem = 1.0 - pr
-                for j in draws:
-                    pj = q[:, j]
-                    pr *= pj / rem
-                    rem -= pj
-                out += pr
-            for j in masks.T:
-                out[~(q[:, j] > 0.0)] = 0.0
+        for order in permutations(range(masks.shape[1])):
+            first_draw, *draws = masks[:, list(order)].T
+            pr = p[:, first_draw]  # 1 * (p / 1); 1 - p is left
+            rem = 1.0 - pr
+            for j in draws:
+                pj = p[:, j]
+                pr *= pj / rem
+                rem -= pj
+            law += pr
+        for j in masks.T:
+            law[~(p[:, j] > 0.0)] = 0.0
     return law
 
 

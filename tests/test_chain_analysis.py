@@ -18,7 +18,6 @@ from markosparse.chain_analysis import (
     banlast_hitting_time_exact,
     build_transition_matrix,
     deviation_curve,
-    enumerate_masks,
     expected_hitting_time_banlast,
     expected_hitting_time_randm,
     mixing_time,
@@ -40,10 +39,11 @@ from markosparse.errors import (
 )
 
 
-def test_enumerate_masks_and_states_counts():
-    masks = enumerate_masks(4, 2)
-    assert masks == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert build_transition_matrix("rand", d=4, m=2, K=2).n_states == 36
+def test_masks_and_states_counts():
+    chain = build_transition_matrix("rand", d=4, m=2, K=2)
+    assert chain.masks.dtype == np.int64
+    assert chain.masks.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    assert chain.n_states == 36
     with pytest.raises(TooLargeError):
         build_transition_matrix("banlast", d=30, m=5, K=4)
 
@@ -133,16 +133,65 @@ def test_nonergodic_chains_are_reported():
         recurrent_class(build_transition_matrix("banlast", d=4, m=2, K=1))
 
 
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError("allocated an array over the cap")
+
+
 def test_state_and_matrix_caps(monkeypatch):
     with pytest.raises(TooLargeError):
         build_transition_matrix("banlast", d=40, m=4, K=3)
-    with monkeypatch.context() as patched:
-        patched.setattr(chain_analysis, "DEFAULT_STATE_CAP", 1000)
-        with pytest.raises(TooLargeError):
-            build_transition_matrix("banlast", d=30, m=1, K=3)
-    # K=0 has one state but C(d,m) masks in its one-step law
+    # K=0 has one state but C(d,m) masks, each a row of d memberships
     with pytest.raises(TooLargeError):
-        build_transition_matrix("rand", d=30, m=5, K=0)
+        build_transition_matrix("rand", d=30, m=6, K=0)
+    assert chain_analysis.ARRAY_CAP == 2**23
+
+
+@pytest.mark.parametrize("kind, kwargs, entries", [
+    # the table, C(d,m)^(K+1), is the largest array
+    ("banlast", dict(d=10, m=1, K=2), 1000),
+    # the window coordinates and orbit profiles, C(d,m)^K (K m)^2
+    ("kawasaki", dict(d=2, m=1, K=3, b=2.0), 8 * 9),
+    # the mask membership of the K=0 one-step law, C(d,m) d
+    ("rand", dict(d=6, m=2, K=0), 15 * 6),
+], ids=["table", "window", "membership"])
+def test_the_build_checks_its_largest_array_against_the_cap(kind, kwargs, entries,
+                                                            monkeypatch):
+    monkeypatch.setattr(chain_analysis, "ARRAY_CAP", entries)
+    chain = build_transition_matrix(kind, **kwargs)  # at the cap: built
+    assert mixing_time(chain, 0.05) >= 1
+    monkeypatch.setattr(chain_analysis, "ARRAY_CAP", entries - 1)
+    # refused before the masks are enumerated
+    monkeypatch.setattr(chain_analysis, "combinations", _refuse_allocation)
+    with pytest.raises(TooLargeError, match=f": {entries} entries, exceeds cap {entries - 1}"):
+        build_transition_matrix(kind, **kwargs)
+
+
+def test_the_deviation_columns_are_checked_against_the_cap(monkeypatch):
+    chain = build_transition_matrix("kawasaki", d=2, m=1, K=4, b=2.0)
+    entries = chain.n_states * len(chain.starts)
+    assert entries == 16 * 8
+    expect = mixing_time(chain, 0.05)
+    monkeypatch.setattr(chain_analysis, "ARRAY_CAP", entries)
+    assert mixing_time(chain, 0.05) == expect  # at the cap: stepped
+    assert len(deviation_curve(chain, 3)) == 4
+    monkeypatch.setattr(chain_analysis, "ARRAY_CAP", entries - 1)
+    monkeypatch.setattr(np, "repeat", _refuse_allocation)
+    monkeypatch.setattr(chain_analysis, "_shift_step", _refuse_allocation)
+    message = f"deviation columns of 16 states x 8 start orbits: {entries} entries"
+    with pytest.raises(TooLargeError, match=message):
+        mixing_time(chain, 0.05)
+    with pytest.raises(TooLargeError, match=message):
+        deviation_curve(chain, 3)
+
+
+def test_the_dense_p_is_checked_against_the_cap(monkeypatch):
+    chain = build_transition_matrix("banlast", d=5, m=1, K=2)
+    monkeypatch.setattr(chain_analysis, "ARRAY_CAP", 25 * 25)
+    np.testing.assert_allclose(chain.P.sum(axis=1), 1.0, atol=1e-12)  # at the cap
+    monkeypatch.setattr(chain_analysis, "ARRAY_CAP", 25 * 25 - 1)
+    monkeypatch.setattr(np, "zeros", _refuse_allocation)
+    with pytest.raises(TooLargeError, match="a dense P over 25 states: 625 entries"):
+        chain.P
 
 
 def test_kawasaki_multicoordinate_masks_follow_the_sampler_law():
@@ -150,12 +199,13 @@ def test_kawasaki_multicoordinate_masks_follow_the_sampler_law():
     # coordinate law after that one mask: the law the sampler draws from
     chain = build_transition_matrix("kawasaki", d=4, m=2, K=1, b=2.0)
     np.testing.assert_allclose(chain.P.sum(axis=1), 1.0, atol=1e-12)
-    for k, mask in enumerate(chain.masks):
+    masks = list(map(tuple, chain.masks.tolist()))
+    for k, mask in enumerate(masks):
         counts = np.zeros((1, 4), np.int64)
         counts[0, list(mask)] = 1
         p = kernels.coordinate_law("kawasaki", "normalize", 2.0, counts)[0]
         law = sequential_mask_law(p, 2)
-        assert chain.table[k].tolist() == [law[other] for other in chain.masks]
+        assert chain.table[k].tolist() == [law[other] for other in masks]
 
 
 def test_every_input_the_simulation_accepts_builds_under_the_cap(monkeypatch):
@@ -179,7 +229,9 @@ def test_every_input_the_simulation_accepts_builds_under_the_cap(monkeypatch):
         try:
             build_transition_matrix(*args)
         except TooLargeError:
-            assert math.comb(d, m) ** max(K, 1) > chain_analysis.DEFAULT_STATE_CAP, args
+            M = math.comb(d, m)
+            entries = max(M ** (K + 1), M ** K * (K * m) ** 2, M * d)
+            assert entries > chain_analysis.ARRAY_CAP, args
 
 
 def test_rho_bound_banlast_worked_value():
@@ -515,14 +567,15 @@ def test_mixing_time_is_the_first_crossing_of_the_curve(kind, kwargs):
 def _transpositions(chain):
     """For each adjacent transposition (j, j+1) of coordinates, the map pm
     of mask indices (mask k -> pm[k]) and the map g of state indices."""
-    index = {mask: k for k, mask in enumerate(chain.masks)}
-    M = len(chain.masks)
+    masks = list(map(tuple, chain.masks.tolist()))
+    index = {mask: k for k, mask in enumerate(masks)}
+    M = len(masks)
     place = M ** np.arange(chain.K - 1, -1, -1)
     digits = np.arange(M ** chain.K)[:, None] // place % M
     for j in range(chain.d - 1):
         swap = {j: j + 1, j + 1: j}
         pm = np.array([index[tuple(sorted(swap.get(c, c) for c in mask))]
-                       for mask in chain.masks])
+                       for mask in masks])
         yield pm, pm[digits] @ place
 
 
@@ -678,8 +731,10 @@ def test_deviation_curves_refuse_a_t_max_above_the_step_cap(monkeypatch):
 
 
 def test_a_memoryless_chain_over_the_cap_names_its_masks():
-    with pytest.raises(TooLargeError, match="has 142506 masks, exceeds cap 8192"):
-        build_transition_matrix("rand", d=30, m=5, K=0)
+    # C(30,6) = 593775 masks of 30 memberships each
+    with pytest.raises(TooLargeError,
+                       match="has 593775 masks: 17813250 entries, exceeds cap 8388608"):
+        build_transition_matrix("rand", d=30, m=6, K=0)
 
 
 def _per_state_marginal(chain, pi):

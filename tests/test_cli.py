@@ -303,6 +303,56 @@ def test_sweep_k_prints_rows(tmp_path, small_file, capsys):
     assert "K=0:" in out and "K=1:" in out
 
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("ks, rows, tie", [
+    ("0-9", ["K=0: coords to 1e-3 = 2860", "K=1: coords to 1e-3 = 2860",
+             "K=2: coords to 1e-3 = 2860", "K=3: coords to 1e-3 = 2750",
+             "K=4: coords to 1e-3 = 2750", "K=5: coords to 1e-3 = 2640",
+             "K=6: coords to 1e-3 = 2640", "K=7: coords to 1e-3 = 2530 *",
+             "K=8: coords to 1e-3 = 2530", "K=9: coords to 1e-3 = 2530"],
+     ["tied minimum: K=7, 8, 9 at 2530 coords"]),
+    ("6,7", ["K=6: coords to 1e-3 = 2640", "K=7: coords to 1e-3 = 2530 *"], []),
+], ids=["tie", "no-tie"])
+def test_sweep_k_names_every_k_tied_at_the_marked_minimum(ks, rows, tie, monkeypatch,
+                                                          capsys):
+    # the shipped config, whose dataset path is relative to the repository;
+    # the marker still breaks a tie toward the smallest K
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(["sweep-k", "--config", "configs/mushrooms_mqsgd.yaml", "--k", ks]) == 0
+    assert capsys.readouterr().out.splitlines() == rows + tie
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                 "and data type float64"),
+     "failure: out of memory (Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000000000,) and data type float64)"),
+    (MemoryError(), "failure: out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["train", "analyze-chain"])
+def test_a_memory_error_exits_4_with_one_failure_line(command, error, line, tmp_path,
+                                                      small_file, monkeypatch, capsys):
+    # the allocation is stubbed: the reference solve's np.zeros(d), or the
+    # chain build, raises as numpy does when the machine cannot give the memory
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(harness, "reference_minimizer", out_of_memory)
+    monkeypatch.setattr(chains, "build_transition_matrix", out_of_memory)
+    argv = {
+        "train": ["train", "--config", write_cfg(tmp_path, small_file),
+                  "--output", str(tmp_path / "out.csv")],
+        "analyze-chain": ["analyze-chain", "--kind", "banlast", "--d", "10", "--K", "3"],
+    }[command]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_k_with_no_feasible_k_exits_2_before_any_solve(tmp_path, small_file,
                                                              monkeypatch, capsys):
     # banlast with d=6, m=2 needs d > (K+1)m, so K=2 and K=5 are both skipped
@@ -486,8 +536,9 @@ def test_analyze_chain_nonergodic_is_a_structural_failure(capsys):
 
 
 def test_analyze_chain_refuses_a_memoryless_chain_with_too_many_masks(capsys):
-    # K=0 has one state, but its one-step law spans C(30,5) = 142506 masks
-    assert main(["analyze-chain", "--kind", "rand", "--d", "30", "--m", "5", "--K", "0"]) == 4
+    # K=0 has one state, but its one-step law spans C(30,6) = 593775 masks
+    # of 30 memberships each
+    assert main(["analyze-chain", "--kind", "rand", "--d", "30", "--m", "6", "--K", "0"]) == 4
     assert "exceeds cap" in capsys.readouterr().err
 
 

@@ -405,7 +405,7 @@ def _scalar_mask_law(p, m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_mask_law_equals_the_scalar_oracle_bit_for_bit(m, monkeypatch):
+def test_mask_law_equals_the_scalar_oracle_bit_for_bit(m):
     d, n = 7, 40
     rng = fresh_rng(20 + m)
     p = rng.random((n, d))
@@ -417,8 +417,6 @@ def test_mask_law_equals_the_scalar_oracle_bit_for_bit(m, monkeypatch):
     p[-1] = 0.0
     p[-1, :m - 1] = {1: [], 2: [1.0], 3: [0.5, 0.5], 4: [0.5, 0.25, 0.25]}[m]
     masks = np.array(list(itertools.combinations(range(d), m)))
-    # three rows a block: the 40 rows cross 13 block boundaries
-    monkeypatch.setattr(kernels, "LAW_BLOCK", 3 * len(masks))
     law = kernels.mask_law(p, masks)
     index = {mask: k for k, mask in enumerate(map(tuple, masks.tolist()))}
     expect = np.zeros((n, len(masks)))
