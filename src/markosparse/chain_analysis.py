@@ -23,11 +23,12 @@ on request. The law reads only counts, so relabelling coordinates maps the
 chain onto itself: deviation curves and mixing times step one start column
 per orbit of the recurrent class, not one per state. A deviation
 max|x - pi| is one contiguous pass over x against pi repeated once per
-start. Deviation curves compute it after every step. mixing_time, the one
-producer of a mixing time and of its stall and cap errors, computes it once
-per block of 8 steps, since the exact deviation never increases, and
-replays step by step only the block that first ends at or below the
-threshold.
+start. One generator steps the start columns for both readers and computes
+the deviation at t = 0 and at the end of each block of steps: deviation
+curves read it at blocks of 1 step; mixing_time, the one producer of a
+mixing time and of its stall and cap errors, at blocks of 8, since the exact
+deviation never increases, and the generator replays step by step only the
+block that first ends at or below the threshold.
 
 Each chain is solved once. Its first read of ``ChainModel.stationary``
 (through ``stationary_distribution``, ``mixing_time`` or ``deviation_curve``)
@@ -171,10 +172,16 @@ class ChainModel:
 @dataclass
 class ErgodicityBound:
     """Envelope C * rho**t on the deviation from the stationary law; gap is
-    1 - rho, computed without the cancellation that rounds rho to 1."""
+    1 - rho, computed without the cancellation that rounds rho to 1. A gap
+    of 0 in double precision bounds nothing: InvalidArgumentError."""
     rho: float
     C: float
     gap: float
+
+    def __post_init__(self):
+        if not self.gap > 0:
+            raise InvalidArgumentError(
+                "vacuous bound: its gap 1 - rho rounds to 0 in double precision")
 
 
 @dataclass(frozen=True)
@@ -374,19 +381,6 @@ def orbit_starts(chain, recurrent):
     return recurrent[np.sort(order[first])]
 
 
-def _start_columns(chain):
-    """(x, rep) for the deviation loops: x holds one column per start orbit
-    and one row per state, each column a start's point mass, and rep is pi
-    repeated once per start, in x's shape."""
-    starts = chain.starts
-    n, c = chain.n_states, len(starts)
-    _check_entries(n * c, f"deviation columns of {n} states x {c} start orbits")
-    rep = np.repeat(chain.stationary.pi, c).reshape(-1, c)
-    x = np.zeros_like(rep)
-    x[starts, np.arange(c)] = 1.0
-    return x, rep
-
-
 def _deviation(x, rep, scratch):
     """max |x - rep|, through scratch, a buffer of x's shape whose contents
     are not needed.
@@ -398,46 +392,43 @@ def _deviation(x, rep, scratch):
     return np.abs(np.subtract(x, rep, out=scratch), out=scratch).max()
 
 
-def _deviations(chain):
-    """max over recurrent starts s and states j of |P^t(s, j) - pi_j|, for
-    t = 0, 1, ...; x holds one column per start orbit and one row per
-    state. Relabelling coordinates maps P^t(s, .) and pi onto P^t(g s, .)
-    and pi, so every start of an orbit has the same deviation. Each
-    deviation goes through the buffer the next step overwrites."""
-    x, rep = _start_columns(chain)
-    step = _shift_step(chain)
-    out = np.empty_like(x)
-    while True:
-        yield _deviation(x, rep, out)
-        x, out = step(x, out), x
+def _deviations(chain, block=1, threshold=-math.inf):
+    """(t, deviation) pairs, t <= MIXING_STEPS_CAP, where the deviation is
+    max over recurrent starts s and states j of |P^t(s, j) - pi_j|: t = 0,
+    then the end of each block of `block` steps while the deviation is above
+    threshold, then every step of the first block that ends at or below it,
+    replayed from the block's first state, through its end.
 
-
-def _checked_deviations(chain, threshold):
-    """(t, deviation) pairs for mixing_time, t <= MIXING_STEPS_CAP: the
-    deviation at the end of each block of _CHECK_STEPS steps while it is
-    above threshold; then every step of the first block that ends at or
-    below it, replayed from the block's first state, through its end.
-
-    The exact deviation never increases, so the first step at or below
-    threshold lies in that block. x keeps the block's first state while y
-    and z take its later steps in turn; the three rotate at each block end,
-    so no state is copied."""
-    x, rep = _start_columns(chain)
+    x holds one column per start orbit and one row per state, each column
+    starting as a start's point mass; relabelling coordinates maps P^t(s, .)
+    and pi onto P^t(g s, .) and pi, so every start of an orbit has the same
+    deviation. The exact deviation never increases, so the first step at or
+    below threshold lies in the replayed block. x keeps the block's first
+    state while y and z take its later steps in turn; the three rotate at
+    each block end, so no state is copied."""
+    starts = chain.starts
+    n, c = chain.n_states, len(starts)
+    _check_entries(n * c, f"deviation columns of {n} states x {c} start orbits")
+    # pi repeated once per start, in x's shape
+    rep = np.repeat(chain.stationary.pi, c).reshape(-1, c)
+    x = np.zeros_like(rep)
+    x[starts, np.arange(c)] = 1.0
     step = _shift_step(chain)
     y, z = np.empty_like(x), np.empty_like(x)
-    for t in range(0, MIXING_STEPS_CAP, _CHECK_STEPS):
-        n = min(_CHECK_STEPS, MIXING_STEPS_CAP - t)
+    yield 0, _deviation(x, rep, y)
+    for t in range(0, MIXING_STEPS_CAP, block):
+        steps = min(block, MIXING_STEPS_CAP - t)
         end, spare = step(x, y), z
-        for _ in range(n - 1):
+        for _ in range(steps - 1):
             end, spare = step(end, spare), end
         dev = _deviation(end, rep, spare)
         if dev <= threshold:
-            for s in range(t + 1, t + n):
+            for s in range(t + 1, t + steps):
                 x, y = step(x, y), x
                 yield s, _deviation(x, rep, y)
-            yield t + n, dev
+            yield t + steps, dev
             return
-        yield t + n, dev
+        yield t + steps, dev
         x, y, z = end, x, spare
 
 
@@ -453,16 +444,18 @@ def deviation_curve(chain, t_max):
     class, for t = 0..t_max. A t_max above MIXING_STEPS_CAP raises
     TooLargeError before the first step."""
     _check_t_max(t_max)
-    return np.fromiter(_deviations(chain), dtype=np.float64, count=t_max + 1)
+    devs = (dev for _, dev in _deviations(chain))
+    return np.fromiter(devs, dtype=np.float64, count=t_max + 1)
 
 
 def mixing_time(chain, eps):
     """Smallest t >= 1 with max-start deviation ||P^t(s0,.) - pi||_inf <=
-    eps*pi_min; t = 0 is not checked, so a chain that starts at pi gives 1.
+    eps*pi_min; a crossing at t = 0, where every start is already that
+    close to pi, gives 1.
 
-    The deviation is checked once per _CHECK_STEPS steps, and the block
-    that first ends at or below the threshold is replayed step by step, so
-    the result is the first such t. Raises NumericalError after
+    The deviation is checked at t = 0 and once per _CHECK_STEPS steps, and
+    the block that first ends at or below the threshold is replayed step by
+    step, so the result is the first such t. Raises NumericalError after
     MIXING_STEPS_CAP steps, or sooner once the checked deviation has
     stalled on its rounding floor above the threshold."""
     if not eps > 0:  # NaN too
@@ -471,9 +464,9 @@ def mixing_time(chain, eps):
     threshold = eps * result.pi[result.recurrent].min()
     # the stall window counts the t that were checked
     lowest, lowest_t = math.inf, 0
-    for t, dev in _checked_deviations(chain, threshold):
+    for t, dev in _deviations(chain, _CHECK_STEPS, threshold):
         if dev <= threshold:
-            return t
+            return max(t, 1)
         if dev < lowest:
             lowest, lowest_t = dev, t
         elif t - lowest_t >= _STALL_STEPS:
@@ -485,7 +478,8 @@ def mixing_time(chain, eps):
 
 def rho_bound_banlast(d, m, K):
     """Geometric ergodicity bound (rho, C=rho^-2) for the banlast chain;
-    valid for d > (2K+1)m, K >= 1. Exact rational arithmetic."""
+    valid for d > (2K+1)m, K >= 1. Exact rational arithmetic; a gap that
+    rounds to 0 raises InvalidArgumentError (ErgodicityBound)."""
     if K < 1:
         raise InvalidArgumentError("bound needs K >= 1")
     if d <= (2 * K + 1) * m:
@@ -500,7 +494,8 @@ def rho_bound_banlast(d, m, K):
 
 def rho_bound_kawasaki_normalize(d, m, K, b):
     """Geometric ergodicity bound (rho, C=rho^-1) for kawasaki with the
-    normalize activation."""
+    normalize activation; a gap that rounds to 0 raises
+    InvalidArgumentError (ErgodicityBound)."""
     if not b > 1:
         raise InvalidArgumentError("forgetting rate b must exceed 1")
     if d < m or m < 1:

@@ -256,6 +256,20 @@ def test_rho_bound_kawasaki_refuses_a_b_power_out_of_float_range(b):
         rho_bound_kawasaki_normalize(4, 1, 2, b)
 
 
+@pytest.mark.parametrize("bound, args", [
+    # d*b**K overflows to inf
+    (rho_bound_kawasaki_normalize, (4, 1, 1, 1e308)),
+    # (d b^K - m(b^K - 1))^(-mK) = (2e200)^-2 underflows
+    (rho_bound_kawasaki_normalize, (4, 2, 1, 1e200)),
+    # q = (600 / 800^2)^200, about 1e-606, underflows
+    (rho_bound_banlast, (1000, 1, 200)),
+])
+def test_bounds_refuse_a_gap_that_rounds_to_zero(bound, args):
+    # a gap of 0 printed as rho=1 C=1, a rate that bounds nothing
+    with pytest.raises(InvalidArgumentError, match=r"vacuous bound: its gap 1 - rho rounds to 0"):
+        bound(*args)
+
+
 @pytest.mark.parametrize("d, m, K, b", [(3, 1, 1, 2), (4, 1, 1, 5), (4, 1, 2, 2), (2, 1, 1, 2),
                                         (6, 1, 4, 50)])
 def test_kawasaki_bound_gap_is_exact(d, m, K, b):
@@ -293,6 +307,22 @@ def test_deviation_curves_respect_the_ergodicity_bound():
         curve = deviation_curve(chain, t_max=200)
         envelope = bound.C * bound.rho ** np.arange(201)
         assert np.all(curve <= envelope + 1e-12), (kind, kwargs)
+
+
+def test_mixing_time_is_one_when_the_start_is_within_eps():
+    # every start's point mass against pi, computed directly: the t = 0
+    # deviation; an eps whose threshold reaches it gives tau = 1
+    chain = build_transition_matrix("kawasaki", d=6, m=1, K=4)
+    result = stationary_distribution(chain)
+    starts = chain.starts
+    point_masses = np.zeros((chain.n_states, len(starts)))
+    point_masses[starts, np.arange(len(starts))] = 1.0
+    dev0 = np.abs(point_masses - result.pi[:, None]).max()
+    assert deviation_curve(chain, 0).tolist() == [dev0]
+    pi_min = result.pi[result.recurrent].min()
+    eps = 2 * dev0 / pi_min
+    assert eps * pi_min >= dev0
+    assert mixing_time(chain, eps) == 1
 
 
 def test_mixing_time_decreases_with_looser_eps():

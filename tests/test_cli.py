@@ -456,6 +456,19 @@ def test_analyze_chain_with_an_infinite_b_has_no_bound(capsys):
         "ergodicity bound: not applicable (bound needs a finite b**K, got b=inf, K=1)"]
 
 
+def test_analyze_chain_prints_no_vacuous_bound(tmp_path, capsys):
+    # d*b**K overflows at b=1e308, so the gap is 0: this printed
+    # rho=1.0000000000 C=1.0000000000 gap=0.0000000000e+00 and wrote a
+    # bound column of 1
+    out = tmp_path / "curve.csv"
+    assert main(["analyze-chain", "--kind", "kawasaki", "--d", "4", "--K", "1",
+                 "--b", "1e308", "--output", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "ergodicity bound: not applicable "
+        "(vacuous bound: its gap 1 - rho rounds to 0 in double precision)")
+    assert out.read_text(encoding="utf-8").splitlines()[0] == "t,deviation"
+
+
 def test_analyze_chain_stops_when_rounding_cannot_reach_the_threshold(capsys):
     # eps*pi_min = 1.4e-16, while rounding holds the deviation near 3.9e-16:
     # the mixing loop stops instead of running to its 10^6-step cap
@@ -482,10 +495,10 @@ def test_analyze_chain_stalls_with_the_mixing_time_error(capsys):
 
 
 def test_analyze_chain_without_output_steps_no_curve(monkeypatch, capsys):
-    def no_curve(chain):
+    def no_curve(chain, t_max):
         raise AssertionError("stepped a deviation curve")
 
-    monkeypatch.setattr(chains, "_deviations", no_curve)
+    monkeypatch.setattr(chains, "deviation_curve", no_curve)
     assert main(["analyze-chain", "--kind", "kawasaki", "--d", "6", "--m", "1",
                  "--K", "4"]) == 0
     assert "mixing time (eps=0.05): 191" in capsys.readouterr().out
@@ -600,8 +613,8 @@ def _bound_deviations(monkeypatch):
     deviations = chains._deviations
 
     def bounded(*args):
-        for _, dev in zip(range(10**4), deviations(*args)):
-            yield dev
+        for _, pair in zip(range(10**4), deviations(*args)):
+            yield pair
         raise AssertionError("more than 10^4 deviation steps")
 
     monkeypatch.setattr(chains, "_deviations", bounded)
