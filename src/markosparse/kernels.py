@@ -18,15 +18,18 @@ of the counts turns row r's coordinate j into the flat position r*d + j.
 ``sample_masks`` draws a mask of m = 1 by inverse CDF, from one uniform
 per row, and a mask of m > 1 by one-pass keys (Efraimidis & Spirakis,
 "Weighted random sampling with a reservoir", 2006), from d uniforms per
-row: the m coordinates with the largest log(u) / p, found by a value
-partition (each row's m-th largest key, then the columns at or above it,
-in order, by ``flatnonzero``), with ``argpartition`` and a sort only when a
-row ties at its m-th key. Both give the law of sequential weighted draws
-without replacement that ``mask_law`` computes exactly. Every total and
-running total of the inverse-CDF draw and of the law is a left-to-right
-sum per row, never numpy's pairwise ``sum``, and the keys are elementwise,
-so each row's law and draws are the same bit for bit however many rows are
-computed together. The axis of a sum follows the array's shape:
+row: the m coordinates with the largest log(u) / p, found by value (each
+row's m-th largest key, read off the keys sorted in a scratch array, then
+the columns at or above it, in order, by ``flatnonzero``), with
+``argpartition`` and a sort only when a row ties at its m-th key. The
+scratch is the law's own buffer in ``step_mask``, which computes the law
+for the draw alone, and a private C-ordered array in ``sample_masks``,
+which leaves its law as it was. Both paths give the law of sequential
+weighted draws without replacement that ``mask_law`` computes exactly.
+Every total and running total of the inverse-CDF draw and of the law is a
+left-to-right sum per row, never numpy's pairwise ``sum``, and the keys are
+elementwise, so each row's law and draws are the same bit for bit however
+many rows are computed together. The axis of a sum follows the array's shape:
 
 - a *long* array (fewer than ``TALL`` rows per coordinate: one compressor,
   a team of workers, 300 Monte Carlo trials at d = 53) is summed along
@@ -143,11 +146,15 @@ def coordinate_law(kind, act, b, counts):
     if kind == "kawasaki":
         return activate(_kawasaki_weights(b, counts), act)
     # normalize over 0/1 weights: their total is an exact count, which
-    # np.sum gives cheaper than a running total on a few rows
+    # np.sum gives cheaper than a running total on a few rows. A long law is
+    # cast once and divided in place by its float total, the same bits
+    # 1.0 / count: at (84, 167) bool / int64 took 52 us, this 40 us
     allowed = counts == 0 if kind == "banlast" else np.ones(counts.shape, dtype=bool)
     if _tall(allowed):
         return _normalize(allowed)
-    return allowed / allowed.sum(-1, keepdims=True)
+    p = allowed.astype(np.float64)
+    p /= p.sum(-1, keepdims=True)
+    return p
 
 
 def uniforms_per_row(d, m):
@@ -169,17 +176,18 @@ def sample_masks(p, u, m):
     m > 1: one-pass keys (Efraimidis & Spirakis, 2006). Row i takes d
     uniforms and keeps the m coordinates with the largest key
     log(u[i, j]) / p[i, j], whose law is that of the m sequential draws.
-    The keys are computed in place: u is overwritten. Every key is floored
-    at -DBL_MAX; a value partition gives each row's m-th largest key, and
-    the columns whose key is at least that value, listed in order by
-    ``flatnonzero``, are the mask. If some row ties at its m-th key (equal
-    keys, or keys at the floor: u is 0.0, p is so small that the quotient
-    overflows, or p = 0), the zero-probability coordinates' keys go back to
-    -inf and ``argpartition`` plus a sort pick the masks instead, so a
+    The keys are computed in place: u is overwritten; p is left as it was.
+    Every key is floored at -DBL_MAX; the keys, sorted in a private
+    C-ordered copy, give each row's m-th largest key, and the columns whose
+    key is at least that value, listed in order by ``flatnonzero``, are the
+    mask. If some row ties at its m-th key (equal keys, or keys at the
+    floor: u is 0.0, p is so small that the quotient overflows, or p = 0),
+    the zero-probability coordinates' keys go back to -inf and
+    ``argpartition`` plus a sort pick the masks instead, so a
     zero-probability coordinate is never kept while m positive ones remain.
     """
     if m > 1:
-        return _top_keys(p, u, m)
+        return _top_keys(p, u, m, np.empty(p.shape))
     d = p.shape[1]
     if _tall(p):
         # running totals down the leading axis of a private copy: the first
@@ -205,7 +213,11 @@ def sample_masks(p, u, m):
 _KEY_FLOOR = -np.finfo(np.float64).max
 
 
-def _top_keys(p, u, m):
+def _top_keys(p, u, m, scratch):
+    # scratch is a C-ordered (n, d) float64 array the selection overwrites:
+    # p itself when the caller gives its law up. Only the tie path reads
+    # p's positivity, so it is taken before the keys go into scratch
+    zero = ~(p > 0.0)
     # log(0) and x / 0 give -inf, a subnormal p may overflow to -inf
     with np.errstate(divide="ignore", over="ignore"):
         np.log(u, out=u)
@@ -217,18 +229,20 @@ def _top_keys(p, u, m):
     n, d = u.shape
     # each row has at least m keys at or above its m-th largest, and exactly
     # m unless a key ties with it; then they are the top m, found in row
-    # order. At (300, 167, 10) the partition took 174 us and argpartition
-    # 555 us before its sort, and flatnonzero 48 us against 176 us for the
-    # row and column indices of a 2-d nonzero
-    kth = np.partition(u, d - m, axis=1)[:, d - m:d - m + 1]
-    masks = np.flatnonzero(u >= kth)
+    # order. At (300, 167, 10) copying the keys into scratch and sorting them
+    # took 193 us and np.partition's fresh copy 245 us; argpartition took
+    # over three times as long before its sort, and flatnonzero a third of
+    # the time of the row and column indices of a 2-d nonzero
+    np.copyto(scratch, u)
+    scratch.sort(axis=1)
+    masks = np.flatnonzero(u >= scratch[:, d - m:d - m + 1])
     if masks.size == n * m:
         masks = masks.reshape(n, m)
         masks -= np.arange(0, n * d, d)[:, None]
         return masks
     # a tie, at the floor or between equal keys: rank as argpartition over
     # the keys with -inf at p = 0, so no zero-probability coordinate is kept
-    u[~(p > 0.0)] = -np.inf
+    u[zero] = -np.inf
     masks = np.argpartition(u, d - m, axis=1)[:, d - m:]
     masks.sort(1)
     return masks
@@ -258,6 +272,16 @@ def mask_law(p, masks):
     return law
 
 
+def _draw(p, u, m):
+    # sample_masks on a law that its caller gives up: the keys of m > 1 are
+    # sorted in p's own buffer, or in a C-ordered one when p is tall (at
+    # (2048, 25) sorting along its strided rows took twice as long). step_mask
+    # binds no name to the law, so it is freed before the history update
+    if m > 1:
+        return _top_keys(p, u, m, p if p.flags.c_contiguous else np.empty(p.shape))
+    return sample_masks(p, u, 1)
+
+
 def step_mask(kind, act, K, b, u, hist, counts, t):
     """Step t (0, 1, ...) of a run per row: each row's law from its history
     counts (n, d), one mask of m = hist.shape[2] per row drawn with the
@@ -269,7 +293,7 @@ def step_mask(kind, act, K, b, u, hist, counts, t):
     slot, of a row fewer than K steps into its run, holds -1 and removes
     nothing. Returns the masks."""
     n, d = counts.shape
-    at = sample_masks(coordinate_law(kind, act, b, counts), u, hist.shape[2])
+    at = _draw(coordinate_law(kind, act, b, counts), u, hist.shape[2])
     if K:
         slot = hist[t % K]
         old, new = slot, at

@@ -480,6 +480,33 @@ def test_team_steps_return_and_store_coordinates(m):
             counts, [np.bincount(row[row >= 0], minlength=d) for row in stored])
 
 
+@pytest.mark.parametrize("n,d,m,K", [(5, 12, 3, 2), (kernels.TALL * 8 + 5, 8, 2, 2)])
+def test_step_on_zero_uniforms_draws_as_sample_masks(n, d, m, K):
+    # rows of zero uniforms put every key at the floor, so the step's own
+    # selection takes the tie path: on a long banlast law, C-ordered and
+    # sorted in its own buffer, and on a tall one, Fortran-ordered and
+    # sorted in a C-ordered array
+    hist = np.full((K, n, m), -1, np.int64)
+    counts = np.zeros((n, d), np.int64)
+    rng = fresh_rng(12 + d)
+    for t in range(2 * K + 1):
+        law = kernels.coordinate_law("banlast", "normalize", 50.0, counts)
+        assert law.flags.c_contiguous == (n < kernels.TALL * d)
+        u = rng.random((n, d))
+        u[::2] = 0.0
+        u[1::4, :m] = 0.0
+        assert (np.count_nonzero(counts[::2] == 0, axis=1) > m).all()
+        expect = kernels.sample_masks(law, u.copy(), m)
+        update = counts.copy()
+        for r in range(n):
+            update[r, hist[t % K, r][hist[t % K, r] >= 0]] -= 1
+        at = kernels.step_mask("banlast", "normalize", K, 50.0, u, hist, counts, t)
+        np.testing.assert_array_equal(at, expect)
+        for r in range(n):
+            update[r, at[r]] += 1
+        np.testing.assert_array_equal(counts, update)
+
+
 def test_kawasaki_with_huge_forgetting_rate_avoids_recent_coords():
     # with b = 1e12 the penalized mass on the last mask is ~1e-12, so a
     # 2000-step run on this seed never repeats the previous coordinate
