@@ -48,7 +48,7 @@ from itertools import combinations, count, islice
 import numpy as np
 
 from . import kernels
-from .compressors import SPARSIFYING_KINDS, validate_parameters
+from .compressors import RAND, SPARSIFYING_KINDS, validate_parameters
 from .errors import (
     InvalidArgumentError,
     NonErgodicError,
@@ -215,16 +215,25 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
     sizes has more than ARRAY_CAP entries: the table, M^(K+1) with
     M = C(d,m); the window coordinates and orbit profiles, M^K (K m)^2; the
     mask membership, M d. Raises InvalidArgumentError when m > 6 (the law
-    sums m! orderings).
+    sums m! orderings). A chain more than 2^40 times over the cap is
+    refused from the logarithm of its size, named by its power of ten.
     """
     if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no Markov chain for compressor kind '{kind}'")
     validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)
+    # sized in logarithms first (lgamma for C(d,m)): a chain this far past
+    # the cap is refused without forming C(d,m) or its K-th power, whose
+    # digits alone can take minutes to compute and print
+    log2_M = (math.lgamma(d + 1) - math.lgamma(m + 1) - math.lgamma(d - m + 1)) / math.log(2)
+    log2_size = max((K + 1) * log2_M, log2_M + math.log2(d),
+                    K * log2_M + 2 * math.log2(K * m) if K else 0.0)
+    if log2_size > math.log2(ARRAY_CAP) + 40:
+        raise TooLargeError(math.inf, ARRAY_CAP, (
+            f"{_chain_name(K, f'C({d},{m})^{K}', f'C({d},{m})')}: "
+            f"about 10^{log2_size * math.log10(2):.0f} entries"))
     M = math.comb(d, m)
     n = M ** K
-    _check_entries(max(n * M, n * (K * m) ** 2, M * d),
-                   f"the chain over {n} states of {M} masks" if K else
-                   f"the one-step law of the K=0 chain has {M} masks")
+    _check_entries(max(n * M, n * (K * m) ** 2, M * d), _chain_name(K, n, M))
     _check_mask_size(m)
     masks = np.fromiter(combinations(range(d), m), np.dtype((np.int64, m)), M)
     # K=0 is the one empty history, which moves to itself
@@ -233,6 +242,12 @@ def build_transition_matrix(kind, d, m=1, K=1, b=50.0, activation="normalize",
         digits = np.arange(n)[:, None] // M ** np.arange(K - 1, -1, -1) % M
         chain.table = _next_mask_law(chain, digits)
     return chain
+
+
+def _chain_name(K, n, M):
+    # what a chain's size check names: its n states of M masks each
+    return (f"the chain over {n} states of {M} masks" if K else
+            f"the one-step law of the K=0 chain has {M} masks")
 
 
 def _initial_states(chain):
@@ -598,7 +613,9 @@ def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
     until `target` appears in a mask. Returns (mean, stderr). A kind with no
     mask chain (identity, natural, permk) is an InvalidArgumentError; more
     than HITTING_TRIALS_CAP trials raise TooLargeError before anything is
-    allocated; a trial still running after HITTING_STEPS_CAP steps raises
+    allocated, and so does a pool history (K masks per trial, none for
+    rand, whose law reads no counts) of more than ARRAY_CAP entries; a
+    trial still running after HITTING_STEPS_CAP steps raises
     NumericalError."""
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
@@ -606,11 +623,15 @@ def monte_carlo_hitting_time(kind, d, m=1, K=0, b=50.0, activation="normalize",
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if trials > HITTING_TRIALS_CAP:
         raise TooLargeError(trials, HITTING_TRIALS_CAP, f"{trials} hitting-time trials")
+    validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)
     if not 0 <= target < d:
         raise InvalidArgumentError(f"target {target} outside [0, {d})")
-    validate_parameters(kind, d, m, K, b, activation, allow_nonergodic=True)
     if kind not in SPARSIFYING_KINDS:
         raise InvalidArgumentError(f"no hitting-time simulation for kind '{kind}'")
+    # rand's law reads no counts, so its pool keeps no history
+    K = 0 if kind == RAND else K
+    rows = min(trials, kernels.HITTING_BLOCK)
+    _check_entries(K * rows * m, f"a hitting pool history of {K} masks x {rows} trials x m={m}")
     times, n_capped = kernels.simulate_hitting_times(
         np.random.Generator(np.random.PCG64(seed)), kind, activation, d, m, K, float(b),
         target, trials, HITTING_STEPS_CAP)

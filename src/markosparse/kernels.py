@@ -44,17 +44,18 @@ many rows are computed together. The axis of a sum follows the array's shape:
 
 ``sample_masks`` takes its uniforms, ``uniforms_per_row(d, m)`` per row,
 instead of a generator: the caller decides which stream feeds which row. A
-compressor draws each worker's row from that worker's own
-``numpy.random.Generator`` with ``rng.random(out=row)``, which for PCG64
-gives the values of as many single ``rng.random()`` calls; the Monte Carlo
-draws its pool's rows in order, row by row. The seed therefore fixes the
-whole mask stream.
+compressor draws each worker's rows, several steps of them at once, from
+that worker's own ``numpy.random.Generator`` with ``rng.random(out=...)``,
+which for PCG64 gives the values of as many single ``rng.random()`` calls;
+the Monte Carlo draws its pool's rows in order, row by row. The seed
+therefore fixes the whole mask stream.
 
 Kinds and activations are passed by name (``"banlast"``, ``"softmax"``).
 Nothing here validates its arguments: callers check them once, where they
 enter the package (``compressors.validate_parameters``).
 """
 
+from array import array
 from itertools import permutations
 
 import numpy as np
@@ -121,17 +122,21 @@ def activate(w, act):
 
 def _weight_table(d, b, c_max):
     # (1/d) / b**c for c = 0..c_max, by repeated division so each count
-    # rounds one way
-    table = np.empty(c_max + 1)
+    # rounds one way; it ends early at its first 0.0, the weight of every
+    # higher count too, so a huge c_max costs only the entries up to it
+    table = array("d")
     w = 1.0 / d
-    for c in range(c_max + 1):
-        table[c] = w
+    for _ in range(c_max + 1):
+        table.append(w)
+        if w == 0.0:
+            break
         w /= b
-    return table
+    return np.frombuffer(table)
 
 
 def _kawasaki_weights(b, counts):
-    return _weight_table(counts.shape[-1], b, int(counts.max())).take(counts)
+    # a count past the table's end takes its last entry, 0.0
+    return _weight_table(counts.shape[-1], b, int(counts.max())).take(counts, mode="clip")
 
 
 def coordinate_law(kind, act, b, counts):

@@ -6,8 +6,10 @@ with the closed-form (beta, eta, theta) schedule, and a DIANA baseline with
 per-worker shift vectors. All three run the same communication round,
 `training_round`: they differ only in the point where gradients are taken,
 whether workers hold a shift, and the server update. A round steps every
-worker as one row of (n, d) arrays: one stacked shard evaluation, one
-compressor state for all workers, one sum over the rows.
+worker as one row of (n, d) arrays: one stacked shard evaluation (the
+gradients alone, `shard_grads`, at a point no metric row reads), one
+compressor state for all workers, one sum over the rows in worker order
+(`objectives._sum_rows`) and one finiteness pass over the gradients.
 A run is configured by one `harness.ExperimentConfig`, validated when it is
 built. Also a high-accuracy full-gradient reference minimizer used for
 suboptimality metrics.
@@ -21,7 +23,7 @@ import numpy as np
 
 from .compressors import Compressor
 from .errors import DivergenceError, InvalidArgumentError, NumericalError
-from .objectives import mean_loss_grad
+from .objectives import _sum_rows, mean_loss_grad
 
 MQSGD = "mqsgd"
 AMQSGD = "amqsgd"
@@ -95,10 +97,10 @@ def training_round(problem, server, workers, gamma, momentum=None, alpha_shift=0
 
     Every worker takes its shard gradient at the query point (x, or x_g =
     theta x_f + (1 - theta) x under the amqsgd `momentum` schedule), all in
-    one stacked evaluation unless `grads` (n, d) already holds them, and
-    compresses it; a worker holding a DIANA shift compresses the difference
-    against the shift instead, sends shift + message, and moves the shift
-    by alpha_shift times the message. The server averages the messages,
+    one stacked gradient evaluation unless `grads` (n, d) already holds
+    them, and compresses it; a worker holding a DIANA shift compresses the
+    difference against the shift instead, sends shift + message, and moves
+    the shift by alpha_shift times the message. The server averages the messages,
     summed in worker order, and takes a gradient step, or the accelerated
     step."""
     if momentum is None:
@@ -108,18 +110,18 @@ def training_round(problem, server, workers, gamma, momentum=None, alpha_shift=0
     if grads is None:
         # overflow at a diverging iterate is detected, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            _, grads = problem.shard_loss_grads(x_q)
-    bad = ~np.isfinite(grads).all(axis=1)
-    if bad.any():
+            grads = problem.shard_grads(x_q)
+    if not np.isfinite(grads).all():   # rows are scanned only to name the first bad one
+        bad = int(np.isfinite(grads).all(axis=1).argmin())
         raise DivergenceError(
-            server.t, message=f"non-finite gradient on worker {int(bad.argmax())} at t={server.t}")
+            server.t, message=f"non-finite gradient on worker {bad} at t={server.t}")
     if workers.shift is None:
         q, coords = workers.compressor.compress(grads)
     else:
         delta, coords = workers.compressor.compress(grads - workers.shift)
         q = workers.shift + delta
         workers.shift = workers.shift + alpha_shift * delta
-    agg = np.add.accumulate(q)[-1] / len(q)   # one row after another, in worker order
+    agg = _sum_rows(q) / len(q)   # one row after another, in worker order
     if momentum is None:
         return ServerState(server.x - gamma * agg, t=server.t + 1), coords
     p, beta, eta = momentum.p, momentum.beta, momentum.eta
@@ -260,7 +262,7 @@ def run_training(problem, cfg, reference=None):
     The served point is evaluated once per round. mqsgd and diana query the
     point they serve, so that evaluation gives both the metric row and the
     next round's gradients; amqsgd serves x_f but queries x_g, so its round
-    evaluates again."""
+    evaluates the gradients again, without the losses."""
     workers = make_workers(problem, cfg)
     x0 = np.zeros(problem.d)
     momentum = None

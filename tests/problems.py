@@ -46,6 +46,9 @@ class QuadraticProblem:
         diffs = w - self.centers
         return 0.5 * (diffs * diffs).sum(axis=1), diffs
 
+    def shard_grads(self, w):
+        return w - self.centers
+
     def full_loss_grad(self, w):
         return mean_loss_grad(*self.shard_loss_grads(w))
 

@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import markosparse
-from markosparse import chain_analysis as chains, harness, optimizers
+from markosparse import chain_analysis as chains, harness, kernels, optimizers
 from markosparse.cli import _parse_k_list, main
 from markosparse.errors import InvalidArgumentError, NumericalError
 from markosparse.harness import CSV_HEADER
@@ -265,19 +267,97 @@ def test_train_reports_divergence(tmp_path, small_file, capsys):
     assert int(lines[-1].split(",")[0]) == t_failed
 
 
-@pytest.mark.parametrize("args", [
-    ["--kind", "kawasaki", "--d", "10", "--K", "3", "--activation", "bogus"],
-    ["--kind", "kawasaki", "--d", "10", "--K", "3", "--b", "0.5"],
-    ["--kind", "banlast", "--d", "4", "--m", "2", "--K", "2"],  # d < (K+1)m
+@pytest.mark.parametrize("args,message", [
+    (["--kind", "kawasaki", "--d", "10", "--K", "3", "--activation", "bogus"],
+     "unknown activation 'bogus'"),
+    (["--kind", "kawasaki", "--d", "10", "--K", "3", "--b", "0.5"],
+     "forgetting rate b must exceed 1"),
+    (["--kind", "banlast", "--d", "4", "--m", "2", "--K", "2"],  # d < (K+1)m
+     "cannot fill a mask"),
     # 0.5/b^2 underflows to 0 and a window of 5 can zero both coordinates
-    ["--kind", "kawasaki", "--d", "2", "--K", "5", "--b", "1e300"],
+    (["--kind", "kawasaki", "--d", "2", "--K", "5", "--b", "1e300"], "underflows to 0 at c=2"),
+    # the parameters are checked before the target, which d = 0 leaves no room for
+    (["--kind", "rand", "--d", "0"], "d must be positive"),
 ], ids=["unknown-activation", "kawasaki-b-below-1", "banlast-infeasible",
-        "kawasaki-support-underflow"])
-def test_hitting_time_rejects_bad_parameters(args, capsys):
+        "kawasaki-support-underflow", "d-zero"])
+def test_hitting_time_rejects_bad_parameters(args, message, capsys):
     assert main(["hitting-time", *args, "--trials", "50"]) == 2
     captured = capsys.readouterr()
-    assert "error:" in captured.err
+    assert captured.err.startswith("error:")
+    assert message in captured.err
     assert captured.out == ""
+
+
+def test_hitting_time_checks_the_pool_history_against_the_cap(monkeypatch, capsys):
+    # kawasaki keeps K masks of m per trial, in a pool of min(trials,
+    # HITTING_BLOCK) rows: 5 x 100 x 1 entries here. rand's law reads no
+    # counts, so its pool keeps no history, whatever K
+    simulate = kernels.simulate_hitting_times
+
+    def no_rand_history(rng, kind, act, d, m, K, *args):
+        assert kind != "rand" or K == 0, "a rand pool allocated a history"
+        return simulate(rng, kind, act, d, m, K, *args)
+
+    monkeypatch.setattr(kernels, "simulate_hitting_times", no_rand_history)
+    argv = ["hitting-time", "--kind", "kawasaki", "--d", "10", "--K", "5", "--trials", "100"]
+    monkeypatch.setattr(chains, "ARRAY_CAP", 500)
+    assert main(argv) == 0  # at the cap: simulated
+    capsys.readouterr()
+    monkeypatch.setattr(chains, "ARRAY_CAP", 499)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("failure: a hitting pool history of 5 masks x 100 trials x m=1: "
+                            "500 entries, exceeds cap 499\n")
+    assert captured.out == ""
+    # rand at a K whose history would be 10^10 entries: the same Monte Carlo
+    # as a pool that keeps its K = 3 history
+    rand = chains.monte_carlo_hitting_time("rand", 10, K=10**8, trials=100, seed=4)
+    times, _ = simulate(np.random.Generator(np.random.PCG64(4)), "rand", "normalize", 10, 1,
+                        3, 50.0, 0, 100, chains.HITTING_STEPS_CAP)
+    assert rand == (float(times.mean()), float(times.std(ddof=1) / math.sqrt(100)))
+
+
+def run_timed(argv):
+    """(exit code, stdout, stderr, seconds inside main) of the command in a
+    fresh interpreter, which a hang fails at a 60 s timeout instead of
+    stalling the suite."""
+    program = ("import sys, time\n"
+               "from markosparse.cli import main\n"
+               "start = time.perf_counter()\n"
+               "code = main(sys.argv[1:])\n"
+               "print(time.perf_counter() - start, file=sys.stderr)\n"
+               "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", program, *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    *err, seconds = done.stderr.splitlines()
+    return done.returncode, done.stdout, "".join(line + "\n" for line in err), float(seconds)
+
+
+@pytest.mark.parametrize("K,digits", [("5000", "5007"), ("100000000", "100000016")])
+def test_analyze_chain_refuses_an_astronomically_large_chain_at_once(K, digits):
+    # the largest array, the window's C(10,1)^K (K m)^2 entries, is sized by
+    # its logarithm: 10^K itself had 5001 digits, past Python's int-to-string
+    # limit, or took minutes to compute
+    code, out, err, seconds = run_timed(["analyze-chain", "--kind", "rand", "--d", "10",
+                                         "--K", K])
+    assert code == 4
+    assert out == ""
+    assert err == (f"failure: the chain over C(10,1)^{K} states of C(10,1) masks: "
+                   f"about 10^{digits} entries, exceeds cap {chains.ARRAY_CAP}\n")
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("command", ["hitting-time", "analyze-chain"])
+def test_a_huge_kawasaki_window_is_refused_at_its_first_zero_weight(command):
+    # the weight table stops at its first 0.0, c = 190, not at K
+    code, out, err, seconds = run_timed([command, "--kind", "kawasaki", "--d", "10",
+                                         "--K", "100000000"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: kawasaki weight (1/d)/b^c underflows to 0 at c=190: a full window "
+                   "of K=100000000 masks can leave fewer than m=1 of d=10 coordinates "
+                   "drawable; lower b or K\n")
+    assert seconds < 1.0
 
 
 @pytest.mark.parametrize("argv", [

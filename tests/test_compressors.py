@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from markosparse.compressors import (
     ACTIVATIONS,
+    BLOCK_STEPS,
     Compressor,
     natural_compress,
     perm_k_masks,
@@ -221,12 +222,13 @@ def test_natural_rounding_is_unbiased():
 ])
 def test_team_rows_equal_single_worker_compressors(kind, kwargs):
     # a team steps every worker as one row; each row is what that worker's
-    # own compressor produces, bit for bit, and the coordinates add up
+    # own compressor produces, bit for bit, and the coordinates add up. The
+    # run crosses at least two refills of the block-drawn uniforms
     d, n = 11, 4
     team = Compressor(kind, d, seed=3, worker=range(n), n_workers=n, **kwargs)
     solo = [Compressor(kind, d, seed=3, worker=i, n_workers=n, **kwargs) for i in range(n)]
     rng = np.random.default_rng(0)
-    for _ in range(25):
+    for _ in range(2 * BLOCK_STEPS + 5):
         x = rng.standard_normal((n, d))
         x[1, 2] = 0.0      # natural rows then draw different numbers of
         x[2, 4] = np.inf   # uniforms, each from its own worker's stream

@@ -17,6 +17,7 @@ from markosparse.errors import InvalidArgumentError, ParseError
 from markosparse.objectives import (
     Dataset,
     ShardedProblem,
+    _sum_rows,
     load_libsvm,
     parse_libsvm,
     partition,
@@ -331,6 +332,7 @@ def test_estimate_smoothness_zero_matrix():
 
 def assert_stacked_matches_shards(prob, w):
     losses, grads = prob.shard_loss_grads(w)
+    assert prob.shard_grads(w).tobytes() == grads.tobytes()
     if isinstance(prob, QuadraticProblem):
         per = [prob.shard_loss_grad(w, i) for i in range(prob.n)]
     else:
@@ -368,10 +370,28 @@ def test_stacked_evaluation_matches_each_shard_bit_for_bit(mushrooms_path):
         w[[1, 5]] = math.inf, -math.inf
         with np.errstate(over="ignore", invalid="ignore"):
             losses, grads = prob.shard_loss_grads(w)
+            assert prob.shard_grads(w).tobytes() == grads.tobytes()
             per = [loss_and_gradient(w, s, prob.lam) for s in prob.shards]
         assert not np.isfinite(grads).all() and np.isfinite(grads).any()
         np.testing.assert_array_equal(np.isfinite(losses), [math.isfinite(l) for l, _ in per])
         np.testing.assert_array_equal(np.isfinite(grads), np.isfinite([g for _, g in per]))
+
+
+def test_row_sums_equal_the_last_running_sum_bit_for_bit():
+    # the rows added one after another: np.add.reduce down a C-ordered
+    # (n, d > 1) array, the running sum for every other input
+    rng = np.random.default_rng(5)
+    arrays = [rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+              for shape in [(n, d) for n in (1, 2, 3, 10, 17, 130) for d in (1, 2, 9, 112, 300)]]
+    signed = np.array([[-0.0, 0.0, -0.0, 1e308, np.inf], [-0.0, -0.0, 0.0, 1e308, -np.inf]])
+    wide = rng.standard_normal((10, 112))
+    arrays += [signed, signed[:1], np.asfortranarray(wide), wide[:, ::3], wide[::2],
+               wide[0], rng.standard_normal(300)]
+    assert not arrays[-4].flags.c_contiguous and not arrays[-5].flags.c_contiguous
+    for a in arrays:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _sum_rows(a), np.add.accumulate(a)[-1]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), a.shape
 
 
 def test_full_loss_is_mean_of_shards(small_problem):

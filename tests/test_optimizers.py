@@ -18,6 +18,7 @@ from markosparse.optimizers import (
     training_round,
 )
 from markosparse import IDENTITY, RAND
+from markosparse.objectives import ShardedProblem
 from problems import QuadraticProblem, heterogeneous_problem, loss_and_gradient
 
 
@@ -89,6 +90,20 @@ def test_amqsgd_with_identity_reduces_suboptimality(small_problem):
     cfg = ExperimentConfig(optimizer="amqsgd", gamma=0.2, compressor=IDENTITY, T=300, seed=0)
     trace = run_training(prob, cfg, reference=reference_minimizer(prob))
     assert trace.fdist_ratio[-1] < 1e-6
+
+
+def test_amqsgd_evaluates_the_losses_only_for_its_metric_rows(small_problem, monkeypatch):
+    # the metric row at the served point needs the losses; the round's query
+    # point x_g needs only the gradients
+    calls = []
+    full = ShardedProblem.shard_loss_grads
+    monkeypatch.setattr(ShardedProblem, "shard_loss_grads",
+                        lambda self, w: calls.append(1) or full(self, w))
+    T = 12
+    trace = run_training(small_problem, ExperimentConfig(optimizer="amqsgd", gamma=0.2,
+                                                         compressor=RAND, m=2, T=T, seed=0))
+    assert trace.rows == T + 1
+    assert len(calls) == T + 1
 
 
 def test_diana_converges_to_the_exact_optimum():
