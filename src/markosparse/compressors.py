@@ -29,8 +29,11 @@ renormalizing after each draw, and is drawn in one pass by one-pass keys
 m = 1, drawn BLOCK_STEPS steps at a time (Compressor). Randomness comes
 from numpy's PCG64 generator; every compressor owns its seeded stream, so
 runs are reproducible from the seed alone. validate_parameters' kawasaki
-underflow check builds the weight table only to its first zero.
+underflow check builds no weight table for b < 2, where no weight
+underflows, and for b >= 2 only up to the first zero.
 """
+
+import math
 
 import numpy as np
 
@@ -95,8 +98,12 @@ def validate_parameters(kind, d, m=None, K=0, b=50.0, activation="normalize",
 
 def _check_kawasaki_support(d, m, K, b):
     # normalize keeps a zero weight at zero; if (1/d)/b^c underflows at some
-    # count c0 <= K, a full window can zero floor(mK/c0) coordinates. The
-    # table ends at its first zero, so a huge K costs no more than c0 steps
+    # count c0 <= K, a full window can zero floor(mK/c0) coordinates. Below
+    # b = 2 the smallest subnormal over b still rounds to itself, so no
+    # weight ever underflows and no table is built; from b = 2 on the table
+    # ends at its first zero, within 1076 entries (1073 at d = 10, b = 2)
+    if math.ulp(0.0) / b > 0.0:
+        return
     table = kernels._weight_table(d, b, K)
     c0 = len(table) - 1
     if table[-1] == 0.0 and d - (m * K) // c0 < m:

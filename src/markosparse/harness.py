@@ -10,11 +10,10 @@ fixed schema
 
 and prints a summary of the coordinates needed to reach fixed suboptimality
 thresholds. Paired runs on one dataset share its parse and its solve: the
-last dataset's sharded problem and, once solved, its reference minimizer
-are kept in memory, keyed by the file's content hash, dim, sharding and
-lambda. Only the last dataset is kept, and nothing but the CSV is written
-to disk. The file is read and hashed on every run, so an edited file is
-noticed.
+memo is one record of the last dataset, its key (the file's content hash,
+dim, sharding and lambda), its sharded problem and, once solved, its
+reference minimizer. Nothing but the CSV is written to disk. The file is
+read and hashed on every run, so an edited file is noticed.
 """
 
 import hashlib
@@ -27,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chain_analysis as chains
-from .compressors import ACTIVATIONS, ALL_KINDS, BANLAST, IDENTITY, validate_parameters
+from .compressors import ACTIVATIONS, ALL_KINDS, BANLAST, IDENTITY, KAWASAKI, validate_parameters
 from .errors import ConfigError, DivergenceError, InvalidArgumentError
 from .objectives import load_libsvm, partition
 from .optimizers import OPTIMIZERS, reference_minimizer, run_training
@@ -177,8 +176,8 @@ def validate_config(cfg):
         raise ConfigError("run.seed", "must be >= 0")
 
 
-# the last dataset only, {key: entry}: the entry holds its sharded
-# "problem" and, once solved, its "reference"
+# the last dataset only: its "key" (_reference_key), its sharded "problem"
+# and, once solved, its "reference"
 _MEMO = {}
 
 
@@ -187,15 +186,6 @@ def _reference_key(cfg, data_bytes):
     h.update(data_bytes)
     h.update(repr((cfg.dim, cfg.clients, cfg.lam, cfg.seed)).encode())
     return h.hexdigest()
-
-
-def _cached_reference(problem, key):
-    # solved on first use and kept in the key's entry; a solve that raises
-    # keeps nothing
-    entry = _MEMO.get(key, {})
-    if "reference" not in entry:
-        entry["reference"] = reference_minimizer(problem)
-    return entry["reference"]
 
 
 def _fmt(v):
@@ -264,11 +254,11 @@ def print_summary(summary):
 
 
 def build_problem(cfg):
-    """Loads, shards and returns (problem, key) for a config.
+    """Loads, shards and returns the problem of a config.
 
-    The key (_reference_key) hashes the file's content and (dim, clients,
-    lam, seed); it names both this problem and its reference solution. The
-    last problem built is kept under it, so a run on the same data and
+    The memo's key (_reference_key) hashes the file's content and (dim,
+    clients, lam, seed); it names both the problem and its reference
+    solution. The last problem built is kept, so a run on the same data and
     sharding skips the parse and the partition; a build that fails keeps
     the previous one. The returned problem is therefore shared: treat it
     and its shards as read-only."""
@@ -277,41 +267,45 @@ def build_problem(cfg):
     with open(cfg.path, "rb") as fh:
         data_bytes = fh.read()
     key = _reference_key(cfg, data_bytes)
-    if key not in _MEMO:
+    if _MEMO.get("key") != key:
         dataset = load_libsvm(cfg.path, dim=cfg.dim)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([cfg.seed, _DATA_STREAM])))
         problem = partition(dataset, cfg.clients, rng, lam=cfg.lam)
         _MEMO.clear()
-        _MEMO[key] = {"problem": problem}
-    return _MEMO[key]["problem"], key
+        _MEMO.update(key=key, problem=problem)
+    return _MEMO["problem"]
 
 
 def run_experiment(cfg, csv_path=None, quiet=False):
     """Reference solve (cached), training run, CSV emission, summary."""
-    problem, key = build_problem(cfg)
-    return _run_on(cfg, problem, key, csv_path, quiet)
+    return _run_on(cfg, build_problem(cfg), csv_path, quiet)
 
 
 def _check_compressor(cfg, d, K):
-    # cfg's compressor at history size K on d features, checked before any
-    # reference solve or training
+    # cfg's compressor at history size K on d features, and its workers'
+    # history of K masks, checked before any reference solve or training
     m = cfg.mask_size(d)
     if m > d:
         raise ConfigError("compressor.m", f"m={m} exceeds dimension {d}")
     validate_parameters(cfg.compressor, d, m, K, cfg.b, cfg.activation)
+    if cfg.compressor in (BANLAST, KAWASAKI):
+        chains._check_entries(K * cfg.clients * m, f"a compressor history of {K} masks x "
+                              f"{cfg.clients} workers x m={m}")
 
 
-def _run_on(cfg, problem, key, csv_path=None, quiet=False):
-    # run_experiment on a problem already parsed and sharded for cfg, whose
-    # build_problem key also names its reference
+def _run_on(cfg, problem, csv_path=None, quiet=False):
+    # run_experiment on the memo's problem, built for cfg by build_problem;
+    # its reference is solved on first use and kept in the memo (a solve
+    # that raises keeps nothing)
     _check_compressor(cfg, problem.d, cfg.K)
     out = csv_path or cfg.output
     if out:
         _check_output(out)
-    reference = _cached_reference(problem, key)
+    if "reference" not in _MEMO:
+        _MEMO["reference"] = reference_minimizer(problem)
     try:
-        trace = run_training(problem, cfg, reference=reference)
+        trace = run_training(problem, cfg, reference=_MEMO["reference"])
     except DivergenceError as err:
         # the rows up to the divergence are still written
         if out and err.trace is not None:
@@ -341,10 +335,11 @@ def feasible_history_sizes(cfg, d, k_values):
 def sweep_k(cfg, k_values):
     """One training run per feasible K with the shared base seed; returns
     rows of coords-to-threshold with the argmin marked. Every feasible K's
-    compressor parameters are checked before the first run, so a bad K, or
-    no feasible K at all, fails before any training. The dataset is
-    parsed and sharded once; K changes neither the shards nor the reference."""
-    problem, key = build_problem(cfg)
+    compressor parameters and history size are checked before the first
+    run, so a bad K, or no feasible K at all, fails before any training.
+    The dataset is parsed and sharded once; K changes neither the shards
+    nor the reference."""
+    problem = build_problem(cfg)
     feasible, skipped = feasible_history_sizes(cfg, problem.d, k_values)
     for K in skipped:
         print(f"warning: skipping infeasible K={K}", file=sys.stderr)
@@ -354,7 +349,7 @@ def sweep_k(cfg, k_values):
         _check_compressor(cfg, problem.d, K)
     rows = []
     for K in feasible:
-        result = _run_on(replace(cfg, K=K, output=None), problem, key, quiet=True)
+        result = _run_on(replace(cfg, K=K, output=None), problem, quiet=True)
         row = {"K": K, "final_fdist_ratio": result["summary"]["final_fdist_ratio"]}
         for thr in SUMMARY_THRESHOLDS:
             row[f"coords_to_{thr:g}"] = result["summary"]["coords_to"][thr]

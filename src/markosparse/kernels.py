@@ -22,10 +22,11 @@ row: the m coordinates with the largest log(u) / p, found by value (each
 row's m-th largest key, read off the keys sorted in a scratch array, then
 the columns at or above it, in order, by ``flatnonzero``), with
 ``argpartition`` and a sort only when a row ties at its m-th key. The
-scratch is the law's own buffer in ``step_mask``, which computes the law
-for the draw alone, and a private C-ordered array in ``sample_masks``,
-which leaves its law as it was. Both paths give the law of sequential
-weighted draws without replacement that ``mask_law`` computes exactly.
+scratch is the law's own buffer, or a fresh C-ordered array when the law
+is not C-contiguous (tall), so a draw of m > 1 overwrites a C-contiguous
+law and one of m = 1 leaves its law as it was. The masks have the law of
+sequential weighted draws without replacement that ``mask_law`` computes
+exactly.
 Every total and running total of the inverse-CDF draw and of the law is a
 left-to-right sum per row, never numpy's pairwise ``sum``, and the keys are
 elementwise, so each row's law and draws are the same bit for bit however
@@ -181,18 +182,19 @@ def sample_masks(p, u, m):
     m > 1: one-pass keys (Efraimidis & Spirakis, 2006). Row i takes d
     uniforms and keeps the m coordinates with the largest key
     log(u[i, j]) / p[i, j], whose law is that of the m sequential draws.
-    The keys are computed in place: u is overwritten; p is left as it was.
-    Every key is floored at -DBL_MAX; the keys, sorted in a private
-    C-ordered copy, give each row's m-th largest key, and the columns whose
-    key is at least that value, listed in order by ``flatnonzero``, are the
-    mask. If some row ties at its m-th key (equal keys, or keys at the
-    floor: u is 0.0, p is so small that the quotient overflows, or p = 0),
-    the zero-probability coordinates' keys go back to -inf and
-    ``argpartition`` plus a sort pick the masks instead, so a
+    The keys are computed in place in u and sorted in p's own buffer, or
+    in a fresh C-ordered array when p is not C-contiguous (tall): u is
+    overwritten, and so is a C-contiguous p. Every key is floored at
+    -DBL_MAX; the sorted keys give each row's m-th largest key, and the
+    columns whose key is at least that value, listed in order by
+    ``flatnonzero``, are the mask. If some row ties at its m-th key (equal
+    keys, or keys at the floor: u is 0.0, p is so small that the quotient
+    overflows, or p = 0), the zero-probability coordinates' keys go back to
+    -inf and ``argpartition`` plus a sort pick the masks instead, so a
     zero-probability coordinate is never kept while m positive ones remain.
     """
     if m > 1:
-        return _top_keys(p, u, m, np.empty(p.shape))
+        return _top_keys(p, u, m)
     d = p.shape[1]
     if _tall(p):
         # running totals down the leading axis of a private copy: the first
@@ -218,10 +220,9 @@ def sample_masks(p, u, m):
 _KEY_FLOOR = -np.finfo(np.float64).max
 
 
-def _top_keys(p, u, m, scratch):
-    # scratch is a C-ordered (n, d) float64 array the selection overwrites:
-    # p itself when the caller gives its law up. Only the tie path reads
-    # p's positivity, so it is taken before the keys go into scratch
+def _top_keys(p, u, m):
+    # only the tie path reads p's positivity, so it is taken before the
+    # keys are sorted in p's buffer
     zero = ~(p > 0.0)
     # log(0) and x / 0 give -inf, a subnormal p may overflow to -inf
     with np.errstate(divide="ignore", over="ignore"):
@@ -237,7 +238,10 @@ def _top_keys(p, u, m, scratch):
     # order. At (300, 167, 10) copying the keys into scratch and sorting them
     # took 193 us and np.partition's fresh copy 245 us; argpartition took
     # over three times as long before its sort, and flatnonzero a third of
-    # the time of the row and column indices of a 2-d nonzero
+    # the time of the row and column indices of a 2-d nonzero. A tall p is
+    # Fortran-ordered: at (2048, 25) sorting along its strided rows took
+    # twice as long as copying them into a C-ordered array first
+    scratch = p if p.flags.c_contiguous else np.empty(p.shape)
     np.copyto(scratch, u)
     scratch.sort(axis=1)
     masks = np.flatnonzero(u >= scratch[:, d - m:d - m + 1])
@@ -277,16 +281,6 @@ def mask_law(p, masks):
     return law
 
 
-def _draw(p, u, m):
-    # sample_masks on a law that its caller gives up: the keys of m > 1 are
-    # sorted in p's own buffer, or in a C-ordered one when p is tall (at
-    # (2048, 25) sorting along its strided rows took twice as long). step_mask
-    # binds no name to the law, so it is freed before the history update
-    if m > 1:
-        return _top_keys(p, u, m, p if p.flags.c_contiguous else np.empty(p.shape))
-    return sample_masks(p, u, 1)
-
-
 def step_mask(kind, act, K, b, u, hist, counts, t):
     """Step t (0, 1, ...) of a run per row: each row's law from its history
     counts (n, d), one mask of m = hist.shape[2] per row drawn with the
@@ -298,7 +292,8 @@ def step_mask(kind, act, K, b, u, hist, counts, t):
     slot, of a row fewer than K steps into its run, holds -1 and removes
     nothing. Returns the masks."""
     n, d = counts.shape
-    at = _draw(coordinate_law(kind, act, b, counts), u, hist.shape[2])
+    # no name is bound to the law, so it is freed before the history update
+    at = sample_masks(coordinate_law(kind, act, b, counts), u, hist.shape[2])
     if K:
         slot = hist[t % K]
         old, new = slot, at

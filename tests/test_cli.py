@@ -490,6 +490,47 @@ run:
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def _refuse_solve(problem):
+    pytest.fail("the reference was solved")
+
+
+@pytest.mark.parametrize("kind,K", [("kawasaki", 5), ("banlast", 4)])
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_the_compressor_history_is_checked_against_the_cap(command, kind, K, tmp_path,
+                                                           small_file, monkeypatch, capsys):
+    # 3 workers keep their last K masks of m = 1: 3K entries, checked before
+    # the reference solve and, for sweep-k, before the first run
+    cfg = tmp_path / "history.yaml"
+    cfg.write_text(f"""
+dataset:
+  path: {small_file}
+  clients: 3
+compressor:
+  kind: {kind}
+  m: 1
+  K: {K}
+run:
+  T: 5
+""", encoding="utf-8")
+    out = tmp_path / "metrics.csv"
+    argv = {"train": ["train", "--output", str(out)],
+            "sweep-k": ["sweep-k", "--k", f"0,1,{K}"]}[command]
+    monkeypatch.setattr(harness, "_MEMO", {})
+    monkeypatch.setattr(chains, "ARRAY_CAP", 3 * K)
+    assert main([*argv, "--config", str(cfg)]) == 0  # at the cap: trained
+    capsys.readouterr()
+    out.unlink(missing_ok=True)
+    monkeypatch.setattr(harness, "_MEMO", {})
+    monkeypatch.setattr(chains, "ARRAY_CAP", 3 * K - 1)
+    monkeypatch.setattr(harness, "reference_minimizer", _refuse_solve)
+    assert main([*argv, "--config", str(cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"failure: a compressor history of {K} masks x 3 workers x m=1: "
+                            f"{3 * K} entries, exceeds cap {3 * K - 1}\n")
+    assert not out.exists()
+
+
 def test_analyze_chain_reports_structure(capsys):
     assert main(["analyze-chain", "--kind", "banlast", "--d", "4", "--m", "1", "--K", "1"]) == 0
     out = capsys.readouterr().out

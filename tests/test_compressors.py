@@ -1,5 +1,7 @@
 """Compressor state machines: laws, invariants, streams, unbiasedness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,7 @@ from markosparse.compressors import (
 from markosparse.chain_analysis import rho_bound_kawasaki_normalize
 from markosparse.errors import InfeasibleSampleError, InvalidArgumentError
 from markosparse.kernels import activate, coordinate_law, simulate_masks
-from markosparse import BANLAST, IDENTITY, KAWASAKI, NATURAL, PERMK, RAND
+from markosparse import BANLAST, IDENTITY, KAWASAKI, NATURAL, PERMK, RAND, kernels
 
 
 def test_sparsify_scales_kept_coordinates():
@@ -291,6 +293,33 @@ def test_a_nan_forgetting_rate_is_refused():
     with pytest.raises(InvalidArgumentError, match="forgetting rate b must exceed 1"):
         rho_bound_kawasaki_normalize(6, 1, 2, float("nan"))
     Compressor(KAWASAKI, d=2, m=1, K=2, b=1e300)  # two masks zero at most one
+
+
+@pytest.mark.parametrize("b,underflows", [(1.0000001, False), (1.5, False), (1.9, False),
+                                          (1.999999, False), (2.0, True), (2.5, True),
+                                          (50.0, True)])
+def test_a_weight_underflows_only_from_b_equal_2(b, underflows):
+    # below b = 2 the smallest subnormal over b rounds to itself, so the
+    # weights never reach 0; from b = 2 on they do, within 1076 divisions
+    table = kernels._weight_table(10, b, 5000)
+    assert (table[-1] == 0.0) == underflows
+    assert (len(table) < 5001) == underflows
+    assert (math.ulp(0.0) / b == 0.0) == underflows
+
+
+def test_the_kawasaki_support_check_builds_no_table_below_b_2(monkeypatch):
+    # no weight underflows below b = 2, so a huge window is accepted
+    # without walking a table of K entries
+    table = kernels._weight_table
+
+    def small_table(d, b, c_max):
+        assert c_max < 10**4, f"a weight table of {c_max + 1} entries"
+        return table(d, b, c_max)
+
+    monkeypatch.setattr(kernels, "_weight_table", small_table)
+    assert validate_parameters(KAWASAKI, 10, 1, 10**7, 1.0000001) == 1
+    with pytest.raises(InvalidArgumentError, match="underflows to 0 at c=190"):
+        validate_parameters(KAWASAKI, 10, 9, 1000, 50.0)
 
 
 @pytest.mark.parametrize("kind,kwargs", [

@@ -204,9 +204,9 @@ def _count_solves(monkeypatch):
 
 
 def test_only_the_last_dataset_is_kept_in_memory(tmp_path, small_file, monkeypatch):
-    # A, B, A in one process: B replaces A's entry, so A is parsed and
-    # solved again; the old cache variable is ignored and nothing but the
-    # CSVs is written
+    # A, B, A in one process: B replaces A's record, so A is parsed and
+    # solved again, and the one record holds A's key; the old cache variable
+    # is ignored and nothing but the CSVs is written
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv("MARKOSPARSE_CACHE_DIR", str(cache))
@@ -221,7 +221,8 @@ def test_only_the_last_dataset_is_kept_in_memory(tmp_path, small_file, monkeypat
     assert (tmp_path / "a1.csv").read_bytes() == (tmp_path / "a2.csv").read_bytes()
     assert parses == [1, 1, 1]
     assert solves == [1, 1, 1]
-    assert len(harness._MEMO) == 1
+    with open(small_file, "rb") as fh:
+        assert harness._MEMO["key"] == harness._reference_key(small_cfg(small_file), fh.read())
     assert list(cache.iterdir()) == []
 
 
@@ -230,9 +231,9 @@ def test_the_sharded_problem_is_keyed_by_content_and_sharding(small_file, monkey
                                                                change):
     harness._MEMO.clear()
     cfg = small_cfg(small_file)
-    first, _ = harness.build_problem(cfg)
+    first = harness.build_problem(cfg)
     parses = _count_parses(monkeypatch)
-    assert harness.build_problem(cfg)[0] is first
+    assert harness.build_problem(cfg) is first
     assert parses == []
     if change == "content":
         # same path, same size of problem, other rows
@@ -242,10 +243,10 @@ def test_the_sharded_problem_is_keyed_by_content_and_sharding(small_file, monkey
     else:
         cfg = dataclasses.replace(cfg, **{"seed": dict(seed=6), "clients": dict(clients=2),
                                           "lam": dict(lam=0.2), "dim": dict(dim=8)}[change])
-    second, _ = harness.build_problem(cfg)
+    second = harness.build_problem(cfg)
     assert parses == [1]
     assert second is not first
-    assert harness.build_problem(cfg)[0] is second
+    assert harness.build_problem(cfg) is second
     assert parses == [1]
 
 
@@ -253,8 +254,8 @@ def test_the_sharded_problem_is_keyed_by_content_and_sharding(small_file, monkey
 def test_a_failed_build_leaves_the_sharded_problem(tmp_path, small_file, monkeypatch, bad):
     harness._MEMO.clear()
     cfg = small_cfg(small_file)
-    kept, _ = harness.build_problem(cfg)
-    memo = {key: dict(entry) for key, entry in harness._MEMO.items()}
+    kept = harness.build_problem(cfg)
+    memo = dict(harness._MEMO)
     if bad == "parse":
         broken = tmp_path / "broken.libsvm"
         broken.write_text("+1 1:0.5\n-1 2:x\n", encoding="utf-8")
@@ -265,7 +266,7 @@ def test_a_failed_build_leaves_the_sharded_problem(tmp_path, small_file, monkeyp
         harness.build_problem(failing)
     assert harness._MEMO == memo
     parses = _count_parses(monkeypatch)
-    assert harness.build_problem(cfg)[0] is kept
+    assert harness.build_problem(cfg) is kept
     assert parses == []
 
 

@@ -193,8 +193,8 @@ def test_reference_minimizer_is_pinned_on_mushrooms(mushrooms_path):
     # SHA-256 of x_star's bytes, recorded before the shard evaluation was
     # stacked: the full gradient still sums the shards in the same order
     from markosparse.harness import build_problem
-    problem, _ = build_problem(ExperimentConfig(path=mushrooms_path, dim=112, clients=10,
-                                                lam=0.05, seed=7))
+    problem = build_problem(ExperimentConfig(path=mushrooms_path, dim=112, clients=10,
+                                             lam=0.05, seed=7))
     x_star, f_star = reference_minimizer(problem)
     assert hashlib.sha256(x_star.tobytes()).hexdigest() == (
         "e7149cddaed3723e5063bc2ff86d7e468f6e774c025f614b5782740adcd9c7c1")
