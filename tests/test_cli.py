@@ -728,6 +728,16 @@ def test_analyze_chain_curve_csv_is_pinned(tmp_path, capsys):
         "9e99f6b6f9e21fe07296fccfd39e64ddc380945168f3c8cf091809b19cd33402")
 
 
+def test_appendix_b_csv_is_pinned(tmp_path, capsys):
+    # SHA-256 of the whole table's bytes, its rows and slope footer alike
+    out = tmp_path / "table.csv"
+    assert main(["reproduce-appendix-b", "--trials", "300", "--seed", "2024",
+                 "--output", str(out)]) == 0
+    assert "zero-intercept slope: 0.7256" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0953d1c3b3d638bfbbd5aeb6c4da895f34074e30f0aed16feba808a44eff4248")
+
+
 def _bound_deviations(monkeypatch):
     """Cuts every deviation stream at 10^4 steps, so an unchecked t_max
     fails fast instead of stepping for hours."""
