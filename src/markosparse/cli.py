@@ -137,14 +137,12 @@ def _cmd_analyze_chain(args):
     # the CSV before the report, so an output that cannot be written
     # prints nothing
     if args.output:
-        devs = chains.deviation_curve(chain, args.t_max)
-        lines = ["t,deviation" + (",bound" if bound else "")]
-        for t in range(args.t_max + 1):
-            row = f"{t},{harness._fmt(devs[t])}"
-            if bound:
-                row += f",{harness._fmt(bound.C * bound.rho ** t)}"
-            lines.append(row)
-        harness.write_text(args.output, "\n".join(lines) + "\n")
+        ts = range(args.t_max + 1)
+        columns = [ts, chains.deviation_curve(chain, args.t_max)]
+        if bound:
+            columns.append([bound.C * bound.rho ** t for t in ts])
+        harness.write_text(args.output, harness.csv_text(
+            "t,deviation" + (",bound" if bound else ""), columns))
     print(f"states: {chain.n_states}")
     print(f"recurrent class: {len(result.recurrent)} states "
           f"({result.n_unreachable} unreachable)")

@@ -53,10 +53,10 @@ class NumericalError(MarkosparseError):
 
 
 class DivergenceError(MarkosparseError):
-    """Training produced a non-finite value. Carries the iteration and the
-    partial trace collected up to that point."""
+    """Training produced a non-finite value. Carries the iteration and,
+    once run_training attaches it, the partial trace up to that point."""
 
-    def __init__(self, t, trace=None, message=None):
+    def __init__(self, t, message=None):
         self.t = t
-        self.trace = trace
+        self.trace = None
         super().__init__(message or f"non-finite value at iteration {t}")

@@ -4,16 +4,18 @@ Configs are YAML trees with four sections (dataset / optimizer / compressor
 / run) that load into one frozen `ExperimentConfig`. The config validates
 itself when it is built (every range, e.g. p in (0, 1] and alpha_shift in
 [0, 1]), and training reads it directly. Every run writes one CSV with a
-fixed schema
+fixed schema, the names of TrainTrace's fields
 
     t,coords_sent_cum,f_value,fdist_ratio,grad_norm_sq,dist_sq_to_opt
 
 and prints a summary of the coordinates needed to reach fixed suboptimality
-thresholds. Paired runs on one dataset share its parse and its solve: the
-memo is one record of the last dataset, its key (the file's content hash,
-dim, sharding and lambda), its sharded problem and, once solved, its
-reference minimizer. Nothing but the CSV is written to disk. The file is
-read and hashed on every run, so an edited file is noticed.
+thresholds. csv_text builds every CSV a command writes (this trace, the
+appendix-B table, analyze-chain's curve) in one number format. Paired runs
+on one dataset share its parse and its solve: the memo is one record of
+the last dataset, its key (the file's content hash, dim, sharding and
+lambda), its sharded problem and, once solved, its reference minimizer.
+Nothing but the CSV is written to disk. The file is read and hashed on
+every run, so an edited file is noticed.
 """
 
 import hashlib
@@ -29,7 +31,7 @@ from . import chain_analysis as chains
 from .compressors import ACTIVATIONS, ALL_KINDS, BANLAST, IDENTITY, KAWASAKI, validate_parameters
 from .errors import ConfigError, DivergenceError, InvalidArgumentError
 from .objectives import load_libsvm, partition
-from .optimizers import OPTIMIZERS, reference_minimizer, run_training
+from .optimizers import OPTIMIZERS, momentum_schedule, reference_minimizer, run_training
 
 CSV_HEADER = "t,coords_sent_cum,f_value,fdist_ratio,grad_norm_sq,dist_sq_to_opt"
 SUMMARY_THRESHOLDS = (1e-2, 1e-3, 1e-4)
@@ -198,12 +200,16 @@ def _fmt(v):
     return repr(f)
 
 
+def csv_text(header, columns, footer=()):
+    """Every command's CSV: the header line, one row per entry of the columns,
+    each formatted a column at a time by _fmt, then the footer lines."""
+    cells = [list(map(_fmt, np.asarray(col).tolist())) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells)), *footer]) + "\n"
+
+
 def trace_to_csv(trace):
-    # each column as Python scalars, formatted a column at a time
-    cols = (trace.t, trace.coords_sent_cum, trace.f_value, trace.fdist_ratio,
-            trace.grad_norm_sq, trace.dist_sq_to_opt)
-    cells = [list(map(_fmt, col.tolist())) for col in cols]
-    return "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
+    # TrainTrace's fields carry the CSV's column names
+    return csv_text(CSV_HEADER, [getattr(trace, name) for name in CSV_HEADER.split(",")])
 
 
 def _check_output(path):
@@ -283,8 +289,9 @@ def run_experiment(cfg, csv_path=None, quiet=False):
 
 
 def _check_compressor(cfg, d, K):
-    # cfg's compressor at history size K on d features, and its workers'
-    # history of K masks, checked before any reference solve or training
+    # cfg's compressor at history size K on d features, its workers' history
+    # and amqsgd's schedule, checked before any reference solve or training
+    momentum_schedule(cfg, cfg.lam)
     m = cfg.mask_size(d)
     if m > d:
         raise ConfigError("compressor.m", f"m={m} exceeds dimension {d}")
@@ -308,7 +315,7 @@ def _run_on(cfg, problem, csv_path=None, quiet=False):
         trace = run_training(problem, cfg, reference=_MEMO["reference"])
     except DivergenceError as err:
         # the rows up to the divergence are still written
-        if out and err.trace is not None:
+        if out:
             write_text(out, trace_to_csv(err.trace))
         raise
     if out:
@@ -400,11 +407,8 @@ def reproduce_hitting_table(trials=10**5, seed=2024, output=None):
     slope = float((a @ k) / (a @ a))
     report = {"rows": rows, "slope": slope}
     if output:
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        lines += [",".join(_fmt(r[c]) for c in cols) for r in rows]
-        lines.append(f"# zero-intercept slope,{_fmt(slope)}")
-        write_text(output, "\n".join(lines) + "\n")
+        write_text(output, csv_text(",".join(rows[0]), [[r[c] for r in rows] for c in rows[0]],
+                                    footer=[f"# zero-intercept slope,{_fmt(slope)}"]))
     for r in rows:
         print(f"alpha={r['alpha']:>5}: K*={r['K_star']:>2} rand={r['rand']:>5.1f} "
               f"formula={r['banlast_formula']:.4f} exact={r['banlast_exact']:.4f} "

@@ -11,8 +11,9 @@ gradients alone, `shard_grads`, at a point no metric row reads), one
 compressor state for all workers, one sum over the rows in worker order
 (`objectives._sum_rows`) and one finiteness pass over the gradients.
 A run is configured by one `harness.ExperimentConfig`, validated when it is
-built. Also a high-accuracy full-gradient reference minimizer used for
-suboptimality metrics.
+built; `momentum_schedule` resolves amqsgd's schedule from it. A metric row
+is one tuple; `run_training` attaches the rows so far to any divergence.
+Also a high-accuracy full-gradient reference minimizer for suboptimality.
 """
 
 import math
@@ -64,6 +65,14 @@ def amqsgd_params(mu, gamma, p=1.0):
     if not 0.0 < theta < 1.0:
         raise InvalidArgumentError(f"theta = {theta} outside (0, 1); shrink gamma or p")
     return AmqsgdParams(gamma, p, beta, eta, theta)
+
+
+def momentum_schedule(cfg, lam):
+    """amqsgd's schedule for cfg at ridge lam (mu = 2 lam, p defaulting to 1),
+    refused as amqsgd_params refuses it; None for the other methods."""
+    if cfg.optimizer != AMQSGD:
+        return None
+    return amqsgd_params(2.0 * lam, cfg.gamma, 1.0 if cfg.p is None else cfg.p)
 
 
 @dataclass
@@ -195,7 +204,7 @@ class _TraceBuilder:
     def __init__(self, problem, reference):
         self.problem = problem
         self.x_star, self.f_star = reference if reference else (None, None)
-        self.cols = {k: [] for k in ("t", "coords", "f", "ratio", "gns", "dist", "wall")}
+        self.rows = []
         self.f0_gap = None
         self.start = time.perf_counter()
 
@@ -217,28 +226,16 @@ class _TraceBuilder:
             else:
                 ratio = math.nan
                 dist = math.nan
-        c = self.cols
-        c["t"].append(t)
-        c["coords"].append(coords)
-        c["f"].append(f)
-        c["ratio"].append(ratio)
-        c["gns"].append(gns)
-        c["dist"].append(dist)
-        c["wall"].append(time.perf_counter() - self.start)
+        # one row in TrainTrace's field order
+        self.rows.append((t, coords, f, ratio, gns, dist, time.perf_counter() - self.start))
         if not (math.isfinite(f) and math.isfinite(gns)):
-            raise DivergenceError(t, trace=self.build(),
-                                  message=f"non-finite metrics at t={t}")
+            raise DivergenceError(t, message=f"non-finite metrics at t={t}")
         return grads
 
     def build(self):
-        c = self.cols
-        return TrainTrace(
-            np.array(c["t"], dtype=np.int64),
-            np.array(c["coords"], dtype=np.float64),
-            np.array(c["f"]), np.array(c["ratio"]),
-            np.array(c["gns"]), np.array(c["dist"]),
-            np.array(c["wall"]),
-        )
+        t, coords, *floats = zip(*self.rows)
+        return TrainTrace(np.array(t, dtype=np.int64), np.array(coords, dtype=np.float64),
+                          *map(np.array, floats))
 
 
 def make_workers(problem, cfg):
@@ -264,34 +261,29 @@ def run_training(problem, cfg, reference=None):
     next round's gradients; amqsgd serves x_f but queries x_g, so its round
     evaluates the gradients again, without the losses."""
     workers = make_workers(problem, cfg)
+    momentum = momentum_schedule(cfg, problem.lam)
     x0 = np.zeros(problem.d)
-    momentum = None
-    if cfg.optimizer == AMQSGD:
-        p = 1.0 if cfg.p is None else cfg.p
-        momentum = amqsgd_params(2.0 * problem.lam, cfg.gamma, p)
-        server = ServerState(x0.copy(), x0.copy())
-    else:
-        server = ServerState(x0.copy())
+    server = ServerState(x0.copy(), None if momentum is None else x0.copy())
     alpha_shift = cfg.alpha_shift
     if alpha_shift is None:
         alpha_shift = cfg.mask_size(problem.d) / problem.d
 
     tracer = _TraceBuilder(problem, reference)
     coords_cum = 0
-    grads = tracer.record(0, 0, server.served)
-    while cfg.T is None or server.t < cfg.T:
-        if cfg.budget is not None and coords_cum >= cfg.budget:
-            break
-        try:
+    try:
+        grads = tracer.record(0, 0, server.served)
+        while cfg.T is None or server.t < cfg.T:
+            if cfg.budget is not None and coords_cum >= cfg.budget:
+                break
             server, coords = training_round(problem, server, workers, cfg.gamma,
                                             momentum, alpha_shift,
                                             grads=grads if momentum is None else None)
-        except DivergenceError as err:
-            if err.trace is None:
-                err.trace = tracer.build()
-            raise
-        # communication is measured in 32-bit coordinate units, so the
-        # 9-bit natural rounding counts for 9/32 of a coordinate
-        coords_cum += coords * workers.compressor.bits_per_coord / 32.0
-        grads = tracer.record(server.t, coords_cum, server.served)
+            # communication is measured in 32-bit coordinate units, so the
+            # 9-bit natural rounding counts for 9/32 of a coordinate
+            coords_cum += coords * workers.compressor.bits_per_coord / 32.0
+            grads = tracer.record(server.t, coords_cum, server.served)
+    except DivergenceError as err:
+        # the rows recorded so far, the non-finite one included
+        err.trace = tracer.build()
+        raise
     return tracer.build()

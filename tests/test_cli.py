@@ -494,6 +494,34 @@ def _refuse_solve(problem):
     pytest.fail("the reference was solved")
 
 
+@pytest.mark.parametrize("argv", [["train"], ["sweep-k", "--k", "0,7"]],
+                         ids=["train", "sweep-k"])
+def test_amqsgd_without_ridge_is_refused_before_the_reference_solve(argv, tmp_path,
+                                                                    mushrooms_path,
+                                                                    monkeypatch, capsys):
+    # the shipped config as amqsgd at lambda 0: its schedule needs mu = 2
+    # lambda > 0, and the separable data has no minimizer to solve for
+    with open(os.path.join(REPO_ROOT, "configs", "mushrooms_mqsgd.yaml"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    out = tmp_path / "metrics.csv"
+    for old, new in [("data/mushrooms_synth.libsvm", mushrooms_path),
+                     ("lambda: 0.05", "lambda: 0"), ("kind: mqsgd", "kind: amqsgd"),
+                     ("runs/mushrooms_banlast.csv", str(out))]:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "amqsgd.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(harness, "_MEMO", {})
+    monkeypatch.setattr(harness, "reference_minimizer", _refuse_solve)
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,K", [("kawasaki", 5), ("banlast", 4)])
 @pytest.mark.parametrize("command", ["train", "sweep-k"])
 def test_the_compressor_history_is_checked_against_the_cap(command, kind, K, tmp_path,

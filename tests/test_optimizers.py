@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from markosparse.errors import ConfigError, DivergenceError, InvalidArgumentError
-from markosparse.harness import ExperimentConfig
+from markosparse.harness import CSV_HEADER, ExperimentConfig
 from markosparse.optimizers import (
     ServerState,
     amqsgd_params,
@@ -177,6 +177,31 @@ def test_divergence_carries_partial_trace(small_problem):
         run_training(small_problem, cfg, reference=reference_minimizer(small_problem))
     assert err.value.trace is not None
     assert 0 < len(err.value.trace.t) < 501
+
+
+def test_a_divergence_in_a_round_carries_the_rows_before_it(small_problem, monkeypatch):
+    # amqsgd's rounds take their gradients through shard_grads, its metric
+    # rows through shard_loss_grads; a NaN gradient at round t ends the run
+    # with rows 0..t, equal to the same run's rows undisturbed
+    cfg = ExperimentConfig(optimizer="amqsgd", gamma=0.2, compressor=RAND, m=2, T=12, seed=0)
+    reference = reference_minimizer(small_problem)
+    full = run_training(small_problem, cfg, reference=reference)
+    bad = 5
+    calls = []
+    grads = ShardedProblem.shard_grads
+
+    def poisoned(self, w):
+        calls.append(1)
+        g = grads(self, w)
+        return np.full_like(g, np.nan) if len(calls) == bad + 1 else g
+
+    monkeypatch.setattr(ShardedProblem, "shard_grads", poisoned)
+    with pytest.raises(DivergenceError, match=f"worker 0 at t={bad}") as err:
+        run_training(small_problem, cfg, reference=reference)
+    trace = err.value.trace
+    np.testing.assert_array_equal(trace.t, np.arange(bad + 1))
+    for name in CSV_HEADER.split(","):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(full, name)[:bad + 1])
 
 
 def test_round_names_the_first_worker_with_a_non_finite_gradient(small_problem):
